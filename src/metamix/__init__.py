@@ -4,7 +4,7 @@ plus a numerical auditor for the mixup-gap smoothness inequality."""
 from . import data, engine, meta, mixing, nets, reporting, semi, smoothness
 from .data import Dataset, Splits, SyntheticSpec, load_idx, make_synthetic, standard_splits
 from .engine import Tensor, backward, grad_check, no_grad
-from .meta import TrainConfig, hypergradient, metamixup_train_step, train_supervised
+from .meta import TrainConfig, hypergradient, train_step, train_supervised
 from .mixing import InterpolationPolicy, init_policy, mix_batch, sample_pairing
 from .nets import Architecture, ModelState, OptimizerConfig, build_model, forward
 from .semi import AplState, apl_threshold, assign_pseudo_labels, train_ssl
@@ -18,7 +18,7 @@ __all__ = [
     "Dataset", "Splits", "SyntheticSpec", "load_idx", "make_synthetic",
     "standard_splits",
     "Tensor", "backward", "grad_check", "no_grad",
-    "TrainConfig", "hypergradient", "metamixup_train_step", "train_supervised",
+    "TrainConfig", "hypergradient", "train_step", "train_supervised",
     "InterpolationPolicy", "init_policy", "mix_batch", "sample_pairing",
     "Architecture", "ModelState", "OptimizerConfig", "build_model", "forward",
     "AplState", "apl_threshold", "assign_pseudo_labels", "train_ssl",

@@ -33,10 +33,6 @@ class ConfigError(Exception):
     pass
 
 
-class DataStageError(Exception):
-    pass
-
-
 def _bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -212,7 +208,7 @@ def _load_idx_pair(images, labels, n_classes, what) -> Dataset:
     try:
         return dataio.load_idx(images, labels, n_classes)
     except OSError as exc:
-        raise DataStageError(f"cannot read {what} set: {exc}")
+        raise DataError(f"cannot read {what} set: {exc}")
 
 
 def _load_splits(opts: dict) -> Splits:
@@ -357,7 +353,7 @@ def _audit_field(opts: dict, rng: np.random.Generator):
         try:
             model = nets.load_model(opts["model"])
         except OSError as exc:
-            raise DataStageError(f"cannot read checkpoint: {exc}")
+            raise DataError(f"cannot read checkpoint: {exc}")
     else:
         arch = _parse_arch(opts["arch"] or "mlp:16,8",
                            train.inputs.shape[1:], train.n_classes)
@@ -444,9 +440,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataStageError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -17,6 +17,7 @@ import numpy as np
 
 IMAGE_MAGIC = 2051  # 0x00000803: ubyte, 3 dims
 LABEL_MAGIC = 2049  # 0x00000801: ubyte, 1 dim
+_READ_CHUNK = 1 << 20
 
 
 class DataError(Exception):
@@ -62,10 +63,18 @@ class Splits:
 
 
 def _read_exact(fh, count: int, what: str, path) -> bytes:
-    blob = fh.read(count)
-    if len(blob) != count:
-        raise DataError(f"{path}: truncated {what} (wanted {count} bytes, got {len(blob)})")
-    return blob
+    """Read exactly count bytes. Reading in bounded chunks keeps memory to what
+    the file holds, whatever size a lying header claims."""
+    if count < 0:
+        raise DataError(f"{path}: negative {what} size {count}")
+    chunks, got = [], 0
+    while got < count:
+        chunk = fh.read(min(count - got, _READ_CHUNK))
+        if not chunk:
+            raise DataError(f"{path}: truncated {what} (wanted {count} bytes, got {got})")
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
 
 
 def _open_idx(path):

@@ -16,7 +16,7 @@ import itertools
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -577,33 +577,6 @@ def backward(loss: Tensor, targets: Sequence[Tensor], create_graph: bool = False
         warnings.warn(f"backward: {missing} target(s) unreachable from the loss; "
                       "returning zero gradients", UnreachableTargetWarning)
     return results
-
-
-# ---------------------------------------------------------------------------
-# spec-named dispatch
-
-
-PRIMITIVES: dict[str, Callable] = {
-    "add": add, "sub": sub, "mul": mul, "neg": neg, "scale": scale,
-    "add_scalar": add_scalar, "matmul": matmul, "transpose": transpose,
-    "bias_add": bias_add, "tanh": tanh, "sigmoid": sigmoid, "softplus": softplus,
-    "relu": relu, "exp": exp, "sin": sin, "cos": cos,
-    "log_softmax": log_softmax, "row_sum": row_sum,
-    "mean_reduce": mean_reduce, "sum_reduce": sum_reduce,
-    "broadcast_to": broadcast_to, "sum_to_shape": sum_to_shape,
-    "reshape": reshape, "gather_rows": gather_rows,
-    "scatter_add_rows": scatter_add_rows,
-    "conv2d": conv2d, "conv2d_input_grad": conv2d_input_grad,
-    "conv2d_weight_grad": conv2d_weight_grad,
-}
-
-
-def apply_primitive(kind: str, *inputs, **kwargs) -> Tensor:
-    try:
-        fn = PRIMITIVES[kind]
-    except KeyError:
-        raise EngineError(f"unknown primitive '{kind}'; known: {sorted(PRIMITIVES)}")
-    return fn(*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

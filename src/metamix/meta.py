@@ -10,6 +10,11 @@ The hypergradient comes in two flavors: "exact" differentiates through the
 recorded inner gradient (double backward), "fd" uses the identity
 grad_z = -eta * d/dz <grad_theta L_meta, grad_theta' L_val> evaluated by
 central differences along the validation gradient.
+
+One step function (:func:`train_step`) runs every mode, with or without a
+group of pseudo-labeled rows, and one epoch loop drives every run: the
+supervised trainer here and the semi-supervised one in ``semi``, which adds
+only its per-epoch relabel pass.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ class StepStats:
     lambda_max: float
     hypergrad_norm: float
     lambda_values: np.ndarray
-    accepted: int = 0
+    accepted: int                  # pseudo rows in the step
 
     def __post_init__(self):
         for name in ("train_loss", "meta_loss", "val_loss", "lambda_mean",
@@ -216,75 +221,65 @@ def update_policy(policy: InterpolationPolicy, grad,
                                       requires_grad=True))
 
 
-def _main_update(model: ModelState, groups: Sequence[Group], lam_vector,
-                 config: TrainConfig, lr: float) -> float:
-    loss = _group_loss(model, groups, lam_vector, model.params)
-    grads = nets.param_gradients(loss, model)
-    nets.sgd_step(model, grads, config.optimizer, lr)
-    return loss.item()
+def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
+               rng: np.random.Generator, lr: float | None = None,
+               pseudo_batch=None) -> StepStats:
+    """One training step of any mode over a labeled batch plus an optional
+    pseudo-labeled group.
 
+    The coefficients cover labeled rows then pseudo rows; each group mixes
+    within itself and the loss is L_labeled + unsup_weight * L_pseudo.
+    metamixup learns the coefficients (each policy update simulates its inner
+    step on a fresh clone), mixup-beta shares one Beta draw, mixup-fixed uses
+    fixed_lambda, and the baseline is lambda = 1 on the identity pairing
+    (mixing with anything is the identity).
 
-def metamixup_train_step(model: ModelState, batch, val_batch,
-                         config: TrainConfig, rng: np.random.Generator,
-                         lr: float | None = None) -> StepStats:
-    """Learn per-sample coefficients for this batch, then take the real step.
-
-    Randomness drawn, in order: pairing permutation, initial policy. The
-    validation batch is supplied by the caller. Each policy update simulates
-    its inner step on a fresh clone.
+    Randomness drawn, in order: labeled pairing, pseudo pairing (only when the
+    pseudo group is non-empty), then the policy or the Beta draw; the baseline
+    draws nothing. The non-meta modes measure the validation loss after the
+    update (0.0 without a validation batch).
     """
-    x, y = batch
     step_lr = config.optimizer.learning_rate if lr is None else lr
-    perm = mixing.sample_pairing(len(x), rng)
-    policy = mixing.init_policy(len(x), rng)
-    groups = [(x, y, perm, 1.0)]
-    last = None
-    for _ in range(config.policy_updates):
-        last = hypergradient(model, groups, policy, val_batch, step_lr,
-                             config.hypergrad_mode, config.fd_epsilon)
-        policy = update_policy(policy, last.grad, config.policy_step_size)
-    lam = policy.lambda_values()
-    train_loss = _main_update(model, groups, policy.lambdas(), config, step_lr)
-    return StepStats(
-        train_loss=train_loss, meta_loss=last.meta_loss, val_loss=last.val_loss,
-        lambda_mean=float(lam.mean()), lambda_std=float(lam.std()),
-        lambda_min=float(lam.min()), lambda_max=float(lam.max()),
-        hypergrad_norm=float(np.linalg.norm(last.grad)), lambda_values=lam)
+    members = [(batch, 1.0)]
+    if pseudo_batch is not None and len(pseudo_batch[0]):
+        members.append((pseudo_batch, config.unsup_weight))
+    groups: list[Group] = []
+    for (x, y), weight in members:
+        perm = (np.arange(len(x)) if config.mode == "baseline"
+                else mixing.sample_pairing(len(x), rng))
+        groups.append((x, y, perm, weight))
+    n = sum(len(g[0]) for g in groups)
 
-
-def vanilla_train_step(model: ModelState, batch, config: TrainConfig,
-                       rng: np.random.Generator, lr: float | None = None,
-                       val_batch=None) -> StepStats:
-    """The non-meta modes: shared Beta draw, fixed coefficient, or no mixing.
-
-    Randomness drawn, in order: pairing permutation, then the Beta coefficient
-    (mixup-beta only). The baseline consumes no randomness and is treated as
-    lambda = 1 (mixing with anything is the identity)."""
-    x, y = batch
-    step_lr = config.optimizer.learning_rate if lr is None else lr
-    n = len(x)
-    if config.mode == "baseline":
-        lam = np.ones(n)
-        perm = np.arange(n)
+    meta_loss = val_loss = hyper_norm = 0.0
+    if config.mode == "metamixup":
+        policy = mixing.init_policy(n, rng)
+        for _ in range(config.policy_updates):
+            last = hypergradient(model, groups, policy, val_batch, step_lr,
+                                 config.hypergrad_mode, config.fd_epsilon)
+            policy = update_policy(policy, last.grad, config.policy_step_size)
+        lam_vector, lam = policy.lambdas(), policy.lambda_values()
+        meta_loss, val_loss = last.meta_loss, last.val_loss
+        hyper_norm = float(np.linalg.norm(last.grad))
     else:
-        perm = mixing.sample_pairing(n, rng)
         if config.mode == "mixup-beta":
             lam = np.full(n, mixing.beta_sample(config.beta_alpha, rng))
         elif config.mode == "mixup-fixed":
             lam = np.full(n, config.fixed_lambda)
         else:
-            raise ValueError(f"vanilla_train_step cannot run mode '{config.mode}'")
-    train_loss = _main_update(model, [(x, y, perm, 1.0)], Tensor(lam), config, step_lr)
-    val_loss = 0.0
-    if val_batch is not None:
+            lam = np.ones(n)
+        lam_vector = Tensor(lam)
+
+    loss = _group_loss(model, groups, lam_vector, model.params)
+    nets.sgd_step(model, nets.param_gradients(loss, model), config.optimizer, step_lr)
+    if config.mode != "metamixup" and val_batch is not None:
         with eng.no_grad():
             val_loss = nets.cross_entropy(
                 nets.forward(model, val_batch[0]), val_batch[1]).item()
     return StepStats(
-        train_loss=train_loss, meta_loss=0.0, val_loss=val_loss,
+        train_loss=loss.item(), meta_loss=meta_loss, val_loss=val_loss,
         lambda_mean=float(lam.mean()), lambda_std=float(lam.std()),
         lambda_min=float(lam.min()), lambda_max=float(lam.max()),
-        hypergrad_norm=0.0, lambda_values=lam)
+        hypergrad_norm=hyper_norm, lambda_values=lam, accepted=n - len(batch[0]))
 
 
 def shape_for(arch: Architecture, x: np.ndarray) -> np.ndarray:
@@ -306,8 +301,22 @@ def sample_val_batch(meta_val, val_onehot: np.ndarray, m: int,
 
 
 def train_supervised(splits: Splits, config: TrainConfig) -> TrainingReport:
-    """Full supervised run; per step the RNG draws, in order: validation
-    indices, augmentation, pairing, policy/Beta. Metrics are per epoch."""
+    """Full supervised run; metrics are per epoch."""
+    return _fit(splits, config)
+
+
+def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
+    """The epoch loop of every run, supervised and semi-supervised.
+
+    Each epoch first calls ``relabel(model, epoch)`` (when given), which
+    returns the accepted pseudo-labeled inputs, their one-hot labels, the
+    threshold and the pseudo-label accuracy; every step then takes
+    min(batch_size, accepted) of those rows, cycling through a per-epoch
+    shuffle. Per epoch the RNG draws the labeled order, then the accepted
+    order (only when rows were accepted); per step: validation indices,
+    labeled augmentation, pseudo augmentation, then the draws of
+    :func:`train_step`.
+    """
     rng = np.random.default_rng(config.seed)
     arch = config.arch if config.arch is not None else default_arch(splits.train)
     model = nets.build_model(arch, rng)
@@ -322,28 +331,38 @@ def train_supervised(splits: Splits, config: TrainConfig) -> TrainingReport:
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         lr = config.optimizer.lr_at(epoch)
+        accepted, threshold, pseudo_accuracy = 0, -1.0, -1.0
+        if relabel is not None:
+            pool_x, pool_y, threshold, pseudo_accuracy = relabel(model, epoch)
+            accepted = len(pool_x)
+
         order = rng.permutation(len(train))
+        if accepted:
+            pseudo_order = rng.permutation(accepted)
+            take = min(config.batch_size, accepted)
+
         stats: list[StepStats] = []
         for s in range(len(train) // config.batch_size):
             idx = order[s * config.batch_size:(s + 1) * config.batch_size]
             val_batch = sample_val_batch(meta_val, val_onehot, m, arch, rng)
             bx = augment_batch(shape_for(arch, train.inputs[idx]), config.augment, rng)
-            batch = (bx, y_onehot[idx])
-            if config.mode == "metamixup":
-                stats.append(metamixup_train_step(model, batch, val_batch,
-                                                  config, rng, lr))
-            else:
-                stats.append(vanilla_train_step(model, batch, config, rng, lr,
-                                                val_batch))
+            pseudo = None
+            if accepted:
+                u_idx = pseudo_order[(s * take + np.arange(take)) % accepted]
+                pseudo = (augment_batch(pool_x[u_idx], config.augment, rng),
+                          pool_y[u_idx])
+            stats.append(train_step(model, (bx, y_onehot[idx]), val_batch,
+                                    config, rng, lr, pseudo))
         records.append(epoch_record(epoch, stats, model, test_x,
-                                    test.labels if len(test) else None, t0))
-    final_err = records[-1].test_error if records else -1.0
-    return TrainingReport(records=records, final_test_error=final_err, model=model)
+                                    test.labels if len(test) else None, t0,
+                                    threshold, accepted, pseudo_accuracy))
+    return TrainingReport(records=records, final_test_error=records[-1].test_error,
+                          model=model)
 
 
 def epoch_record(epoch: int, stats: Sequence[StepStats], model: ModelState,
-                 test_x, test_labels, t0: float, threshold: float = -1.0,
-                 accepted: int = 0, pseudo_accuracy: float = -1.0) -> EpochRecord:
+                 test_x, test_labels, t0: float, threshold: float,
+                 accepted: int, pseudo_accuracy: float) -> EpochRecord:
     lam_all = (np.concatenate([s.lambda_values for s in stats])
                if stats else np.empty(0))
     test_error = (nets.error_rate(model, test_x, test_labels)

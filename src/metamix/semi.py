@@ -4,24 +4,25 @@ and one interpolation policy shared across the labeled and pseudo batches.
 Each epoch the unlabeled pool is relabeled by the current model; samples whose
 max softmax probability clears the threshold join training with hard one-hot
 labels. The threshold starts high and steps down every ``sigma_period`` epochs
-so early epochs only admit easy samples. Both groups are mixed within
-themselves; the meta loss is the sum of the two group means, and the
-hypergradient is taken w.r.t. the full logit vector at once.
+so early epochs only admit easy samples. This module holds only that relabel
+pass and the threshold schedule: the accepted rows ride along as a second
+group of ``meta.train_step`` inside the shared epoch loop. Both groups are
+mixed within themselves; the meta loss is the labeled mean plus
+``unsup_weight`` times the pseudo mean, and the hypergradient is taken w.r.t.
+the full logit vector at once.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import engine as eng
-from . import meta, mixing, nets
-from .data import Dataset, Splits, augment_batch
-from .meta import Group, StepStats, TrainConfig, TrainingReport
+from . import meta, nets
+from .data import Dataset, Splits
+from .meta import TrainConfig, TrainingReport
 from .nets import ModelState
-from .reporting import EpochRecord
 
 
 @dataclass
@@ -90,136 +91,25 @@ def assign_pseudo_labels(model: ModelState, inputs, sigma_t: float,
                        confidences=conf, indices=idx)
 
 
-def ssl_train_step(model: ModelState, labeled_batch, pseudo_batch,
-                   val_batch, config: TrainConfig, rng: np.random.Generator,
-                   lr: float | None = None) -> StepStats:
-    """One combined step. The policy covers labeled rows then pseudo rows;
-    each group mixes within itself. Loss = L_labeled + w * L_pseudo.
-
-    Randomness drawn, in order: labeled pairing, pseudo pairing (only when the
-    pseudo group is non-empty), policy (or Beta draw). With an empty pseudo
-    group the consumption pattern is identical to the supervised step.
-    """
-    lx, ly = labeled_batch
-    step_lr = config.optimizer.learning_rate if lr is None else lr
-    n_l = len(lx)
-    n_u = 0 if pseudo_batch is None else len(pseudo_batch[0])
-    if config.mode not in meta.MODES:
-        raise ValueError(f"ssl_train_step cannot run mode '{config.mode}'")
-
-    groups: list[Group] = []
-    if config.mode == "baseline":
-        # no mixing, no randomness consumed; identity pairing with lambda = 1
-        groups.append((lx, ly, np.arange(n_l), 1.0))
-        if n_u > 0:
-            ux, uy = pseudo_batch
-            groups.append((ux, uy, np.arange(n_u), config.unsup_weight))
-    else:
-        groups.append((lx, ly, mixing.sample_pairing(n_l, rng), 1.0))
-        if n_u > 0:
-            ux, uy = pseudo_batch
-            groups.append((ux, uy, mixing.sample_pairing(n_u, rng),
-                           config.unsup_weight))
-
-    if config.mode == "metamixup":
-        policy = mixing.init_policy(n_l + n_u, rng)
-        last = None
-        for _ in range(config.policy_updates):
-            last = meta.hypergradient(model, groups, policy, val_batch, step_lr,
-                                      config.hypergrad_mode, config.fd_epsilon)
-            policy = meta.update_policy(policy, last.grad, config.policy_step_size)
-        lam_vec = policy.lambdas()
-        lam = policy.lambda_values()
-        meta_loss, val_loss = last.meta_loss, last.val_loss
-        hyper_norm = float(np.linalg.norm(last.grad))
-    else:
-        if config.mode == "baseline":
-            lam = np.ones(n_l + n_u)
-        elif config.mode == "mixup-beta":
-            lam = np.full(n_l + n_u, mixing.beta_sample(config.beta_alpha, rng))
-        else:
-            lam = np.full(n_l + n_u, config.fixed_lambda)
-        lam_vec = eng.Tensor(lam)
-        meta_loss = val_loss = hyper_norm = 0.0
-
-    train_loss = meta._main_update(model, groups, lam_vec, config, step_lr)
-    if config.mode != "metamixup" and val_batch is not None:
-        # measured after the update, matching the supervised step
-        with eng.no_grad():
-            val_loss = nets.cross_entropy(
-                nets.forward(model, val_batch[0]), val_batch[1]).item()
-    return StepStats(
-        train_loss=train_loss, meta_loss=meta_loss, val_loss=val_loss,
-        lambda_mean=float(lam.mean()), lambda_std=float(lam.std()),
-        lambda_min=float(lam.min()), lambda_max=float(lam.max()),
-        hypergrad_norm=hyper_norm, lambda_values=lam, accepted=n_u)
-
-
-def _cycled(order: np.ndarray, start: int, count: int) -> np.ndarray:
-    """count indices from a ring buffer starting at start."""
-    n = len(order)
-    pos = (start + np.arange(count)) % n
-    return order[pos]
-
-
 def train_ssl(labeled: Splits, unlabeled: Dataset,
               config: TrainConfig) -> TrainingReport:
     """Pseudo-label training over a labeled Splits bundle plus an unlabeled pool.
 
     The meta-validation set comes from the labeled pool (labeled.meta_val).
-    With an empty unlabeled pool this reduces exactly to train_supervised:
-    same model init, same RNG stream, same metric values (threshold reads
-    -1.0, meaning no thresholding happened).
+    Both run the same epoch loop; this one only adds the relabel pass, so an
+    empty unlabeled pool is train_supervised itself (threshold reads -1.0,
+    meaning no thresholding happened).
     """
-    rng = np.random.default_rng(config.seed)
-    arch = config.arch if config.arch is not None else meta.default_arch(labeled.train)
-    model = nets.build_model(arch, rng)
-    train, meta_val, test = labeled.train, labeled.meta_val, labeled.test
-    classes = train.n_classes
-    y_onehot = nets.one_hot(train.labels, classes)
-    val_onehot = nets.one_hot(meta_val.labels, classes)
-    m = config.meta_batch_size or config.batch_size
-    test_x = meta.shape_for(arch, test.inputs) if len(test) else None
     apl = AplState(config.sigma0, config.sigma_decrement, config.sigma_period,
                    config.sigma_floor)
 
-    records: list[EpochRecord] = []
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        lr = config.optimizer.lr_at(epoch)
-
-        pool: PseudoBatch | None = None
-        sigma_t = -1.0
+    def relabel(model: ModelState, epoch: int):
+        sigma_t = apl_threshold(epoch, apl) if config.apl else config.sigma0
+        pool = assign_pseudo_labels(model, unlabeled.inputs, sigma_t)
         pseudo_accuracy = -1.0
-        if len(unlabeled):
-            sigma_t = apl_threshold(epoch, apl) if config.apl else config.sigma0
-            pool = assign_pseudo_labels(model, unlabeled.inputs, sigma_t)
-            if len(pool) and unlabeled.true_labels is not None:
-                hits = pool.labels.argmax(axis=1) == unlabeled.true_labels[pool.indices]
-                pseudo_accuracy = float(np.mean(hits))
+        if len(pool) and unlabeled.true_labels is not None:
+            hits = pool.labels.argmax(axis=1) == unlabeled.true_labels[pool.indices]
+            pseudo_accuracy = float(np.mean(hits))
+        return pool.inputs, pool.labels, sigma_t, pseudo_accuracy
 
-        order = rng.permutation(len(train))
-        accepted = 0 if pool is None else len(pool)
-        if accepted:
-            pseudo_order = rng.permutation(accepted)
-
-        stats: list[StepStats] = []
-        for s in range(len(train) // config.batch_size):
-            idx = order[s * config.batch_size:(s + 1) * config.batch_size]
-            val_batch = meta.sample_val_batch(meta_val, val_onehot, m, arch, rng)
-            bx = augment_batch(meta.shape_for(arch, train.inputs[idx]),
-                               config.augment, rng)
-            pseudo = None
-            if accepted:
-                take = min(config.batch_size, accepted)
-                u_idx = _cycled(pseudo_order, s * take, take)
-                ux = augment_batch(pool.inputs[u_idx], config.augment, rng)
-                pseudo = (ux, pool.labels[u_idx])
-            stats.append(ssl_train_step(model, (bx, y_onehot[idx]), pseudo,
-                                        val_batch, config, rng, lr))
-        records.append(meta.epoch_record(epoch, stats, model, test_x,
-                                         test.labels if len(test) else None, t0,
-                                         threshold=sigma_t, accepted=accepted,
-                                         pseudo_accuracy=pseudo_accuracy))
-    final_err = records[-1].test_error if records else -1.0
-    return TrainingReport(records=records, final_test_error=final_err, model=model)
+    return meta._fit(labeled, config, relabel if len(unlabeled) else None)

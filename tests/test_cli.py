@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -134,6 +135,18 @@ class TestDataErrors:
                     "--test-labels", str(tmp_path / "no4.idx")])
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_lying_idx_header_exits_3(self, tmp_path, capsys):
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        images.write_bytes(struct.pack(">llll", 2051, 2**31 - 1, 2**15, 2**15))
+        labels.write_bytes(struct.pack(">ll", 2049, 2**31 - 1))
+        code = run(["train", "--out", str(tmp_path / "run"), "--data", "idx",
+                    "--train-images", str(images), "--train-labels", str(labels),
+                    "--test-images", str(images), "--test-labels", str(labels)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "truncated" in err
+        assert "Traceback" not in err
 
     def test_idx_without_paths_exits_2(self, tmp_path):
         assert run(["train", "--out", str(tmp_path), "--data", "idx"]) == 2

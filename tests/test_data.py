@@ -169,6 +169,25 @@ class TestIdx:
         with pytest.raises(DataError, match="truncated"):
             dio.load_idx(p, tmp_path / "lab")
 
+    @pytest.mark.parametrize("suffix", ["", ".gz"], ids=["raw", "gz"])
+    def test_lying_header_is_truncation_not_allocation(self, tmp_path, suffix):
+        # 16 bytes claiming 2^31-1 images of 2^15 x 2^15 (about 2^61 bytes)
+        header = struct.pack(">llll", 2051, 2**31 - 1, 2**15, 2**15)
+        labels = struct.pack(">ll", 2049, 2**31 - 1)
+        opener = gzip.open if suffix else open
+        with opener(tmp_path / f"img{suffix}", "wb") as fh:
+            fh.write(header)
+        with opener(tmp_path / f"lab{suffix}", "wb") as fh:
+            fh.write(labels)
+        with pytest.raises(DataError, match="truncated pixel data"):
+            dio.load_idx(tmp_path / f"img{suffix}", tmp_path / f"lab{suffix}")
+
+    def test_negative_label_count_rejected(self, tmp_path):
+        (tmp_path / "img").write_bytes(struct.pack(">llll", 2051, 1, 2, 2) + b"\x00" * 4)
+        (tmp_path / "lab").write_bytes(struct.pack(">ll", 2049, -1) + b"\x00")
+        with pytest.raises(DataError, match="negative label data size"):
+            dio.load_idx(tmp_path / "img", tmp_path / "lab")
+
     def test_count_mismatch_detected(self, tmp_path):
         (tmp_path / "img").write_bytes(struct.pack(">llll", 2051, 1, 2, 2) + b"\x00" * 4)
         (tmp_path / "lab").write_bytes(struct.pack(">ll", 2049, 2) + b"\x00\x01")

@@ -37,7 +37,7 @@ def mlp_loss_builder(rng, in_dim=4, hidden=6, classes=3, batch=5):
 
 class TestForwardValues:
     def test_add(self):
-        out = eng.apply_primitive("add", Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
+        out = eng.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
     def test_sigmoid_at_zero(self):
@@ -69,10 +69,6 @@ class TestForwardValues:
         big = Tensor(np.full(3, 1e308))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             eng.add(big, big)
-
-    def test_unknown_primitive(self):
-        with pytest.raises(eng.EngineError, match="unknown primitive"):
-            eng.apply_primitive("fused_mlp", Tensor(1.0))
 
 
 class TestBackward:

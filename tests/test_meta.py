@@ -135,7 +135,7 @@ class TestTrainStep:
         y = nets.one_hot(data_rng.integers(0, 3, 8), 3)
         val = (data_rng.normal(size=(8, 4)), nets.one_hot(data_rng.integers(0, 3, 8), 3))
 
-        meta.metamixup_train_step(model_a, (x, y), val, cfg, rng_a, lr=0.1)
+        meta.train_step(model_a, (x, y), val, cfg, rng_a, lr=0.1)
 
         # manual vanilla step with identical rng consumption
         perm = mixing.sample_pairing(8, rng_b)
@@ -157,10 +157,10 @@ class TestTrainStep:
         y = nets.one_hot(data_rng.integers(0, 3, 8), 3)
         val = (data_rng.normal(size=(8, 4)), nets.one_hot(data_rng.integers(0, 3, 8), 3))
 
-        s1 = meta.metamixup_train_step(nets.clone_for_meta(base), (x, y), val,
-                                       cfg1, np.random.default_rng(9), lr=0.1)
-        s2 = meta.metamixup_train_step(nets.clone_for_meta(base), (x, y), val,
-                                       cfg2, np.random.default_rng(9), lr=0.1)
+        s1 = meta.train_step(nets.clone_for_meta(base), (x, y), val,
+                             cfg1, np.random.default_rng(9), lr=0.1)
+        s2 = meta.train_step(nets.clone_for_meta(base), (x, y), val,
+                             cfg2, np.random.default_rng(9), lr=0.1)
         assert not np.array_equal(s1.lambda_values, s2.lambda_values)
 
         # manual two-round reference reproduces the k=2 coefficients
@@ -176,8 +176,8 @@ class TestTrainStep:
     def test_step_stats_sane(self):
         _, model, batch, val, _, _ = tiny_setup(seed=11)
         cfg = run_config(epochs=1, batch_size=8)
-        stats = meta.metamixup_train_step(model, batch, val, cfg,
-                                          np.random.default_rng(12), lr=0.1)
+        stats = meta.train_step(model, batch, val, cfg,
+                                np.random.default_rng(12), lr=0.1)
         assert 0.0 < stats.lambda_min <= stats.lambda_mean <= stats.lambda_max < 1.0
         assert stats.hypergrad_norm >= 0.0
         assert stats.lambda_values.shape == (8,)
@@ -190,8 +190,8 @@ class TestTrainStep:
                                     ("baseline", False)]:
             model = nets.build_model(nets.mlp(4, [8], 3), np.random.default_rng(14))
             cfg = run_config(mode=mode, epochs=1, batch_size=6, fixed_lambda=0.5)
-            stats = meta.vanilla_train_step(model, (x, y), cfg,
-                                            np.random.default_rng(15), lr=0.1)
+            stats = meta.train_step(model, (x, y), None, cfg,
+                                    np.random.default_rng(15), lr=0.1)
             assert stats.lambda_std == 0.0  # shared coefficient
             if mode == "mixup-fixed":
                 assert stats.lambda_mean == 0.5

@@ -121,8 +121,8 @@ class TestSslStep:
         cfg = ssl_config(mode="mixup-fixed", fixed_lambda=0.4, unsup_weight=w,
                          epochs=1, batch_size=6)
         before = nets.clone_for_meta(model)
-        stats = semi.ssl_train_step(model, labeled, pseudo, val, cfg,
-                                    np.random.default_rng(8), lr=0.1)
+        stats = meta.train_step(model, labeled, val, cfg,
+                                np.random.default_rng(8), lr=0.1, pseudo_batch=pseudo)
         # replay the recorded pairings on the pre-step weights
         rng = np.random.default_rng(8)
         perm_l = mixing.sample_pairing(6, rng)
@@ -140,8 +140,8 @@ class TestSslStep:
         cfg = ssl_config(mode="mixup-fixed", fixed_lambda=1.0, epochs=1,
                          batch_size=6)
         before = nets.clone_for_meta(model)
-        stats = semi.ssl_train_step(model, labeled, None, val, cfg,
-                                    np.random.default_rng(11), lr=0.1)
+        stats = meta.train_step(model, labeled, val, cfg,
+                                np.random.default_rng(11), lr=0.1)
         with eng.no_grad():
             l_s = nets.cross_entropy(nets.forward(before, labeled[0]),
                                      labeled[1]).item()
@@ -152,8 +152,8 @@ class TestSslStep:
         labeled, pseudo, val = self._batches(seed=12)
         model = frozen_model(seed=13, in_dim=5)
         cfg = ssl_config(mode="metamixup", epochs=1, batch_size=6)
-        stats = semi.ssl_train_step(model, labeled, pseudo, val, cfg,
-                                    np.random.default_rng(14), lr=0.1)
+        stats = meta.train_step(model, labeled, val, cfg,
+                                np.random.default_rng(14), lr=0.1, pseudo_batch=pseudo)
         assert stats.lambda_values.shape == (6 + 4,)
         assert stats.accepted == 4
         assert stats.hypergrad_norm > 0
@@ -178,11 +178,13 @@ class TestTrainSsl:
     def test_empty_pool_matches_supervised_exactly(self):
         splits, _ = tiny_ssl_problem(seed=3)
         empty = Dataset(np.zeros((0, 5)), np.zeros(0, dtype=np.int64), 2)
-        for mode in ("metamixup", "baseline", "mixup-beta"):
-            cfg = ssl_config(mode=mode, epochs=2, batch_size=8, seed=5)
+        runs = [(mode, "exact") for mode in meta.MODES] + [("metamixup", "fd")]
+        for mode, hypergrad_mode in runs:
+            cfg = ssl_config(mode=mode, hypergrad_mode=hypergrad_mode, epochs=2,
+                             batch_size=8, seed=5)
             sup = meta.train_supervised(splits, cfg)
             ssl = semi.train_ssl(splits, empty, cfg)
-            assert record_dicts(sup) == record_dicts(ssl), mode
+            assert record_dicts(sup) == record_dicts(ssl), (mode, hypergrad_mode)
 
     def test_full_run_emits_threshold_fields(self):
         splits, unlabeled = tiny_ssl_problem(seed=6)
