@@ -349,11 +349,13 @@ def _audit_field(opts: dict, rng: np.random.Generator):
                              dim=opts["dim"], separation=opts["separation"],
                              noise_sigma=opts["noise_sigma"])
         train = dataio.make_synthetic(spec, np.random.default_rng(opts["seed"]))
+    anchors = train.inputs.reshape(len(train.inputs), -1)
     if opts["model"]:
-        try:
-            model = nets.load_model(opts["model"])
-        except OSError as exc:
-            raise DataError(f"cannot read checkpoint: {exc}")
+        model = nets.load_model(opts["model"])
+        size = int(np.prod(model.arch.input_shape))
+        if size != anchors.shape[1]:
+            raise DataError(f"{opts['model']}: checkpoint input size {size} "
+                            f"does not match the data's row size {anchors.shape[1]}")
     else:
         arch = _parse_arch(opts["arch"] or "mlp:16,8",
                            train.inputs.shape[1:], train.n_classes)
@@ -364,7 +366,7 @@ def _audit_field(opts: dict, rng: np.random.Generator):
                 nets.Dense(l.width, "softplus" if l.activation else None)
                 for l in arch.layers))
         model = nets.build_model(arch, rng)
-    return train.inputs.reshape(len(train.inputs), -1), model
+    return anchors, model
 
 
 def cmd_audit(opts: dict) -> int:

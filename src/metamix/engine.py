@@ -6,6 +6,12 @@ forward pass, so a backward pass can itself be recorded and differentiated
 meta-gradients exact instead of approximated: the gradient of a validation
 loss can flow through a gradient computed earlier in the same graph.
 
+Every primitive builds its node with one ``_result`` call. A backward rule
+has the signature ``vjp(y, u, needs)``: ``y`` is the node's own output, ``u``
+the upstream gradient, ``needs`` one flag per parent. Because ``backward``
+hands ``y`` in, no rule closes over its own node, the graph has no reference
+cycles, and reference counting frees it as soon as the loss is dropped.
+
 All arrays are float64. Non-finite values are rejected at every node
 construction, so a NaN or Inf surfaces at the primitive that produced it.
 """
@@ -63,8 +69,10 @@ def is_grad_enabled() -> bool:
 class Tensor:
     """A float64 array plus its position in the computation graph.
 
-    Leaves have no parents. Interior nodes keep a ``vjp`` closure that maps an
-    upstream gradient to per-parent gradients, built lazily per parent.
+    Leaves have no parents. Interior nodes keep a ``vjp(y, u, needs)`` rule
+    that maps the node itself (``y``) and an upstream gradient ``u`` to
+    per-parent gradients, computing only those whose ``needs`` flag is set.
+    Rules close over parents and constants, never over their own node.
     """
 
     def __init__(self, data, requires_grad: bool = False, *, op: str = "leaf",
@@ -156,9 +164,9 @@ def add(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
 
-    def vjp(u, needs):
-        ga = _sum_to(u, a.shape) if needs[0] else None
-        gb = _sum_to(u, b.shape) if needs[1] else None
+    def vjp(y, u, needs):
+        ga = sum_to_shape(u, a.shape) if needs[0] else None
+        gb = sum_to_shape(u, b.shape) if needs[1] else None
         return ga, gb
 
     return _result(out, "add", (a, b), vjp)
@@ -171,9 +179,9 @@ def sub(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast")
 
-    def vjp(u, needs):
-        ga = _sum_to(u, a.shape) if needs[0] else None
-        gb = neg(_sum_to(u, b.shape)) if needs[1] else None
+    def vjp(y, u, needs):
+        ga = sum_to_shape(u, a.shape) if needs[0] else None
+        gb = neg(sum_to_shape(u, b.shape)) if needs[1] else None
         return ga, gb
 
     return _result(out, "sub", (a, b), vjp)
@@ -186,9 +194,9 @@ def mul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
 
-    def vjp(u, needs):
-        ga = _sum_to(mul(u, b), a.shape) if needs[0] else None
-        gb = _sum_to(mul(u, a), b.shape) if needs[1] else None
+    def vjp(y, u, needs):
+        ga = sum_to_shape(mul(u, b), a.shape) if needs[0] else None
+        gb = sum_to_shape(mul(u, a), b.shape) if needs[1] else None
         return ga, gb
 
     return _result(out, "mul", (a, b), vjp)
@@ -196,19 +204,19 @@ def mul(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _result(-a.data, "neg", (a,), lambda u, needs: (neg(u),))
+    return _result(-a.data, "neg", (a,), lambda y, u, needs: (neg(u),))
 
 
 def scale(a, c: float) -> Tensor:
     """a * c for a python scalar c (a graph constant)."""
     a = as_tensor(a)
     c = float(c)
-    return _result(a.data * c, "scale", (a,), lambda u, needs: (scale(u, c),))
+    return _result(a.data * c, "scale", (a,), lambda y, u, needs: (scale(u, c),))
 
 
 def add_scalar(a, c: float) -> Tensor:
     a = as_tensor(a)
-    return _result(a.data + float(c), "add_scalar", (a,), lambda u, needs: (u,))
+    return _result(a.data + float(c), "add_scalar", (a,), lambda y, u, needs: (u,))
 
 
 def matmul(a, b) -> Tensor:
@@ -217,7 +225,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are not compatible 2-d operands")
     out = a.data @ b.data
 
-    def vjp(u, needs):
+    def vjp(y, u, needs):
         ga = matmul(u, transpose(b)) if needs[0] else None
         gb = matmul(transpose(a), u) if needs[1] else None
         return ga, gb
@@ -229,7 +237,7 @@ def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose: expected 2-d, got shape {a.shape}")
-    return _result(a.data.T.copy(), "transpose", (a,), lambda u, needs: (transpose(u),))
+    return _result(a.data.T.copy(), "transpose", (a,), lambda y, u, needs: (transpose(u),))
 
 
 def bias_add(a, b) -> Tensor:
@@ -239,9 +247,9 @@ def bias_add(a, b) -> Tensor:
         raise ShapeError(f"bias_add: shapes {a.shape} and {b.shape}")
     out = a.data + b.data
 
-    def vjp(u, needs):
+    def vjp(y, u, needs):
         ga = u if needs[0] else None
-        gb = _sum_to(u, b.shape) if needs[1] else None
+        gb = sum_to_shape(u, b.shape) if needs[1] else None
         return ga, gb
 
     return _result(out, "bias_add", (a, b), vjp)
@@ -250,19 +258,15 @@ def bias_add(a, b) -> Tensor:
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
-    y = _result(out, "tanh", (a,), None)
-    if y.requires_grad:
-        y.vjp = lambda u, needs: (mul(u, add_scalar(neg(mul(y, y)), 1.0)),)
-    return y
+    return _result(out, "tanh", (a,),
+                   lambda y, u, needs: (mul(u, add_scalar(neg(mul(y, y)), 1.0)),))
 
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     out = _sigmoid_values(a.data)
-    y = _result(out, "sigmoid", (a,), None)
-    if y.requires_grad:
-        y.vjp = lambda u, needs: (mul(u, mul(y, add_scalar(neg(y), 1.0))),)
-    return y
+    return _result(out, "sigmoid", (a,),
+                   lambda y, u, needs: (mul(u, mul(y, add_scalar(neg(y), 1.0))),))
 
 
 def _sigmoid_values(z: np.ndarray) -> np.ndarray:
@@ -280,7 +284,7 @@ def softplus(a) -> Tensor:
     a = as_tensor(a)
     out = np.logaddexp(0.0, a.data)
 
-    def vjp(u, needs):
+    def vjp(y, u, needs):
         return (mul(u, sigmoid(a)),)
 
     return _result(out, "softplus", (a,), vjp)
@@ -290,7 +294,7 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = (a.data > 0).astype(np.float64)
 
-    def vjp(u, needs):
+    def vjp(y, u, needs):
         return (mul(u, Tensor(mask)),)
 
     return _result(np.maximum(a.data, 0.0), "relu", (a,), vjp)
@@ -298,20 +302,17 @@ def relu(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    y = _result(np.exp(a.data), "exp", (a,), None)
-    if y.requires_grad:
-        y.vjp = lambda u, needs: (mul(u, y),)
-    return y
+    return _result(np.exp(a.data), "exp", (a,), lambda y, u, needs: (mul(u, y),))
 
 
 def sin(a) -> Tensor:
     a = as_tensor(a)
-    return _result(np.sin(a.data), "sin", (a,), lambda u, needs: (mul(u, cos(a)),))
+    return _result(np.sin(a.data), "sin", (a,), lambda y, u, needs: (mul(u, cos(a)),))
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    return _result(np.cos(a.data), "cos", (a,), lambda u, needs: (neg(mul(u, sin(a))),))
+    return _result(np.cos(a.data), "cos", (a,), lambda y, u, needs: (neg(mul(u, sin(a))),))
 
 
 def log_softmax(a) -> Tensor:
@@ -321,10 +322,8 @@ def log_softmax(a) -> Tensor:
     m = a.data.max(axis=1, keepdims=True)
     s = a.data - m
     out = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
-    y = _result(out, "log_softmax", (a,), None)
-    if y.requires_grad:
-        y.vjp = lambda u, needs: (sub(u, mul(exp(y), row_sum(u))),)
-    return y
+    return _result(out, "log_softmax", (a,),
+                   lambda y, u, needs: (sub(u, mul(exp(y), row_sum(u))),))
 
 
 def row_sum(a) -> Tensor:
@@ -333,7 +332,7 @@ def row_sum(a) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"row_sum: expected 2-d, got shape {a.shape}")
     out = a.data.sum(axis=1, keepdims=True)
-    return _result(out, "row_sum", (a,), lambda u, needs: (broadcast_to(u, a.shape),))
+    return _result(out, "row_sum", (a,), lambda y, u, needs: (broadcast_to(u, a.shape),))
 
 
 def mean_reduce(a) -> Tensor:
@@ -343,13 +342,13 @@ def mean_reduce(a) -> Tensor:
         raise ShapeError("mean_reduce: empty tensor")
     out = a.data.mean()
     return _result(out, "mean_reduce", (a,),
-                   lambda u, needs: (scale(broadcast_to(u, a.shape), 1.0 / n),))
+                   lambda y, u, needs: (scale(broadcast_to(u, a.shape), 1.0 / n),))
 
 
 def sum_reduce(a) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum()
-    return _result(out, "sum_reduce", (a,), lambda u, needs: (broadcast_to(u, a.shape),))
+    return _result(out, "sum_reduce", (a,), lambda y, u, needs: (broadcast_to(u, a.shape),))
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -361,19 +360,15 @@ def broadcast_to(a, shape) -> Tensor:
         out = np.broadcast_to(a.data, shape)
     except ValueError:
         raise ShapeError(f"broadcast_to: cannot broadcast {a.shape} to {shape}")
-    return _result(out, "broadcast_to", (a,), lambda u, needs: (_sum_to(u, a.shape),))
-
-
-def _sum_to(u: Tensor, shape: tuple) -> Tensor:
-    """Reduce u back to `shape`, inverting a numpy-style broadcast."""
-    if u.shape == shape:
-        return u
-    return sum_to_shape(u, shape)
+    return _result(out, "broadcast_to", (a,), lambda y, u, needs: (sum_to_shape(u, a.shape),))
 
 
 def sum_to_shape(a, shape) -> Tensor:
+    """Reduce a back to `shape`, inverting a numpy-style broadcast."""
     a = as_tensor(a)
     shape = tuple(shape)
+    if a.shape == shape:
+        return a
     data = a.data
     extra = data.ndim - len(shape)
     if extra < 0:
@@ -388,7 +383,7 @@ def sum_to_shape(a, shape) -> Tensor:
         raise ShapeError(f"sum_to_shape: {a.shape} does not reduce to {shape}")
     src_shape = a.shape
     return _result(data, "sum_to_shape", (a,),
-                   lambda u, needs: (broadcast_to(u, src_shape),))
+                   lambda y, u, needs: (broadcast_to(u, src_shape),))
 
 
 def reshape(a, shape) -> Tensor:
@@ -398,7 +393,7 @@ def reshape(a, shape) -> Tensor:
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     src_shape = a.shape
-    return _result(out, "reshape", (a,), lambda u, needs: (reshape(u, src_shape),))
+    return _result(out, "reshape", (a,), lambda y, u, needs: (reshape(u, src_shape),))
 
 
 def gather_rows(a, index) -> Tensor:
@@ -414,7 +409,7 @@ def gather_rows(a, index) -> Tensor:
     n_rows = a.shape[0]
     out = a.data[idx]
     return _result(out, "gather_rows", (a,),
-                   lambda u, needs: (scatter_add_rows(u, idx, n_rows),))
+                   lambda y, u, needs: (scatter_add_rows(u, idx, n_rows),))
 
 
 def scatter_add_rows(a, index, n_rows: int) -> Tensor:
@@ -426,7 +421,7 @@ def scatter_add_rows(a, index, n_rows: int) -> Tensor:
     out = np.zeros((n_rows,) + a.shape[1:], dtype=np.float64)
     np.add.at(out, idx, a.data)
     return _result(out, "scatter_add_rows", (a,),
-                   lambda u, needs: (gather_rows(u, idx),))
+                   lambda y, u, needs: (gather_rows(u, idx),))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +464,7 @@ def conv2d(x, w) -> Tensor:
         raise ShapeError(f"conv2d: input channels {x.shape[3]} != kernel cin {w.shape[2]}")
     out = _conv_forward(x.data, w.data)
 
-    def vjp(u, needs):
+    def vjp(y, u, needs):
         gx = conv2d_input_grad(u, w) if needs[0] else None
         gw = conv2d_weight_grad(x, u, k) if needs[1] else None
         return gx, gw
@@ -487,7 +482,7 @@ def conv2d_input_grad(g, w) -> Tensor:
     wt = w.data[::-1, ::-1].transpose(0, 1, 3, 2).copy()  # [k,k,cout,cin]
     out = _conv_forward(g.data, wt)
 
-    def vjp(u, needs):
+    def vjp(y, u, needs):
         gg = conv2d(u, w) if needs[0] else None
         gw = conv2d_weight_grad(u, g, k) if needs[1] else None
         return gg, gw
@@ -510,7 +505,7 @@ def conv2d_weight_grad(x, g, kernel: int) -> Tensor:
     cols = _im2col(x.data, k)  # [n*h*w, k*k*cin]
     out = (cols.T @ g.data.reshape(n * h * wd, cout)).reshape(k, k, cin, cout)
 
-    def vjp(u, needs):
+    def vjp(y, u, needs):
         gx = conv2d_input_grad(g, u) if needs[0] else None
         gg = conv2d(x, u) if needs[1] else None
         return gx, gg
@@ -558,7 +553,7 @@ def backward(loss: Tensor, targets: Sequence[Tensor], create_graph: bool = False
             if g is None or node.vjp is None:
                 continue
             needs = tuple(p.requires_grad for p in node.parents)
-            parent_grads = node.vjp(g, needs)
+            parent_grads = node.vjp(node, g, needs)
             for p, pg in zip(node.parents, parent_grads):
                 if pg is None or not p.requires_grad:
                     continue

@@ -317,11 +317,17 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
     labeled augmentation, pseudo augmentation, then the draws of
     :func:`train_step`.
     """
-    rng = np.random.default_rng(config.seed)
-    arch = config.arch if config.arch is not None else default_arch(splits.train)
-    model = nets.build_model(arch, rng)
     train, meta_val, test = splits.train, splits.meta_val, splits.test
+    arch = config.arch if config.arch is not None else default_arch(train)
     classes = train.n_classes
+    if arch.n_classes != classes:
+        raise eng.ShapeError(f"arch has {arch.n_classes} classes, the training data {classes}")
+    row_shape = shape_for(arch, train.inputs).shape[1:]
+    if arch.input_shape != row_shape:
+        raise eng.ShapeError(f"arch input shape {arch.input_shape} does not match "
+                             f"the training rows' shape {row_shape}")
+    rng = np.random.default_rng(config.seed)
+    model = nets.build_model(arch, rng)
     y_onehot = nets.one_hot(train.labels, classes)
     val_onehot = nets.one_hot(meta_val.labels, classes)
     m = config.meta_batch_size or config.batch_size

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import engine as eng
+from .data import DataError
 from .engine import ShapeError, Tensor
 
 
@@ -278,10 +280,42 @@ def save_model(model: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
-    with np.load(path, allow_pickle=False) as blob:
-        arch = _arch_from_json(str(blob["__arch__"]))
-        params = {key[2:]: Tensor(blob[key], requires_grad=True)
-                  for key in blob.files if key.startswith("p:")}
-        momentum = {key[2:]: np.array(blob[key])
-                    for key in blob.files if key.startswith("m:")}
+    """Read a ``save_model`` checkpoint and check it against its stored
+    architecture: one parameter and one momentum array per weight and bias,
+    nothing else, each of the implied shape and finite. Any failure is a
+    DataError naming the file and the entry."""
+    try:
+        blob = np.load(path, allow_pickle=False)
+        if not isinstance(blob, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ValueError("not an npz archive")
+        with blob:
+            arrays = {key: blob[key] for key in blob.files}
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # numpy tries to unpickle bytes that are neither npz nor npy
+        raise DataError(f"{path}: not an npz checkpoint") from exc
+    try:
+        arch = _arch_from_json(str(arrays.pop("__arch__")))
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+        raise DataError(f"{path}: missing or malformed '__arch__': {exc}") from exc
+    shapes = {}
+    for name, w_shape, b_shape, _ in _layer_shapes(arch):
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = w_shape, b_shape
+    expected = {f"{kind}:{name}": shape
+                for kind in ("p", "m") for name, shape in shapes.items()}
+    extra = sorted(set(arrays) - set(expected))
+    if extra:
+        raise DataError(f"{path}: entry '{extra[0]}' is not in the stored architecture")
+    for key, shape in expected.items():
+        value = arrays.get(key)
+        if value is None:
+            raise DataError(f"{path}: missing '{key}'")
+        if value.dtype.kind != "f" or value.shape != shape:
+            raise DataError(f"{path}: '{key}' is {value.dtype} {value.shape}, "
+                            f"the architecture needs float {shape}")
+        if not np.all(np.isfinite(value)):
+            raise DataError(f"{path}: '{key}' has non-finite values")
+    params = {name: Tensor(arrays[f"p:{name}"], requires_grad=True) for name in shapes}
+    momentum = {name: np.array(arrays[f"m:{name}"], dtype=np.float64) for name in shapes}
     return ModelState(arch, params, momentum)

@@ -272,7 +272,7 @@ def audit_network(model: ModelState, kappa: float, pairs,
                   lam_grid: tuple[float, ...] = LAMBDA_GRID
                   ) -> tuple[AuditReport, int]:
     """Audit every logit channel with a shared kappa; return the worst
-    (highest max ratio, violations breaking ties) and its channel index."""
+    (most violations, highest max ratio breaking ties) and its channel index."""
     reports = [audit_gap_bound(f, kappa, pairs, lam_grid)
                for f in logit_fields(model)]
     worst = max(range(len(reports)),

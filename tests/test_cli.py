@@ -157,6 +157,62 @@ class TestDataErrors:
                     "--per-class", "20", "--n-pairs", "50"]) == 3
 
 
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """Arrays of a checkpoint trained at dim 5."""
+    out = tmp_path_factory.mktemp("ckpt")
+    assert run(["train", "--out", str(out), "--seed", "2", *TINY]) == 0
+    with np.load(out / "model.npz") as blob:
+        return {key: blob[key] for key in blob.files}
+
+
+class TestHostileCheckpoints:
+    def audit(self, tmp_path, model, dim="5"):
+        return run(["audit", "--out", str(tmp_path / "audit"), "--model", str(model),
+                    "--dim", dim, "--per-class", "20", "--n-pairs", "50"])
+
+    def expect_data_error(self, capsys, *named):
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "Traceback" not in err
+        for text in named:
+            assert text in err, (text, err)
+        return err
+
+    def test_missing_parameter(self, tmp_path, capsys, checkpoint):
+        path = tmp_path / "x.npz"
+        np.savez(path, **{k: v for k, v in checkpoint.items() if k != "p:layer1.b"})
+        assert self.audit(tmp_path, path) == 3
+        self.expect_data_error(capsys, str(path), "p:layer1.b")
+
+    def test_misshaped_parameter(self, tmp_path, capsys, checkpoint):
+        path = tmp_path / "x.npz"
+        np.savez(path, **{**checkpoint, "p:layer0.w": checkpoint["p:layer0.w"][:, :3]})
+        assert self.audit(tmp_path, path) == 3
+        self.expect_data_error(capsys, str(path), "p:layer0.w")
+
+    def test_not_an_npz(self, tmp_path, capsys):
+        path = tmp_path / "x.npz"
+        path.write_text("this is not a checkpoint\n")
+        assert self.audit(tmp_path, path) == 3
+        err = self.expect_data_error(capsys, str(path), "not an npz")
+        assert "pickle" not in err
+
+    def test_non_finite_weight(self, tmp_path, capsys, checkpoint):
+        path = tmp_path / "x.npz"
+        w = checkpoint["p:layer0.w"].copy()
+        w[0, 0] = np.nan
+        np.savez(path, **{**checkpoint, "p:layer0.w": w})
+        assert self.audit(tmp_path, path) == 3
+        self.expect_data_error(capsys, str(path), "p:layer0.w", "non-finite")
+
+    def test_input_size_mismatch(self, tmp_path, capsys, checkpoint):
+        path = tmp_path / "x.npz"
+        np.savez(path, **checkpoint)
+        assert self.audit(tmp_path, path, dim="8") == 3
+        self.expect_data_error(capsys, str(path), "input size 5", "row size 8")
+
+
 class TestAuditRun:
     def test_quadratic_default_safety_clean(self, tmp_path):
         out = tmp_path / "audit"

@@ -237,7 +237,7 @@ class TestGradCheckPerPrimitive:
         # square with a backward rule missing its factor of two
         def broken_square(t):
             return Tensor(t.data ** 2, True, op="broken", parents=(t,),
-                          vjp=lambda u, needs: (eng.mul(u, t),))
+                          vjp=lambda y, u, needs: (eng.mul(u, t),))
 
         report = eng.grad_check(lambda t: eng.sum_reduce(broken_square(t)),
                                 Tensor(np.array([1.5, -2.0])))

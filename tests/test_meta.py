@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,38 @@ class TestTrainStep:
                 assert stats.lambda_mean == 0.5
             if mode == "baseline":
                 assert stats.lambda_mean == 1.0
+
+
+def _step_inputs(kind):
+    """Model, labeled batch, validation batch and pseudo batch for one step."""
+    rng = np.random.default_rng(16)
+    if kind == "cnn3":
+        model = nets.build_model(nets.cnn3((8, 8), 1, 3), rng)
+        row = (8, 8, 1)
+    else:
+        model = nets.build_model(nets.mlp(4, [8], 3), rng)
+        row = (4,)
+
+    def batch(n):
+        return rng.normal(size=(n,) + row), nets.one_hot(rng.integers(0, 3, n), 3)
+
+    return model, batch(6), batch(4), batch(4) if kind == "pseudo" else None
+
+
+@pytest.mark.parametrize("kind", ["supervised", "pseudo", "cnn3"])
+@pytest.mark.parametrize("mode, hypergrad_mode",
+                         [(m, "exact") for m in meta.MODES] + [("metamixup", "fd")])
+def test_step_graphs_are_freed_without_the_cycle_collector(kind, mode, hypergrad_mode):
+    model, labeled, val, pseudo = _step_inputs(kind)
+    cfg = run_config(mode=mode, hypergrad_mode=hypergrad_mode, epochs=1, batch_size=6)
+    gc.collect()
+    gc.disable()
+    try:
+        meta.train_step(model, labeled, val, cfg, np.random.default_rng(17),
+                        lr=0.1, pseudo_batch=pseudo)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestConfigValidation:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from metamix import engine as eng
 from metamix import meta, mixing, nets, semi
-from metamix.data import Dataset, SyntheticSpec, split_labeled_pool, standard_splits
-from metamix.engine import Tensor
+from metamix.data import (Dataset, Splits, SyntheticSpec, split_labeled_pool,
+                          standard_splits)
+from metamix.engine import ShapeError, Tensor
 from metamix.meta import TrainConfig
 from metamix.nets import OptimizerConfig
 from metamix.semi import AplState
@@ -222,3 +224,25 @@ class TestTrainSsl:
                          apl=False)
         report = semi.train_ssl(splits, unlabeled, cfg)
         assert all(r.threshold == 0.7 for r in report.records)
+
+    @pytest.mark.parametrize("arch, message", [
+        (nets.cnn3((8, 8), 1, 10), "arch has 10 classes, the training data 2"),
+        (nets.cnn3((6, 6), 1, 2), "arch input shape (6, 6, 1) does not match "
+                                  "the training rows' shape (8, 8, 1)"),
+    ], ids=["classes", "input-shape"])
+    def test_mismatched_arch_fails_before_model_and_relabel(self, monkeypatch,
+                                                            arch, message):
+        rng = np.random.default_rng(14)
+
+        def images(n):
+            return Dataset(rng.uniform(size=(n, 8, 8)), np.arange(n) % 2, 2)
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran on a mismatched arch")
+
+        monkeypatch.setattr(nets, "build_model", never)
+        monkeypatch.setattr(semi, "assign_pseudo_labels", never)
+        splits = Splits(train=images(10), meta_val=images(4), test=images(4))
+        cfg = ssl_config(arch=arch, epochs=1, batch_size=5)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            semi.train_ssl(splits, images(6), cfg)
