@@ -188,8 +188,10 @@ def _parse_arch(text, input_shape: tuple, n_classes: int):
     if text is None or text == "auto":
         return None
     if text == "cnn3":
+        if len(input_shape) == 2:
+            input_shape = (*input_shape, 1)   # [h, w] IDX rows are one channel
         if len(input_shape) != 3:
-            raise ConfigError("arch cnn3 needs image-shaped inputs [h, w, c]")
+            raise ConfigError("arch cnn3 needs image-shaped inputs [h, w] or [h, w, c]")
         return nets.cnn3(input_shape[:2], input_shape[2], n_classes)
     if text == "mlp" or text.startswith("mlp:"):
         hidden = [32]

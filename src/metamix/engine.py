@@ -11,6 +11,9 @@ has the signature ``vjp(y, u, needs)``: ``y`` is the node's own output, ``u``
 the upstream gradient, ``needs`` one flag per parent. Because ``backward``
 hands ``y`` in, no rule closes over its own node, the graph has no reference
 cycles, and reference counting frees it as soon as the loss is dropped.
+``backward`` runs vjp rules only along paths that reach one of its targets:
+a gradient no target reads is never computed, and with ``create_graph`` never
+recorded.
 
 All arrays are float64. Non-finite values are rejected at every node
 construction, so a NaN or Inf surfaces at the primitive that produced it.
@@ -78,7 +81,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, *, op: str = "leaf",
                  parents: tuple = (), vjp=None):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError(f"non-finite values produced by '{op}'")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -524,6 +527,11 @@ def backward(loss: Tensor, targets: Sequence[Tensor], create_graph: bool = False
     depend on gets a zero gradient plus an UnreachableTargetWarning rather
     than an error. With ``create_graph=True`` the returned gradients are graph
     nodes themselves and can be differentiated again.
+
+    A vjp rule asks only for the parents that lie on a path from a target to
+    the loss, and a node with none is skipped. Every target still receives
+    the same contributions in the same order, so its gradient is bit for bit
+    the one a backward over more targets would return.
     """
     if loss.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -545,6 +553,17 @@ def backward(loss: Tensor, targets: Sequence[Tensor], create_graph: bool = False
             for p in node.parents:
                 stack.append((p, False))
 
+    # parents precede children in `order`, so one pass finds every node that
+    # depends on a target (a target depends on itself); only edges into such
+    # parents carry a gradient that some target reads. Every node in `order`
+    # requires grad, so these flags are a subset of `requires_grad`.
+    target_ids = {t.node_id for t in targets}
+    downstream = set()
+    for node in order:
+        if node.node_id in target_ids or any(p.node_id in downstream
+                                             for p in node.parents):
+            downstream.add(node.node_id)
+
     grads: dict[int, Tensor] = {loss.node_id: Tensor(np.ones(()))}
     ctx = nullcontext() if create_graph else no_grad()
     with ctx:
@@ -552,10 +571,12 @@ def backward(loss: Tensor, targets: Sequence[Tensor], create_graph: bool = False
             g = grads.get(node.node_id)
             if g is None or node.vjp is None:
                 continue
-            needs = tuple(p.requires_grad for p in node.parents)
+            needs = tuple(p.node_id in downstream for p in node.parents)
+            if not any(needs):
+                continue
             parent_grads = node.vjp(node, g, needs)
-            for p, pg in zip(node.parents, parent_grads):
-                if pg is None or not p.requires_grad:
+            for p, pg, need in zip(node.parents, parent_grads, needs):
+                if pg is None or not need:
                     continue
                 held = grads.get(p.node_id)
                 grads[p.node_id] = pg if held is None else add(held, pg)

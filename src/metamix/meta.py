@@ -257,19 +257,19 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
             last = hypergradient(model, groups, policy, val_batch, step_lr,
                                  config.hypergrad_mode, config.fd_epsilon)
             policy = update_policy(policy, last.grad, config.policy_step_size)
-        lam_vector, lam = policy.lambdas(), policy.lambda_values()
+        lam = policy.lambda_values()
         meta_loss, val_loss = last.meta_loss, last.val_loss
         hyper_norm = float(np.linalg.norm(last.grad))
+    elif config.mode == "mixup-beta":
+        lam = np.full(n, mixing.beta_sample(config.beta_alpha, rng))
+    elif config.mode == "mixup-fixed":
+        lam = np.full(n, config.fixed_lambda)
     else:
-        if config.mode == "mixup-beta":
-            lam = np.full(n, mixing.beta_sample(config.beta_alpha, rng))
-        elif config.mode == "mixup-fixed":
-            lam = np.full(n, config.fixed_lambda)
-        else:
-            lam = np.ones(n)
-        lam_vector = Tensor(lam)
+        lam = np.ones(n)
 
-    loss = _group_loss(model, groups, lam_vector, model.params)
+    # the real update mixes with constant coefficients, so its forward records
+    # no graph back to the policy
+    loss = _group_loss(model, groups, Tensor(lam), model.params)
     nets.sgd_step(model, nets.param_gradients(loss, model), config.optimizer, step_lr)
     if config.mode != "metamixup" and val_batch is not None:
         with eng.no_grad():
@@ -283,9 +283,12 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
 
 
 def shape_for(arch: Architecture, x: np.ndarray) -> np.ndarray:
-    """Give [n, h, w] image batches the trailing channel axis conv nets expect."""
+    """Give [n, h, w] image batches the trailing channel axis conv nets
+    expect, and flatten image rows for a net that takes vectors."""
     if len(arch.input_shape) == 3 and x.ndim == 3:
         return x[..., None]
+    if len(arch.input_shape) == 1 and x.ndim > 2:
+        return x.reshape(len(x), -1)
     return x
 
 

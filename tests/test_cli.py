@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from metamix import cli
+from metamix import cli, data
 from metamix.reporting import FIELD_ORDER, read_records
 
 TINY = ["--epochs", "2", "--per-class", "30", "--dim", "5",
@@ -155,6 +155,38 @@ class TestDataErrors:
         assert run(["audit", "--out", str(tmp_path), "--model",
                     str(tmp_path / "none.npz"), "--dim", "4",
                     "--per-class", "20", "--n-pairs", "50"]) == 3
+
+
+@pytest.fixture(scope="module")
+def idx_args(tmp_path_factory):
+    """Data flags for a 40-image 6x6 two-class IDX pair, used as both the
+    training and the test set."""
+    d = tmp_path_factory.mktemp("idx")
+    rng = np.random.default_rng(0)
+    labels = np.arange(40) % 2
+    images = rng.uniform(0.0, 1.0, size=(40, 6, 6))
+    images[labels == 1, :3] = 1.0
+    data.save_idx(data.Dataset(images, labels, 2), d / "img", d / "lab")
+    return ["--data", "idx", "--n-classes", "2",
+            "--train-images", str(d / "img"), "--train-labels", str(d / "lab"),
+            "--test-images", str(d / "img"), "--test-labels", str(d / "lab"),
+            "--epochs", "1", "--batch-size", "8", "--meta-val-per-class", "4"]
+
+
+class TestIdxRuns:
+    """[n, h, w] IDX rows train an MLP flattened and cnn3 as one channel."""
+
+    @pytest.mark.parametrize("arch", ["auto", "cnn3"])
+    def test_train(self, tmp_path, idx_args, arch):
+        out = tmp_path / arch
+        assert run(["train", "--out", str(out), "--arch", arch, *idx_args]) == 0
+        assert len(read_records(out / "metrics.jsonl")) == 1
+
+    def test_ssl_auto(self, tmp_path, idx_args):
+        out = tmp_path / "ssl"
+        assert run(["ssl", "--out", str(out), "--arch", "auto", *idx_args,
+                    "--labeled-per-class", "8", "--sigma0", "0.5"]) == 0
+        assert len(read_records(out / "metrics.jsonl")) == 1
 
 
 @pytest.fixture(scope="module")

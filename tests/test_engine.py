@@ -299,6 +299,94 @@ class TestSecondOrder:
         assert eng.max_relative_error(ex.data, fd.data) <= 1e-6
 
 
+def _spy(monkeypatch, name):
+    """Record the positional arguments of every call to engine.<name>; vjp
+    rules look primitives up in the module, so they see the spy too."""
+    calls = []
+    real = getattr(eng, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eng, name, spy)
+    return calls
+
+
+def _mlp_graph(rng):
+    """Leaves [x, w1, b1, w2, b2], all requiring grad, and a tanh MLP loss."""
+    leaves = [Tensor(rng.normal(size=s), requires_grad=True)
+              for s in ((5, 4), (4, 6), (6,), (6, 3), (3,))]
+    x, w1, b1, w2, b2 = leaves
+    y = np.eye(3)[rng.integers(0, 3, 5)]
+    h = eng.tanh(eng.bias_add(eng.matmul(x, w1), b1))
+    ls = eng.log_softmax(eng.bias_add(eng.matmul(h, w2), b2))
+    return leaves, eng.scale(eng.sum_reduce(eng.mul(Tensor(y), ls)), -0.2)
+
+
+def _conv_graph(rng):
+    """Leaves [x, w1, w2], all requiring grad, and a two-layer conv loss."""
+    leaves = [Tensor(rng.normal(size=s) * 0.5, requires_grad=True)
+              for s in ((2, 4, 4, 2), (3, 3, 2, 3), (3, 3, 3, 2))]
+    x, w1, w2 = leaves
+    h = eng.conv2d(eng.tanh(eng.conv2d(x, w1)), w2)
+    return leaves, eng.mean_reduce(eng.mul(h, h))
+
+
+SUBSETS = ([0], [1], [2], [0, 2], [2, 0], [1, 2])
+
+
+class TestPrunedBackward:
+    """backward runs vjp rules only along paths that reach a target; the
+    gradients it returns must not change."""
+
+    @pytest.mark.parametrize("graph", [_mlp_graph, _conv_graph])
+    def test_subset_matches_full_bitwise(self, graph):
+        leaves, loss = graph(np.random.default_rng(21))
+        full = backward(loss, leaves)
+        for subset in SUBSETS:
+            got = backward(loss, [leaves[i] for i in subset])
+            for i, g in zip(subset, got):
+                np.testing.assert_array_equal(g.data, full[i].data)
+
+    @pytest.mark.parametrize("graph", [_mlp_graph, _conv_graph])
+    def test_subset_matches_full_bitwise_second_order(self, graph):
+        rng = np.random.default_rng(22)
+        leaves, loss = graph(rng)
+        full = backward(loss, leaves, create_graph=True)
+        for first in range(len(leaves)):
+            (g,) = backward(loss, [leaves[first]], create_graph=True)
+            np.testing.assert_array_equal(g.data, full[first].data)
+            v = Tensor(rng.normal(size=g.shape))
+            full_second = backward(eng.sum_reduce(eng.mul(full[first], v)), leaves)
+            dot = eng.sum_reduce(eng.mul(g, v))
+            for subset in SUBSETS:
+                got = backward(dot, [leaves[i] for i in subset])
+                for i, h in zip(subset, got):
+                    np.testing.assert_array_equal(h.data, full_second[i].data)
+
+    def test_input_target_skips_kernel_gradient(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(2, 4, 4, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True)
+        loss = eng.sum_reduce(eng.conv2d(x, w))
+        weight_calls = _spy(monkeypatch, "conv2d_weight_grad")
+        input_calls = _spy(monkeypatch, "conv2d_input_grad")
+        backward(loss, [x])
+        assert len(weight_calls) == 0
+        assert len(input_calls) == 1
+
+    def test_left_operand_target_skips_its_transpose(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        loss = eng.sum_reduce(eng.matmul(a, b))
+        transposed = _spy(monkeypatch, "transpose")
+        backward(loss, [a])
+        assert not any(args[0] is a for args in transposed)
+        assert any(args[0] is b for args in transposed)
+
+
 class TestConvValues:
     def test_identity_kernel(self):
         rng = np.random.default_rng(10)
