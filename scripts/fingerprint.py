@@ -12,13 +12,13 @@ the same lines before and after it:
 
 Run it from the repository root. metamix is imported from ``src/`` and the
 setups (data, config, architecture) from ``perfbench/workloads.py``, which is
-only read. The MLP setups are cut to ``--epochs`` epochs; cnn-synth keeps its
-single epoch of three steps.
+only read. Every case in ``CASES`` runs at each seed in ``SEEDS`` (22 lines);
+the MLP setups are cut to ``EPOCHS`` epochs, cnn-synth keeps its single epoch
+of three steps.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import json
@@ -40,6 +40,8 @@ CASES = {
                 ("mixup-beta", None), ("baseline", None)],
     "cnn-synth": [("metamixup", "exact"), ("metamixup", "fd"), ("mixup-beta", None)],
 }
+SEEDS = (0, 1)
+EPOCHS = 2
 
 
 def digest_records(records) -> str:
@@ -61,12 +63,11 @@ def digest_state(model) -> str:
     return h.hexdigest()
 
 
-def fingerprint(name: str, seed: int, mode: str, hypergrad: str | None,
-                epochs: int) -> str:
+def fingerprint(name: str, seed: int, mode: str, hypergrad: str | None) -> str:
     inputs = WORKLOADS[name].setup(seed)
     config = dataclasses.replace(inputs.config, mode=mode,
                                  hypergrad_mode=hypergrad or "exact",
-                                 epochs=min(epochs, inputs.config.epochs))
+                                 epochs=min(EPOCHS, inputs.config.epochs))
     if inputs.unlabeled is not None:
         report = semi.train_ssl(inputs.splits, inputs.unlabeled, config)
     else:
@@ -77,17 +78,10 @@ def fingerprint(name: str, seed: int, mode: str, hypergrad: str | None,
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    ap.add_argument("--epochs", type=int, default=2,
-                    help="epochs per MLP run (cnn-synth keeps its one epoch)")
-    ap.add_argument("--workloads", nargs="+", choices=sorted(CASES),
-                    default=list(CASES))
-    args = ap.parse_args()
-    for name in args.workloads:
-        for seed in args.seeds:
-            for mode, hypergrad in CASES[name]:
-                print(fingerprint(name, seed, mode, hypergrad, args.epochs), flush=True)
+    for name, cases in CASES.items():
+        for seed in SEEDS:
+            for mode, hypergrad in cases:
+                print(fingerprint(name, seed, mode, hypergrad), flush=True)
 
 
 if __name__ == "__main__":

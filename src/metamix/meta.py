@@ -312,13 +312,15 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
     """The epoch loop of every run, supervised and semi-supervised.
 
     Each epoch first calls ``relabel(model, epoch)`` (when given), which
-    returns the accepted pseudo-labeled inputs, their one-hot labels, the
-    threshold and the pseudo-label accuracy; every step then takes
-    min(batch_size, accepted) of those rows, cycling through a per-epoch
-    shuffle. Per epoch the RNG draws the labeled order, then the accepted
-    order (only when rows were accepted); per step: validation indices,
-    labeled augmentation, pseudo augmentation, then the draws of
-    :func:`train_step`.
+    returns the accepted pseudo-labeled inputs (rows as the dataset stores
+    them), their one-hot labels, the threshold and the pseudo-label accuracy;
+    every step then takes min(batch_size, accepted) of those rows, cycling
+    through a per-epoch shuffle. Labeled and pseudo rows are augmented as
+    stored and only then shaped for the net, so image rows are flipped and
+    shifted before an MLP flattens them. Per epoch the RNG draws the labeled
+    order, then the accepted order (only when rows were accepted); per step:
+    validation indices, labeled augmentation, pseudo augmentation, then the
+    draws of :func:`train_step`.
     """
     train, meta_val, test = splits.train, splits.meta_val, splits.test
     arch = config.arch if config.arch is not None else default_arch(train)
@@ -354,11 +356,11 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
         for s in range(len(train) // config.batch_size):
             idx = order[s * config.batch_size:(s + 1) * config.batch_size]
             val_batch = sample_val_batch(meta_val, val_onehot, m, arch, rng)
-            bx = augment_batch(shape_for(arch, train.inputs[idx]), config.augment, rng)
+            bx = shape_for(arch, augment_batch(train.inputs[idx], config.augment, rng))
             pseudo = None
             if accepted:
                 u_idx = pseudo_order[(s * take + np.arange(take)) % accepted]
-                pseudo = (augment_batch(pool_x[u_idx], config.augment, rng),
+                pseudo = (shape_for(arch, augment_batch(pool_x[u_idx], config.augment, rng)),
                           pool_y[u_idx])
             stats.append(train_step(model, (bx, y_onehot[idx]), val_batch,
                                     config, rng, lr, pseudo))

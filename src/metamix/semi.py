@@ -110,6 +110,8 @@ def train_ssl(labeled: Splits, unlabeled: Dataset,
         if len(pool) and unlabeled.true_labels is not None:
             hits = pool.labels.argmax(axis=1) == unlabeled.true_labels[pool.indices]
             pseudo_accuracy = float(np.mean(hits))
-        return pool.inputs, pool.labels, sigma_t, pseudo_accuracy
+        # rows as stored, so the epoch loop augments images before it
+        # reshapes them for the net
+        return unlabeled.inputs[pool.indices], pool.labels, sigma_t, pseudo_accuracy
 
     return meta._fit(labeled, config, relabel if len(unlabeled) else None)

@@ -188,6 +188,19 @@ class TestIdxRuns:
                     "--labeled-per-class", "8", "--sigma0", "0.5"]) == 0
         assert len(read_records(out / "metrics.jsonl")) == 1
 
+    @pytest.mark.parametrize("sub", ["train", "ssl"])
+    def test_augment_reaches_flattened_rows(self, tmp_path, idx_args, sub):
+        # flipping vector rows is a no-op that draws nothing, so a run that
+        # flattened before augmenting would match --augment none exactly
+        extra = ["--labeled-per-class", "8", "--sigma0", "0.5"] if sub == "ssl" else []
+        losses = {}
+        for augment in ("none", "flip"):
+            out = tmp_path / augment
+            assert run([sub, "--out", str(out), "--arch", "auto", *idx_args, *extra,
+                        "--augment", augment]) == 0
+            losses[augment] = read_records(out / "metrics.jsonl")[0]["train_loss"]
+        assert losses["flip"] != losses["none"]
+
 
 @pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory):

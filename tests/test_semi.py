@@ -225,6 +225,27 @@ class TestTrainSsl:
         report = semi.train_ssl(splits, unlabeled, cfg)
         assert all(r.threshold == 0.7 for r in report.records)
 
+    def test_image_rows_are_augmented_before_an_mlp_flattens_them(self, monkeypatch):
+        rng = np.random.default_rng(15)
+
+        def images(n):
+            return Dataset(rng.uniform(size=(n, 6, 6)), np.arange(n) % 2, 2)
+
+        seen = []
+        augment = meta.augment_batch
+
+        def spy(x, mode, rng):
+            seen.append(x.shape[1:])
+            return augment(x, mode, rng)
+
+        monkeypatch.setattr(meta, "augment_batch", spy)
+        splits = Splits(train=images(10), meta_val=images(4), test=images(4))
+        cfg = ssl_config(epochs=1, batch_size=5, augment="flip", sigma0=0.5, apl=False)
+        report = semi.train_ssl(splits, images(6), cfg)
+        assert report.records[0].accepted_count == 6
+        # two steps, each augmenting its labeled rows and then its pseudo rows
+        assert seen == [(6, 6)] * 4
+
     @pytest.mark.parametrize("arch, message", [
         (nets.cnn3((8, 8), 1, 10), "arch has 10 classes, the training data 2"),
         (nets.cnn3((6, 6), 1, 2), "arch input shape (6, 6, 1) does not match "
