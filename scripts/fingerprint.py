@@ -1,10 +1,10 @@
 """Bit-identity fingerprints of seeded training runs on the benchmark setups.
 
-For each (workload setup, seed, mode, hypergradient mode) the script trains
-once and prints one line holding two sha256 digests: one of every
-``EpochRecord`` field except ``wall_seconds``, one of the final parameters
-and momentum. A change that must keep seeded results bit-identical prints
-the same lines before and after it:
+For each (workload setup, seed, mode) the script trains once and prints one
+line holding two sha256 digests: one of every ``EpochRecord`` field except
+``wall_seconds``, one of the final parameters and momentum. A change that
+must keep seeded results bit-identical prints the same lines before and
+after it:
 
     python3 scripts/fingerprint.py > before.txt   # on the old tree
     python3 scripts/fingerprint.py > after.txt    # on the new tree
@@ -12,7 +12,7 @@ the same lines before and after it:
 
 Run it from the repository root. metamix is imported from ``src/`` and the
 setups (data, config, architecture) from ``perfbench/workloads.py``, which is
-only read. Every case in ``CASES`` runs at each seed in ``SEEDS`` (22 lines);
+only read. Every mode in ``CASES`` runs at each seed in ``SEEDS`` (16 lines);
 the MLP setups are cut to ``EPOCHS`` epochs, cnn-synth keeps its single epoch
 of three steps.
 """
@@ -31,14 +31,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from metamix import meta, semi  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-# (mode, hypergradient mode) pairs run on each setup; the hypergradient mode
-# only matters to metamixup
 CASES = {
-    "sup-mlp": [("metamixup", "exact"), ("metamixup", "fd"),
-                ("mixup-beta", None), ("baseline", None)],
-    "ssl-mlp": [("metamixup", "exact"), ("metamixup", "fd"),
-                ("mixup-beta", None), ("baseline", None)],
-    "cnn-synth": [("metamixup", "exact"), ("metamixup", "fd"), ("mixup-beta", None)],
+    "sup-mlp": ("metamixup", "mixup-beta", "baseline"),
+    "ssl-mlp": ("metamixup", "mixup-beta", "baseline"),
+    "cnn-synth": ("metamixup", "mixup-beta"),
 }
 SEEDS = (0, 1)
 EPOCHS = 2
@@ -63,25 +59,24 @@ def digest_state(model) -> str:
     return h.hexdigest()
 
 
-def fingerprint(name: str, seed: int, mode: str, hypergrad: str | None) -> str:
+def fingerprint(name: str, seed: int, mode: str) -> str:
     inputs = WORKLOADS[name].setup(seed)
     config = dataclasses.replace(inputs.config, mode=mode,
-                                 hypergrad_mode=hypergrad or "exact",
                                  epochs=min(EPOCHS, inputs.config.epochs))
     if inputs.unlabeled is not None:
         report = semi.train_ssl(inputs.splits, inputs.unlabeled, config)
     else:
         report = meta.train_supervised(inputs.splits, config)
-    return (f"{name} seed={seed} mode={mode} hypergrad={hypergrad or '-'} "
+    return (f"{name} seed={seed} mode={mode} "
             f"records={digest_records(report.records)} "
             f"state={digest_state(report.model)}")
 
 
 def main() -> None:
-    for name, cases in CASES.items():
+    for name, modes in CASES.items():
         for seed in SEEDS:
-            for mode, hypergrad in cases:
-                print(fingerprint(name, seed, mode, hypergrad), flush=True)
+            for mode in modes:
+                print(fingerprint(name, seed, mode), flush=True)
 
 
 if __name__ == "__main__":

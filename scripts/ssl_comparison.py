@@ -1,36 +1,35 @@
 """Semi-supervised comparison at 10% labeled: learned mixing vs pseudo-labels.
 
-Same two-Gaussian family as the supervised comparison. The labeled pool is
-24 points per class; the rest of the training set loses its labels and is
-pseudo-labeled under the stepped confidence threshold.
+Each run is the ``ssl-mlp`` benchmark setup (acceptance criterion 8), taken
+from ``perfbench/workloads.py``, which is only read: the two-Gaussian task of
+the supervised comparison, 24 labeled points per class, the rest of the
+training set unlabeled and pseudo-labeled under a threshold that starts at
+0.7 and drops every 5 epochs, batch 8, 60 epochs. Run it from the repository
+root:
 
-    python3 scripts/ssl_comparison.py --seeds 5 --epochs 60
+    python3 scripts/ssl_comparison.py --seeds 5
 """
 
 import argparse
+import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from metamix import data, meta, nets, semi
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from metamix import semi  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 MODES = ("metamixup", "baseline")
 
 
-def run(mode: str, seed: int, args):
-    spec = data.SyntheticSpec(classes=2, per_class=args.per_class, dim=args.dim,
-                              separation=3.0, class_sigmas=(0.4, 1.6))
-    full = data.standard_splits(spec, seed=seed, corrupt=args.corrupt,
-                                meta_val_per_class=10, test_per_class=1000)
-    labeled, unlabeled = data.split_labeled_pool(full.train, args.labeled_per_class,
-                                                 seed=seed + 100)
-    bundle = data.Splits(train=labeled, meta_val=full.meta_val, test=full.test)
-    cfg = meta.TrainConfig(
-        mode=mode, epochs=args.epochs, batch_size=8, seed=seed,
-        sigma0=0.7, sigma_decrement=0.05, sigma_period=5, sigma_floor=0.5,
-        optimizer=nets.OptimizerConfig(learning_rate=0.1, momentum=0.9,
-                                       weight_decay=1e-4, cosine_anneal=True,
-                                       horizon=args.epochs))
-    report = semi.train_ssl(bundle, unlabeled, cfg)
+def run(mode: str, seed: int):
+    inputs = WORKLOADS["ssl-mlp"].setup(seed)
+    config = dataclasses.replace(inputs.config, mode=mode)
+    report = semi.train_ssl(inputs.splits, inputs.unlabeled, config)
     last = report.records[-1]
     return report.final_test_error, last.accepted_count, last.pseudo_accuracy
 
@@ -38,11 +37,6 @@ def run(mode: str, seed: int, args):
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--epochs", type=int, default=60)
-    ap.add_argument("--per-class", type=int, default=250)
-    ap.add_argument("--dim", type=int, default=10)
-    ap.add_argument("--corrupt", type=float, default=0.2)
-    ap.add_argument("--labeled-per-class", type=int, default=24)
     args = ap.parse_args()
 
     print(f"{'seed':>4}  {'mode':>10}  {'test_err':>8}  {'accepted':>8}  "
@@ -50,7 +44,7 @@ def main() -> None:
     errors = {m: [] for m in MODES}
     for seed in range(args.seeds):
         for mode in MODES:
-            err, accepted, pacc = run(mode, seed, args)
+            err, accepted, pacc = run(mode, seed)
             errors[mode].append(err)
             print(f"{seed:>4}  {mode:>10}  {err:>8.4f}  {accepted:>8}  "
                   f"{pacc:>10.4f}")

@@ -1,50 +1,46 @@
 """Multi-seed supervised comparison: learned lambda vs Beta(a,a) vs fixed 0.5.
 
-Two-Gaussian task with unequal class spreads and 20% corrupted training
-labels. Prints per-seed test errors and the mean/std per mode.
+Each run is the ``sup-mlp`` benchmark setup (acceptance criterion 7): the
+two-Gaussian task with unequal class spreads, 20% corrupted training labels,
+batch 50 and 50 cosine-annealed epochs, taken from ``perfbench/workloads.py``,
+which is only read. Prints per-seed test errors and the mean/std per mode.
+Run it from the repository root:
 
-    python3 scripts/supervised_comparison.py --seeds 5 --epochs 50
+    python3 scripts/supervised_comparison.py --seeds 5
 """
 
 import argparse
+import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from metamix import data, meta, nets
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from metamix import meta  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 MODES = ("metamixup", "mixup-beta", "mixup-fixed")
 
 
-def run(mode: str, seed: int, args) -> float:
-    spec = data.SyntheticSpec(classes=2, per_class=args.per_class, dim=args.dim,
-                              separation=3.0,
-                              class_sigmas=(args.sigma_a, args.sigma_b))
-    splits = data.standard_splits(spec, seed=seed, corrupt=args.corrupt,
-                                  meta_val_per_class=10, test_per_class=1000)
-    cfg = meta.TrainConfig(
-        mode=mode, epochs=args.epochs, batch_size=50, seed=seed,
-        optimizer=nets.OptimizerConfig(learning_rate=0.1, momentum=0.9,
-                                       weight_decay=1e-4, cosine_anneal=True,
-                                       horizon=args.epochs))
-    return meta.train_supervised(splits, cfg).final_test_error
+def run(mode: str, seed: int) -> float:
+    inputs = WORKLOADS["sup-mlp"].setup(seed)
+    config = dataclasses.replace(inputs.config, mode=mode)
+    return meta.train_supervised(inputs.splits, config).final_test_error
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--epochs", type=int, default=50)
-    ap.add_argument("--per-class", type=int, default=250)
-    ap.add_argument("--dim", type=int, default=10)
-    ap.add_argument("--corrupt", type=float, default=0.2)
-    ap.add_argument("--sigma-a", type=float, default=0.4)
-    ap.add_argument("--sigma-b", type=float, default=1.6)
     args = ap.parse_args()
 
     print(f"{'seed':>4}  " + "  ".join(f"{m:>12}" for m in MODES))
     errors = {m: [] for m in MODES}
     for seed in range(args.seeds):
         for mode in MODES:
-            errors[mode].append(run(mode, seed, args))
+            errors[mode].append(run(mode, seed))
         print(f"{seed:>4}  " + "  ".join(f"{errors[m][-1]:>12.4f}" for m in MODES))
 
     print("-" * (6 + 14 * len(MODES)))

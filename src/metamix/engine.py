@@ -600,13 +600,12 @@ def backward(loss: Tensor, targets: Sequence[Tensor], create_graph: bool = False
 
 
 def finite_diff_hvp(loss_builder, params: Sequence[Tensor], direction,
-                    epsilon: float, wrt: Sequence[Tensor] | None = None):
+                    epsilon: float):
     """Central-difference Hessian-vector product.
 
     ``loss_builder`` maps a list of parameter leaves to a scalar Tensor and is
-    called at params +/- epsilon*direction. Gradients are taken w.r.t. the
-    shifted leaves, or w.r.t. ``wrt`` (for mixed second derivatives against
-    tensors the builder closes over). Returns plain (graph-free) Tensors.
+    called at params +/- epsilon*direction; gradients are taken w.r.t. the
+    shifted leaves. Returns plain (graph-free) Tensors.
     """
     if epsilon <= 0:
         raise ValueError(f"finite_diff_hvp: epsilon must be positive, got {epsilon}")
@@ -622,9 +621,7 @@ def finite_diff_hvp(loss_builder, params: Sequence[Tensor], direction,
     def grads_at(sign: float):
         shifted = [Tensor(p.data + sign * epsilon * v, requires_grad=True)
                    for p, v in zip(params, direction)]
-        loss = loss_builder(shifted)
-        targets = shifted if wrt is None else list(wrt)
-        return [g.data for g in backward(loss, targets)]
+        return [g.data for g in backward(loss_builder(shifted), shifted)]
 
     hi = grads_at(+1.0)
     lo = grads_at(-1.0)

@@ -6,10 +6,10 @@ clean validation batch at the simulated weights, and backpropagate the
 validation loss all the way to the policy logits. The real model then trains
 on the batch re-mixed under the updated coefficients.
 
-The hypergradient comes in two flavors: "exact" differentiates through the
-recorded inner gradient (double backward), "fd" uses the identity
-grad_z = -eta * d/dz <grad_theta L_meta, grad_theta' L_val> evaluated by
-central differences along the validation gradient.
+The hypergradient is exact: the inner gradient is recorded with
+``create_graph`` and the validation loss is differentiated through it (double
+backward). :func:`simulated_step_losses` builds that validation loss once, for
+the hypergradient and for the ``gradcheck`` oracle that differences it.
 
 One step function (:func:`train_step`) runs every mode, with or without a
 group of pseudo-labeled rows, and one epoch loop drives every run: the
@@ -34,7 +34,6 @@ from .nets import Architecture, ModelState, OptimizerConfig
 from .reporting import EpochRecord, lambda_histogram
 
 MODES = ("metamixup", "mixup-beta", "mixup-fixed", "baseline")
-HYPERGRAD_MODES = ("exact", "fd")
 
 
 @dataclass
@@ -44,8 +43,6 @@ class TrainConfig:
     meta_batch_size: int | None = None   # validation batch per step; None -> batch_size
     policy_step_size: float = 5.0        # gradient step on the logits
     policy_updates: int = 1              # hypergradient steps per batch
-    hypergrad_mode: str = "exact"
-    fd_epsilon: float = 1e-4
     mode: str = "metamixup"
     beta_alpha: float = 1.0              # mixup-beta shared draw
     fixed_lambda: float = 0.5            # mixup-fixed coefficient
@@ -73,10 +70,6 @@ class TrainConfig:
             raise ValueError(f"policy_step_size must be >= 0, got {self.policy_step_size}")
         if self.policy_updates < 1:
             raise ValueError(f"policy_updates must be >= 1, got {self.policy_updates}")
-        if self.hypergrad_mode not in HYPERGRAD_MODES:
-            raise ValueError(f"hypergrad_mode '{self.hypergrad_mode}' not in {HYPERGRAD_MODES}")
-        if self.fd_epsilon <= 0:
-            raise ValueError(f"fd_epsilon must be positive, got {self.fd_epsilon}")
         if self.mode not in MODES:
             raise ValueError(f"mode '{self.mode}' not in {MODES}")
         if self.beta_alpha <= 0:
@@ -153,59 +146,39 @@ def _group_loss(model: ModelState, groups: Sequence[Group],
     return total
 
 
-def hypergradient(model: ModelState, groups: Sequence[Group],
-                  policy: InterpolationPolicy, val_batch, eta: float,
-                  mode: str = "exact", fd_epsilon: float = 1e-4) -> MetaGradResult:
-    """d L_val(theta - eta * grad L_meta(lambda)) / d logits on a throwaway clone.
+def simulated_step_losses(model: ModelState, groups: Sequence[Group], lam_source,
+                          val_batch, eta: float) -> tuple[Tensor, Tensor]:
+    """(L_meta(lambda), L_val(theta - eta * grad L_meta(lambda))) on a throwaway
+    clone, with the inner gradient recorded so that L_val differentiates back
+    to the coefficients.
 
     The passed model is never touched: the inner update runs on cloned
     parameter leaves with no momentum (plain gradient descent).
     """
-    vx, vy = val_batch
     clone = nets.clone_for_meta(model)
     names = list(clone.params)
     params = [clone.params[n] for n in names]
-
-    if mode == "exact":
-        meta_loss = _group_loss(clone, groups, policy, clone.params)
-        grads = eng.backward(meta_loss, params, create_graph=True)
-        simulated = {n: eng.sub(p, eng.scale(g, eta))
-                     for n, p, g in zip(names, params, grads)}
-        val_loss = nets.cross_entropy(nets.forward(clone, vx, params=simulated), vy)
-        (gz,) = eng.backward(val_loss, [policy.logits])
-        return MetaGradResult(gz.data, meta_loss.item(), val_loss.item())
-
-    if mode == "fd":
-        meta_loss = _group_loss(clone, groups, policy, clone.params)
-        grads = eng.backward(meta_loss, params)
-        simulated = [Tensor(p.data - eta * g.data, requires_grad=True)
-                     for p, g in zip(params, grads)]
-        val_loss = nets.cross_entropy(
-            nets.forward(clone, vx, params=dict(zip(names, simulated))), vy)
-        v = eng.backward(val_loss, simulated)
-        v_scale = max(float(np.abs(g.data).max()) for g in v)
-        if v_scale == 0.0:
-            return MetaGradResult(np.zeros(len(policy)), meta_loss.item(),
-                                  val_loss.item())
-
-        def rebuilt(shifted):
-            return _group_loss(clone, groups, policy, dict(zip(names, shifted)))
-
-        (hv,) = eng.finite_diff_hvp(rebuilt, params, [g.data for g in v],
-                                    epsilon=fd_epsilon / v_scale,
-                                    wrt=[policy.logits])
-        return MetaGradResult(-eta * hv.data, meta_loss.item(), val_loss.item())
-
-    raise ValueError(f"hypergradient mode '{mode}' not in {HYPERGRAD_MODES}")
+    meta_loss = _group_loss(clone, groups, lam_source, clone.params)
+    grads = eng.backward(meta_loss, params, create_graph=True)
+    simulated = {n: eng.sub(p, eng.scale(g, eta))
+                 for n, p, g in zip(names, params, grads)}
+    val_loss = nets.cross_entropy(nets.forward(clone, val_batch[0], params=simulated),
+                                  val_batch[1])
+    return meta_loss, val_loss
 
 
-def meta_lambda_gradient(model: ModelState, batch, permutation: np.ndarray,
-                         policy: InterpolationPolicy, val_batch, eta: float,
-                         mode: str = "exact", fd_epsilon: float = 1e-4) -> MetaGradResult:
-    """Single-batch wrapper over :func:`hypergradient`."""
-    x, y = batch
-    return hypergradient(model, [(x, y, permutation, 1.0)], policy, val_batch,
-                         eta, mode, fd_epsilon)
+def hypergradient(model: ModelState, groups: Sequence[Group],
+                  policy: InterpolationPolicy, val_batch, eta: float,
+                  mode: str = "exact") -> MetaGradResult:
+    """d L_val(theta - eta * grad L_meta(lambda)) / d logits by double backward.
+
+    ``mode`` accepts only "exact"; it remains for callers that still name it.
+    """
+    if mode != "exact":
+        raise ValueError(f"hypergradient mode '{mode}' is not 'exact'")
+    meta_loss, val_loss = simulated_step_losses(model, groups, policy, val_batch, eta)
+    (gz,) = eng.backward(val_loss, [policy.logits])
+    return MetaGradResult(gz.data, meta_loss.item(), val_loss.item())
 
 
 def update_policy(policy: InterpolationPolicy, grad,
@@ -254,8 +227,7 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     if config.mode == "metamixup":
         policy = mixing.init_policy(n, rng)
         for _ in range(config.policy_updates):
-            last = hypergradient(model, groups, policy, val_batch, step_lr,
-                                 config.hypergrad_mode, config.fd_epsilon)
+            last = hypergradient(model, groups, policy, val_batch, step_lr)
             policy = update_policy(policy, last.grad, config.policy_step_size)
         lam = policy.lambda_values()
         meta_loss, val_loss = last.meta_loss, last.val_loss
@@ -323,6 +295,9 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
     draws of :func:`train_step`.
     """
     train, meta_val, test = splits.train, splits.meta_val, splits.test
+    if config.batch_size > len(train):
+        raise ValueError(f"batch_size {config.batch_size} exceeds the {len(train)} "
+                         "training rows, so no step would run")
     arch = config.arch if config.arch is not None else default_arch(train)
     classes = train.n_classes
     if arch.n_classes != classes:

@@ -60,8 +60,8 @@ class TestCriterion01Hypergradient:
         policy = mixing.init_policy(8, rng)
         eta = 0.1
 
-        exact = meta.meta_lambda_gradient(model, (x, y), perm, policy,
-                                          (vx, vy), eta, mode="exact").grad
+        exact = meta.hypergradient(model, [(x, y, perm, 1.0)], policy,
+                                   (vx, vy), eta).grad
 
         # Independent oracle: the whole pipeline (mix, simulated GD step,
         # validation loss) rebuilt as a plain function of the logits and
@@ -416,8 +416,8 @@ class TestCriterion10LambdaDrift:
             val = (x[k:k + 1], y[k:k + 1])
             policy = mixing.init_policy(2, rng)
             init_dev.append(np.abs(policy.lambda_values() - 0.5).mean())
-            res = meta.meta_lambda_gradient(model, (x, y), perm, policy,
-                                            val, eta)
+            res = meta.hypergradient(model, [(x, y, perm, 1.0)], policy,
+                                     val, eta)
             policy = meta.update_policy(policy, res.grad, 5.0)
             post_dev.append(np.abs(policy.lambda_values() - 0.5).mean())
             mixed = mixing.mix_batch(x, y, perm, policy)

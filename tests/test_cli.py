@@ -1,10 +1,12 @@
+import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from metamix import cli, data
+from metamix import cli, data, meta
 from metamix.reporting import FIELD_ORDER, read_records
 
 TINY = ["--epochs", "2", "--per-class", "30", "--dim", "5",
@@ -20,6 +22,21 @@ class TestParsing:
         assert run(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "max relative error" in out
+
+    def test_gradcheck_catches_a_hypergradient_off_by_a_tenth_percent(
+            self, monkeypatch, capsys):
+        assert run(["gradcheck"]) == 0
+        err = float(re.search(r"max relative error (\S+)", capsys.readouterr().out)[1])
+        assert err <= 1e-6
+        exact = meta.hypergradient
+
+        def scaled(*args, **kwargs):
+            res = exact(*args, **kwargs)
+            return dataclasses.replace(res, grad=1.001 * res.grad)
+
+        monkeypatch.setattr(meta, "hypergradient", scaled)
+        assert run(["gradcheck"]) == 4
+        assert "FAIL" in capsys.readouterr().out
 
     def test_invalid_lambda_names_field(self, tmp_path, capsys):
         code = run(["train", "--mode", "mixup-fixed", "--lambda", "1.5",
@@ -98,6 +115,15 @@ class TestTrainRun:
             out = tmp_path / mode
             assert run(["train", "--out", str(out), "--mode", mode, *TINY]) == 0
 
+    def test_batch_larger_than_training_set_exits_2(self, tmp_path, capsys):
+        # 60 rows less 10 for meta-validation leave 50 to train on
+        assert run(["train", "--out", str(tmp_path), "--epochs", "1",
+                    "--per-class", "30", "--dim", "5", "--meta-val-per-class", "5",
+                    "--batch-size", "51"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "batch_size 51 exceeds the 50 training rows" in err
+
     def test_numeric_blowup_exits_4(self, tmp_path, capsys):
         # an absurd decay overflows float64 within two steps; tanh and
         # log-softmax keep plain large learning rates finite forever
@@ -120,6 +146,20 @@ class TestSslRun:
         assert any(r["accepted_count"] > 0 for r in records)
         echo = json.loads((out / "config.json").read_text())
         assert echo["labeled_per_class"] == 8
+
+    def test_default_batch_trains(self, tmp_path):
+        out = tmp_path / "ssl"
+        assert run(["ssl", "--out", str(out), "--epochs", "1"]) == 0
+        assert read_records(out / "metrics.jsonl")[0]["train_loss"] > 0.0
+        assert json.loads((out / "config.json").read_text())["batch_size"] == 8
+
+    def test_batch_larger_than_labeled_set_exits_2(self, tmp_path, capsys):
+        # the default 25 labeled rows per class give 50 rows to train on
+        assert run(["ssl", "--out", str(tmp_path), "--epochs", "1",
+                    "--batch-size", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "batch_size 64 exceeds the 50 training rows" in err
 
     def test_oversized_labeled_pool_exits_2(self, tmp_path):
         assert run(["ssl", "--out", str(tmp_path), "--per-class", "20",
@@ -280,6 +320,14 @@ class TestAuditRun:
         assert payload["violations"] == 0
         assert payload["worst_channel"] in (0, 1)
         assert len(payload["estimate"]["per_channel"]) == 2
+
+    def test_auto_arch_audits_the_default_net(self, tmp_path):
+        args = ["--per-class", "30", "--dim", "5", "--n-pairs", "300", "--seed", "3"]
+        assert run(["audit", "--out", str(tmp_path / "auto"), "--arch", "auto", *args]) == 0
+        assert run(["audit", "--out", str(tmp_path / "unset"), *args]) == 0
+        auto, unset = (json.loads((tmp_path / d / "audit.json").read_text())
+                       for d in ("auto", "unset"))
+        assert auto == unset
 
     def test_understated_safety_reports_but_succeeds(self, tmp_path, capsys):
         out = tmp_path / "audit"

@@ -48,7 +48,7 @@ class TestHypergradient:
     def test_matches_finite_differences_through_pipeline(self):
         _, model, batch, val, perm, policy = tiny_setup()
         eta = 0.1
-        res = meta.meta_lambda_gradient(model, batch, perm, policy, val, eta)
+        res = meta.hypergradient(model, [(*batch, perm, 1.0)], policy, val, eta)
         f = pipeline_val_loss(model, batch, perm, val, eta)
         report = eng.grad_check(f, policy.logits, epsilon=1e-4, tolerance=1e-4)
         assert report.passed
@@ -56,41 +56,33 @@ class TestHypergradient:
 
     def test_eta_zero_gives_exactly_zero(self):
         _, model, batch, val, perm, policy = tiny_setup(seed=1)
-        res = meta.meta_lambda_gradient(model, batch, perm, policy, val, eta=0.0)
+        res = meta.hypergradient(model, [(*batch, perm, 1.0)], policy, val, eta=0.0)
         assert np.all(res.grad == 0.0)
 
     def test_model_untouched(self):
         _, model, batch, val, perm, policy = tiny_setup(seed=2)
         before = {n: p.data.tobytes() for n, p in model.params.items()}
         mom_before = {n: m.tobytes() for n, m in model.momentum.items()}
-        meta.meta_lambda_gradient(model, batch, perm, policy, val, 0.1)
+        meta.hypergradient(model, [(*batch, perm, 1.0)], policy, val, 0.1)
         assert {n: p.data.tobytes() for n, p in model.params.items()} == before
         assert {n: m.tobytes() for n, m in model.momentum.items()} == mom_before
-
-    def test_fd_mode_agrees_with_exact(self):
-        for seed in range(5):
-            _, model, batch, val, perm, policy = tiny_setup(seed=seed)
-            exact = meta.meta_lambda_gradient(model, batch, perm, policy, val, 0.1,
-                                              mode="exact")
-            approx = meta.meta_lambda_gradient(model, batch, perm, policy, val, 0.1,
-                                               mode="fd")
-            assert eng.max_relative_error(exact.grad, approx.grad) <= 1e-3
-            assert exact.meta_loss == pytest.approx(approx.meta_loss, rel=1e-12)
 
     def test_first_order_eta_scaling(self):
         # grad(eta)/eta stabilizes as eta -> 0
         _, model, batch, val, perm, policy = tiny_setup(seed=3)
-        g1 = meta.meta_lambda_gradient(model, batch, perm, policy, val, 1e-3).grad
-        g2 = meta.meta_lambda_gradient(model, batch, perm, policy, val, 5e-4).grad
+        groups = [(*batch, perm, 1.0)]
+        g1 = meta.hypergradient(model, groups, policy, val, 1e-3).grad
+        g2 = meta.hypergradient(model, groups, policy, val, 5e-4).grad
         scaled1, scaled2 = g1 / 1e-3, g2 / 5e-4
         denom = np.abs(scaled1).max()
         assert np.abs(scaled1 - scaled2).max() / denom <= 0.1
 
     def test_mode_validated(self):
         _, model, batch, val, perm, policy = tiny_setup(seed=4)
-        with pytest.raises(ValueError, match="mode"):
-            meta.meta_lambda_gradient(model, batch, perm, policy, val, 0.1,
-                                      mode="qr")
+        for mode in ("qr", "fd"):
+            with pytest.raises(ValueError, match="mode"):
+                meta.hypergradient(model, [(*batch, perm, 1.0)], policy, val, 0.1,
+                                   mode=mode)
 
 
 class TestUpdatePolicy:
@@ -171,7 +163,7 @@ class TestTrainStep:
         perm = mixing.sample_pairing(8, rng)
         policy = mixing.init_policy(8, rng)
         for _ in range(2):
-            res = meta.meta_lambda_gradient(model, (x, y), perm, policy, val, 0.1)
+            res = meta.hypergradient(model, [(x, y, perm, 1.0)], policy, val, 0.1)
             policy = meta.update_policy(policy, res.grad, cfg2.policy_step_size)
         np.testing.assert_array_equal(policy.lambda_values(), s2.lambda_values)
 
@@ -218,11 +210,11 @@ def _step_inputs(kind):
 
 
 @pytest.mark.parametrize("kind", ["supervised", "pseudo", "cnn3"])
-@pytest.mark.parametrize("mode, hypergrad_mode",
-                         [(m, "exact") for m in meta.MODES] + [("metamixup", "fd")])
-def test_step_graphs_are_freed_without_the_cycle_collector(kind, mode, hypergrad_mode):
+# every hypergradient is exact; the "-exact" id suffix keeps the test names
+@pytest.mark.parametrize("mode", meta.MODES, ids=lambda m: f"{m}-exact")
+def test_step_graphs_are_freed_without_the_cycle_collector(kind, mode):
     model, labeled, val, pseudo = _step_inputs(kind)
-    cfg = run_config(mode=mode, hypergrad_mode=hypergrad_mode, epochs=1, batch_size=6)
+    cfg = run_config(mode=mode, epochs=1, batch_size=6)
     gc.collect()
     gc.disable()
     try:
@@ -241,8 +233,6 @@ class TestConfigValidation:
             run_config(policy_step_size=-0.1)
         with pytest.raises(ValueError):
             run_config(mode="cutmix")
-        with pytest.raises(ValueError):
-            run_config(hypergrad_mode="auto")
         with pytest.raises(ValueError):
             run_config(fixed_lambda=1.5)
         with pytest.raises(ValueError):
@@ -298,6 +288,19 @@ class TestTrainSupervised:
         assert report.records[-1].train_loss < report.records[0].train_loss
         assert report.final_test_error <= 0.10
 
+    def test_batch_larger_than_training_set_rejected_before_model(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("built a model for a run that takes no step")
+
+        monkeypatch.setattr(nets, "build_model", never)
+        # small_splits keeps 50 training rows
+        with pytest.raises(ValueError, match="batch_size 51 exceeds the 50 training rows"):
+            meta.train_supervised(small_splits(), run_config(epochs=1, batch_size=51))
+
+    def test_batch_of_the_whole_training_set_takes_a_step(self):
+        report = meta.train_supervised(small_splits(), run_config(epochs=1, batch_size=50))
+        assert report.records[0].train_loss > 0.0
+
     def test_cosine_annealed_run(self):
         cfg = run_config(epochs=3, batch_size=10, seed=6,
                          optimizer=OptimizerConfig(learning_rate=0.1,
@@ -330,7 +333,7 @@ class TestConflictingPairDrift:
             perm = np.array([1, 0])
             policy = mixing.init_policy(2, rng)
             init_dev.append(np.abs(policy.lambda_values() - 0.5).mean())
-            res = meta.meta_lambda_gradient(model, (x, y), perm, policy, val, eta)
+            res = meta.hypergradient(model, [(x, y, perm, 1.0)], policy, val, eta)
             policy = meta.update_policy(policy, res.grad, cfg.policy_step_size)
             post_dev.append(np.abs(policy.lambda_values() - 0.5).mean())
             mixed = mixing.mix_batch(x, y, perm, policy)
