@@ -280,8 +280,9 @@ def _echo_config(out: Path, opts: dict, subcommand: str) -> None:
 
 
 def _run_trainer(trainer, *args):
-    """Run a trainer; its rejections of the config against the data (a
-    batch larger than the training set) are config errors."""
+    """Run a trainer, or its up-front checks; its rejections of the config
+    against the data (a batch larger than the training set) are config
+    errors."""
     try:
         return trainer(*args)
     except ValueError as exc:
@@ -306,9 +307,10 @@ def _write_run(out: Path, report, t0: float) -> None:
 
 def cmd_train(opts: dict) -> int:
     t0 = time.perf_counter()
-    out = _out_dir(opts, "train")
     splits = _load_splits(opts)
     config = _train_config(opts, splits)
+    _run_trainer(meta.check_run, splits.train, config)
+    out = _out_dir(opts, "train")
     _echo_config(out, opts, "train")
     report = _run_trainer(meta.train_supervised, splits, config)
     _write_run(out, report, t0)
@@ -319,7 +321,6 @@ def cmd_train(opts: dict) -> int:
 
 def cmd_ssl(opts: dict) -> int:
     t0 = time.perf_counter()
-    out = _out_dir(opts, "ssl")
     splits = _load_splits(opts)
     try:
         labeled, unlabeled = dataio.split_labeled_pool(
@@ -327,6 +328,8 @@ def cmd_ssl(opts: dict) -> int:
     except DataError as exc:
         raise ConfigError(str(exc))
     config = _train_config(opts, splits)
+    _run_trainer(meta.check_run, labeled, config)
+    out = _out_dir(opts, "ssl")
     _echo_config(out, opts, "ssl")
     report = _run_trainer(
         semi.train_ssl,
@@ -415,7 +418,8 @@ def cmd_audit(opts: dict) -> int:
 
 def cmd_gradcheck(opts: dict) -> int:
     """The hypergradient against central differences of the same validation
-    loss, taken as a function of the policy logits."""
+    loss, taken as a function of the policy logits, and against its double
+    backward through the simulated step."""
     rng = np.random.default_rng(opts["seed"])
     model = nets.build_model(nets.mlp(4, [8], 3), rng)
     x = rng.normal(size=(8, 4))
@@ -425,16 +429,20 @@ def cmd_gradcheck(opts: dict) -> int:
     policy = mixing.init_policy(8, rng)
     eta = 0.1
     exact = meta.hypergradient(model, groups, policy, val, eta).grad
-    numeric = eng.grad_check(
+    report = eng.grad_check(
         lambda z: meta.simulated_step_losses(
             model, groups, mixing.InterpolationPolicy(z), val, eta)[1],
-        policy.logits, epsilon=1e-4).numeric   # the step with the least error here
-    err = eng.max_relative_error(exact, numeric, floor=0.0)
-    ok = err <= opts["tolerance"]
-    print(f"hypergradient vs central differences of the validation loss: "
-          f"max relative error {err:.3e} "
-          f"{'PASS' if ok else 'FAIL'} (tolerance {opts['tolerance']:g})")
-    return EXIT_OK if ok else EXIT_NUMERIC
+        policy.logits, epsilon=1e-4)   # the step with the least error here
+    passed = True
+    for oracle, reference in (("central differences of the validation loss",
+                               report.numeric),
+                              ("the double backward", report.analytic)):
+        err = eng.max_relative_error(exact, reference, floor=0.0)
+        ok = err <= opts["tolerance"]
+        passed = passed and ok
+        print(f"hypergradient vs {oracle}: max relative error {err:.3e} "
+              f"{'PASS' if ok else 'FAIL'} (tolerance {opts['tolerance']:g})")
+    return EXIT_OK if passed else EXIT_NUMERIC
 
 
 _DISPATCH = {"train": cmd_train, "ssl": cmd_ssl, "audit": cmd_audit,

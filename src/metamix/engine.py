@@ -2,9 +2,11 @@
 
 Every backward rule is written out of the same primitive set that builds the
 forward pass, so a backward pass can itself be recorded and differentiated
-(``create_graph=True``). That closure property is what makes one-step
-meta-gradients exact instead of approximated: the gradient of a validation
-loss can flow through a gradient computed earlier in the same graph.
+(``create_graph=True``). That closure property serves the oracles: the
+double backward through a simulated gradient step, against which the
+one-step meta-gradient is checked (``meta.simulated_step_losses``), and
+``exact_hvp``. Training takes its meta-gradient from plain backward passes
+and a forward pass with two tangents, and never records a backward pass.
 
 Every primitive builds its node with one ``_result`` call. A backward rule
 has the signature ``vjp(y, u, needs)``: ``y`` is the node's own output, ``u``

@@ -1,15 +1,18 @@
 """Per-sample interpolation coefficients learned by a one-step meta gradient.
 
 The step: mix the batch under the current policy, simulate one plain
-gradient-descent update of a cloned model on that mixed loss, evaluate a
-clean validation batch at the simulated weights, and backpropagate the
-validation loss all the way to the policy logits. The real model then trains
-on the batch re-mixed under the updated coefficients.
+gradient-descent update of the model on that mixed loss, evaluate a clean
+validation batch at the simulated weights, and differentiate the validation
+loss all the way back to the policy logits. The real model then trains on
+the batch re-mixed under the updated coefficients.
 
-The hypergradient is exact: the inner gradient is recorded with
-``create_graph`` and the validation loss is differentiated through it (double
-backward). :func:`simulated_step_losses` builds that validation loss once, for
-the hypergradient and for the ``gradcheck`` oracle that differences it.
+The hypergradient is exact and records no second-order graph: a plain inner
+gradient, a plain validation gradient at the simulated weights, and one
+forward pass that carries a parameter tangent and a lambda tangent
+(:func:`hypergradient`). :func:`simulated_step_losses` keeps the double
+backward (the inner gradient recorded with ``create_graph``) as the
+reference: the tests and ``gradcheck`` compare against it, and ``gradcheck``
+also differences it.
 
 One step function (:func:`train_step`) runs every mode, with or without a
 group of pseudo-labeled rows, and one epoch loop drives every run: the
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import engine as eng
 from . import mixing, nets
-from .data import AUGMENT_MODES, Splits, augment_batch
+from .data import AUGMENT_MODES, Dataset, Splits, augment_batch
 from .engine import NonFiniteError, Tensor
 from .mixing import InterpolationPolicy
 from .nets import Architecture, ModelState, OptimizerConfig
@@ -150,7 +153,8 @@ def simulated_step_losses(model: ModelState, groups: Sequence[Group], lam_source
                           val_batch, eta: float) -> tuple[Tensor, Tensor]:
     """(L_meta(lambda), L_val(theta - eta * grad L_meta(lambda))) on a throwaway
     clone, with the inner gradient recorded so that L_val differentiates back
-    to the coefficients.
+    to the coefficients: the double-backward reference for
+    :func:`hypergradient`.
 
     The passed model is never touched: the inner update runs on cloned
     parameter leaves with no momentum (plain gradient descent).
@@ -167,18 +171,71 @@ def simulated_step_losses(model: ModelState, groups: Sequence[Group], lam_source
     return meta_loss, val_loss
 
 
+def _cross_entropy_mixed_derivative(a, a_e, a_l, a_el, y, dy) -> np.ndarray:
+    """Per row, d2/(deps dlambda) of -sum_c y_c(lambda) log_softmax(a)_c from
+    the logits' parts (value, eps, lambda, eps-lambda) and the labels and
+    their lambda derivative. The Hessian of logsumexp is diag(p) - p p^T."""
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    p_e, p_l = (p * a_e).sum(axis=1), (p * a_l).sum(axis=1)
+    lse_el = (p * (a_el + a_e * a_l)).sum(axis=1) - p_e * p_l
+    return -((dy * (a_e - p_e[:, None])).sum(axis=1) + (y * a_el).sum(axis=1)
+             - y.sum(axis=1) * lse_el)
+
+
 def hypergradient(model: ModelState, groups: Sequence[Group],
                   policy: InterpolationPolicy, val_batch, eta: float,
                   mode: str = "exact") -> MetaGradResult:
-    """d L_val(theta - eta * grad L_meta(lambda)) / d logits by double backward.
+    """d L_val(theta - eta * grad L_meta(lambda)) / d logits, exactly.
+
+    With theta' = theta - eta * grad L_meta(theta, lambda) and
+    v = grad L_val(theta'), the chain rule gives
+
+        dL_val/dlambda = -eta d/dlambda <grad L_meta(theta, lambda), v>
+                       = -eta d2/(deps dlambda) L_meta(theta + eps v, lambda).
+
+    Row i's mixed loss depends on lambda_i alone, so one forward pass that
+    carries an eps and a lambda tangent (``nets.forward_tangents``) yields
+    every d2 l_i / (deps dlambda_i). Two plain backward passes (the inner
+    gradient, then v) and that pass replace a double backward;
+    :func:`simulated_step_losses` keeps the double backward as the reference.
+    The model is not touched.
 
     ``mode`` accepts only "exact"; it remains for callers that still name it.
     """
     if mode != "exact":
         raise ValueError(f"hypergradient mode '{mode}' is not 'exact'")
-    meta_loss, val_loss = simulated_step_losses(model, groups, policy, val_batch, eta)
-    (gz,) = eng.backward(val_loss, [policy.logits])
-    return MetaGradResult(gz.data, meta_loss.item(), val_loss.item())
+    lam = policy.lambda_values()
+    meta_loss = _group_loss(model, groups, Tensor(lam), model.params)
+    inner = nets.param_gradients(meta_loss, model)
+    simulated = {n: Tensor(p.data - eta * inner[n].data, requires_grad=True)
+                 for n, p in model.params.items()}
+    val_loss = nets.cross_entropy(nets.forward(model, val_batch[0], params=simulated),
+                                  val_batch[1])
+    val_grads = eng.backward(val_loss, list(simulated.values()))
+    v = {n: g.data for n, g in zip(simulated, val_grads)}
+
+    # every group's mixed rows and their lambda derivatives, stacked
+    xs, dxs, ys, dys, scales = [], [], [], [], []
+    offset = 0
+    for x, y, perm, weight in groups:
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+        n = len(x)
+        lam_x = lam[offset:offset + n].reshape((n,) + (1,) * (x.ndim - 1))
+        lam_y = lam[offset:offset + n, None]
+        offset += n
+        xs.append(lam_x * x + (1.0 - lam_x) * x[perm])
+        dxs.append(x - x[perm])
+        ys.append(lam_y * y + (1.0 - lam_y) * y[perm])
+        dys.append(y - y[perm])
+        scales.append(np.full(n, -eta * weight / n))
+    x_mix, dx, y_mix, dy, row_scale = map(np.concatenate, (xs, dxs, ys, dys, scales))
+    d2 = _cross_entropy_mixed_derivative(
+        *nets.forward_tangents(model, x_mix, dx, v), y_mix, dy)
+    grad = row_scale * d2 * lam * (1.0 - lam)   # dlambda/dz = lambda (1 - lambda)
+    if not np.isfinite(grad).all():
+        raise NonFiniteError("hypergradient is not finite")
+    return MetaGradResult(grad, meta_loss.item(), val_loss.item())
 
 
 def update_policy(policy: InterpolationPolicy, grad,
@@ -280,6 +337,25 @@ def train_supervised(splits: Splits, config: TrainConfig) -> TrainingReport:
     return _fit(splits, config)
 
 
+def check_run(train: Dataset, config: TrainConfig) -> Architecture:
+    """The net a run of ``config`` on ``train`` builds, once the checks that
+    reject the pair before anything is built have passed: a batch larger
+    than the training rows (ValueError), an arch whose classes or input
+    shape do not match the data (ShapeError)."""
+    if config.batch_size > len(train):
+        raise ValueError(f"batch_size {config.batch_size} exceeds the {len(train)} "
+                         "training rows, so no step would run")
+    arch = config.arch if config.arch is not None else default_arch(train)
+    if arch.n_classes != train.n_classes:
+        raise eng.ShapeError(f"arch has {arch.n_classes} classes, "
+                             f"the training data {train.n_classes}")
+    row_shape = shape_for(arch, train.inputs).shape[1:]
+    if arch.input_shape != row_shape:
+        raise eng.ShapeError(f"arch input shape {arch.input_shape} does not match "
+                             f"the training rows' shape {row_shape}")
+    return arch
+
+
 def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
     """The epoch loop of every run, supervised and semi-supervised.
 
@@ -295,17 +371,8 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
     draws of :func:`train_step`.
     """
     train, meta_val, test = splits.train, splits.meta_val, splits.test
-    if config.batch_size > len(train):
-        raise ValueError(f"batch_size {config.batch_size} exceeds the {len(train)} "
-                         "training rows, so no step would run")
-    arch = config.arch if config.arch is not None else default_arch(train)
+    arch = check_run(train, config)
     classes = train.n_classes
-    if arch.n_classes != classes:
-        raise eng.ShapeError(f"arch has {arch.n_classes} classes, the training data {classes}")
-    row_shape = shape_for(arch, train.inputs).shape[1:]
-    if arch.input_shape != row_shape:
-        raise eng.ShapeError(f"arch input shape {arch.input_shape} does not match "
-                             f"the training rows' shape {row_shape}")
     rng = np.random.default_rng(config.seed)
     model = nets.build_model(arch, rng)
     y_onehot = nets.one_hot(train.labels, classes)

@@ -3,7 +3,8 @@
 Models are deliberately functional: ``forward`` takes an optional parameter
 mapping so a simulated update (new parameter tensors, same architecture) can
 be evaluated without touching the real model. That is the hook the one-step
-meta gradient hangs off.
+meta gradient hangs off; ``forward_tangents`` runs the same layers in numpy
+with two tangents for its second-order term.
 """
 
 from __future__ import annotations
@@ -39,6 +40,38 @@ ACTIVATIONS = {
     "relu": eng.relu,
     "softplus": eng.softplus,
     "sigmoid": eng.sigmoid,
+}
+
+
+def _tanh_derivatives(a):
+    t = np.tanh(a)
+    d1 = 1.0 - t * t
+    return t, d1, -2.0 * t * d1
+
+
+def _sigmoid_derivatives(a):
+    s = eng._sigmoid_values(a)
+    d1 = s * (1.0 - s)
+    return s, d1, d1 * (1.0 - 2.0 * s)
+
+
+def _softplus_derivatives(a):
+    s = eng._sigmoid_values(a)
+    return np.logaddexp(0.0, a), s, s * (1.0 - s)
+
+
+def _relu_derivatives(a):
+    # the engine's mask, so both take the subgradient 0 at a == 0; f'' = 0
+    return np.maximum(a, 0.0), (a > 0).astype(np.float64), None
+
+
+# (f, f', f'') of each activation on numpy arrays, for forward_tangents;
+# None stands for an f'' that is zero everywhere
+ACTIVATION_DERIVATIVES = {
+    "tanh": _tanh_derivatives,
+    "relu": _relu_derivatives,
+    "softplus": _softplus_derivatives,
+    "sigmoid": _sigmoid_derivatives,
 }
 
 
@@ -149,6 +182,52 @@ def forward(model: ModelState, x, params: Mapping[str, Tensor] | None = None) ->
     return h
 
 
+def forward_tangents(model: ModelState, x, dx, direction: Mapping[str, np.ndarray]):
+    """Logits a and three of their derivatives, in one numpy pass.
+
+    The parameters move to theta + eps * direction and the input to
+    x + t * dx. Returns (a, da/deps, da/dt, d2a/(deps dt)) at eps = t = 0:
+    every layer carries these four parts forward (hyper-dual numbers). The
+    values follow the engine's formulas, and no graph is recorded. Rows stay
+    independent, as in ``forward``.
+    """
+    p = model.params
+    h, h_l = np.asarray(x, dtype=np.float64), np.asarray(dx, dtype=np.float64)
+    if h.shape[1:] != model.arch.input_shape or h_l.shape != h.shape:
+        raise ShapeError(f"forward_tangents: batch {h.shape} and tangent {h_l.shape} "
+                         f"vs input {model.arch.input_shape}")
+    h_e = h_el = None   # the input does not move with eps
+    n = len(h)
+    for i, layer in enumerate(model.arch.layers):
+        name = f"layer{i}"
+        w, b = p[f"{name}.w"].data, p[f"{name}.b"].data
+        vw, vb = direction[f"{name}.w"], direction[f"{name}.b"]
+        if isinstance(layer, Conv):
+            product = eng._conv_forward
+        else:
+            product = np.matmul
+            if h.ndim > 2:
+                h, h_l = h.reshape(n, -1), h_l.reshape(n, -1)
+                if h_e is not None:
+                    h_e, h_el = h_e.reshape(n, -1), h_el.reshape(n, -1)
+        # [h; h_l] against [w | vw] gives h w, h vw, h_l w and h_l vw at once
+        cout = w.shape[-1]
+        both = product(np.concatenate([h, h_l]), np.concatenate([w, vw], axis=-1))
+        a, a_e = both[:n, ..., :cout] + b, both[:n, ..., cout:] + vb
+        a_l, a_el = both[n:, ..., :cout], both[n:, ..., cout:]
+        if h_e is not None:
+            moved = product(np.concatenate([h_e, h_el]), w)
+            a_e, a_el = a_e + moved[:n], a_el + moved[n:]
+        if layer.activation is None:
+            h, h_e, h_l, h_el = a, a_e, a_l, a_el
+            continue
+        h, d1, d2 = ACTIVATION_DERIVATIVES[layer.activation](a)
+        h_e, h_l, h_el = d1 * a_e, d1 * a_l, d1 * a_el
+        if d2 is not None:
+            h_el += d2 * a_e * a_l
+    return h, h_e, h_l, h_el
+
+
 def clone_for_meta(model: ModelState) -> ModelState:
     """Deep-copied parameter leaves, zero momentum: the simulated inner update
     is plain gradient descent and must not disturb the real optimizer state."""
@@ -158,10 +237,9 @@ def clone_for_meta(model: ModelState) -> ModelState:
     return ModelState(model.arch, params, momentum)
 
 
-def param_gradients(loss: Tensor, model: ModelState,
-                    create_graph: bool = False) -> dict[str, Tensor]:
+def param_gradients(loss: Tensor, model: ModelState) -> dict[str, Tensor]:
     names = list(model.params)
-    grads = eng.backward(loss, [model.params[n] for n in names], create_graph)
+    grads = eng.backward(loss, [model.params[n] for n in names])
     return dict(zip(names, grads))
 
 

@@ -38,6 +38,26 @@ class TestParsing:
         assert run(["gradcheck"]) == 4
         assert "FAIL" in capsys.readouterr().out
 
+    def test_gradcheck_fails_on_the_double_backward_line(self, monkeypatch, capsys):
+        def line_error(line):
+            return float(re.search(r"max relative error (\S+)", line)[1])
+
+        assert run(["gradcheck"]) == 0
+        double = capsys.readouterr().out.splitlines()[1]
+        assert "double backward" in double and "PASS" in double
+        assert line_error(double) <= 1e-12
+        exact = meta.hypergradient
+
+        def scaled(*args, **kwargs):
+            res = exact(*args, **kwargs)
+            return dataclasses.replace(res, grad=1.001 * res.grad)
+
+        monkeypatch.setattr(meta, "hypergradient", scaled)
+        assert run(["gradcheck"]) == 4
+        double = capsys.readouterr().out.splitlines()[1]
+        assert "double backward" in double and "FAIL" in double
+        assert line_error(double) == pytest.approx(0.001 / 1.001, rel=1e-3)
+
     def test_invalid_lambda_names_field(self, tmp_path, capsys):
         code = run(["train", "--mode", "mixup-fixed", "--lambda", "1.5",
                     "--out", str(tmp_path)])
@@ -124,6 +144,15 @@ class TestTrainRun:
         assert err.startswith("config error:")
         assert "batch_size 51 exceeds the 50 training rows" in err
 
+    # a batch the trainer rejects, and a config error while loading the data
+    @pytest.mark.parametrize("reject", [["--batch-size", "51"], ["--data", "idx"]],
+                             ids=["batch", "data"])
+    def test_rejected_run_leaves_no_output_dir(self, tmp_path, reject):
+        out = tmp_path / "run"
+        assert run(["train", "--out", str(out), "--epochs", "1", "--per-class", "30",
+                    "--dim", "5", "--meta-val-per-class", "5", *reject]) == 2
+        assert not out.exists()
+
     def test_numeric_blowup_exits_4(self, tmp_path, capsys):
         # an absurd decay overflows float64 within two steps; tanh and
         # log-softmax keep plain large learning rates finite forever
@@ -160,6 +189,13 @@ class TestSslRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "batch_size 64 exceeds the 50 training rows" in err
+
+    @pytest.mark.parametrize("reject", [["--batch-size", "64"], ["--data", "idx"]],
+                             ids=["batch", "data"])
+    def test_rejected_run_leaves_no_output_dir(self, tmp_path, reject):
+        out = tmp_path / "run"
+        assert run(["ssl", "--out", str(out), "--epochs", "1", *reject]) == 2
+        assert not out.exists()
 
     def test_oversized_labeled_pool_exits_2(self, tmp_path):
         assert run(["ssl", "--out", str(tmp_path), "--per-class", "20",

@@ -2,6 +2,7 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metamix import engine as eng
 from metamix import meta, mixing, nets
@@ -83,6 +84,54 @@ class TestHypergradient:
             with pytest.raises(ValueError, match="mode"):
                 meta.hypergradient(model, [(*batch, perm, 1.0)], policy, val, 0.1,
                                    mode=mode)
+
+
+@st.composite
+def hypergradient_cases(draw):
+    """A random net (MLP, or conv stack on 6x6 images), one or two groups and
+    a step size."""
+    activation = st.sampled_from(sorted(nets.ACTIVATIONS))
+    classes = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        hidden = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+        arch = nets.Architecture(
+            (draw(st.integers(1, 5)),),
+            tuple(nets.Dense(h, draw(activation)) for h in hidden)
+            + (nets.Dense(classes),))
+    else:
+        convs = draw(st.lists(st.tuples(st.sampled_from([3, 5]), st.integers(1, 3)),
+                              min_size=1, max_size=2))
+        arch = nets.Architecture(
+            (6, 6, draw(st.sampled_from([1, 2]))),
+            tuple(nets.Conv(k, c, draw(activation)) for k, c in convs)
+            + (nets.Dense(classes),))
+    sizes = draw(st.lists(st.integers(2, 5), min_size=1, max_size=2))
+    weights = [draw(st.sampled_from([1.0, 0.7])) for _ in sizes]
+    eta = draw(st.floats(0.01, 1.0))
+    return arch, sizes, weights, eta, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergradient_cases())
+def test_hypergradient_matches_the_double_backward(case):
+    arch, sizes, weights, eta, seed = case
+    rng = np.random.default_rng(seed)
+    model = nets.build_model(arch, rng)
+    classes = arch.n_classes
+
+    def batch(n):
+        return (rng.normal(size=(n,) + arch.input_shape),
+                nets.one_hot(rng.integers(0, classes, n), classes))
+
+    groups = [(*batch(n), mixing.sample_pairing(n, rng), w)
+              for n, w in zip(sizes, weights)]
+    val = batch(4)
+    policy = mixing.init_policy(sum(sizes), rng)
+    res = meta.hypergradient(model, groups, policy, val, eta)
+    meta_loss, val_loss = meta.simulated_step_losses(model, groups, policy, val, eta)
+    (reference,) = eng.backward(val_loss, [policy.logits])
+    assert (res.meta_loss, res.val_loss) == (meta_loss.item(), val_loss.item())
+    assert np.abs(res.grad - reference.data).max() <= 1e-12 * np.abs(reference.data).max()
 
 
 class TestUpdatePolicy:
@@ -223,6 +272,29 @@ def test_step_graphs_are_freed_without_the_cycle_collector(kind, mode):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["supervised", "pseudo"])
+def test_metamixup_step_builds_no_second_order_graph(kind, monkeypatch):
+    model, labeled, val, pseudo = _step_inputs(kind)
+    backward, clone = eng.backward, nets.clone_for_meta
+    create_graph_flags, clones = [], []
+
+    def spy_backward(loss, targets, create_graph=False):
+        create_graph_flags.append(create_graph)
+        return backward(loss, targets, create_graph)
+
+    def spy_clone(m):
+        clones.append(m)
+        return clone(m)
+
+    monkeypatch.setattr(eng, "backward", spy_backward)
+    monkeypatch.setattr(nets, "clone_for_meta", spy_clone)
+    cfg = run_config(mode="metamixup", epochs=1, batch_size=6, policy_updates=2)
+    meta.train_step(model, labeled, val, cfg, np.random.default_rng(18),
+                    lr=0.1, pseudo_batch=pseudo)
+    assert create_graph_flags and not any(create_graph_flags)
+    assert clones == []
 
 
 class TestConfigValidation:
