@@ -100,7 +100,6 @@ _SSL_OPTS = {
     "sigma_decrement": (float, 0.05, "threshold drop per period"),
     "sigma_period": (int, 30, "epochs between threshold drops"),
     "sigma_floor": (float, 0.5, "lowest threshold"),
-    "apl": (_bool, True, "lower the threshold on schedule"),
 }
 
 _AUDIT_OPTS = {
@@ -243,26 +242,23 @@ def _train_config(opts: dict, splits: Splits) -> TrainConfig:
         raise ConfigError(f"lambda must be in [0, 1], got {lam}")
     arch = _parse_arch(opts["arch"], splits.train.inputs.shape[1:],
                        splits.train.n_classes)
-    optimizer = OptimizerConfig(
-        learning_rate=opts["lr"], momentum=opts["momentum"],
-        weight_decay=opts["weight_decay"], cosine_anneal=opts["cosine"],
-        horizon=opts["epochs"])
     kwargs = dict(
         epochs=opts["epochs"], batch_size=opts["batch_size"],
         meta_batch_size=opts["meta_batch_size"],
         policy_step_size=opts["policy_step_size"],
         policy_updates=opts["policy_updates"], mode=opts["mode"],
         beta_alpha=opts["beta_alpha"], fixed_lambda=lam,
-        augment=opts["augment"], seed=opts["seed"], arch=arch,
-        optimizer=optimizer)
+        augment=opts["augment"], seed=opts["seed"], arch=arch)
     if "sigma0" in opts:
         kwargs.update(
             unsup_weight=opts["unsup_weight"], sigma0=opts["sigma0"],
             sigma_decrement=opts["sigma_decrement"],
-            sigma_period=opts["sigma_period"], sigma_floor=opts["sigma_floor"],
-            apl=opts["apl"])
+            sigma_period=opts["sigma_period"], sigma_floor=opts["sigma_floor"])
     try:
-        return TrainConfig(**kwargs)
+        return TrainConfig(**kwargs, optimizer=OptimizerConfig(
+            learning_rate=opts["lr"], momentum=opts["momentum"],
+            weight_decay=opts["weight_decay"], cosine_anneal=opts["cosine"],
+            horizon=opts["epochs"]))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -383,7 +379,10 @@ def _audit_field(opts: dict, rng: np.random.Generator):
 
 
 def cmd_audit(opts: dict) -> int:
-    out = _out_dir(opts, "audit")
+    if opts["n_pairs"] < 1:
+        raise ConfigError(f"n_pairs must be >= 1, got {opts['n_pairs']}")
+    if not 0.0 <= opts["safety"] < np.inf:
+        raise ConfigError(f"safety must be finite and >= 0, got {opts['safety']}")
     rng = np.random.default_rng(opts["seed"])
     anchors, target = _audit_field(opts, rng)
     sampler = lambda n, r: smoothness.sample_pairs(anchors, n, r)
@@ -402,6 +401,7 @@ def cmd_audit(opts: dict) -> int:
         report = smoothness.audit_gap_bound(
             target, kappa, sampler(opts["n_pairs"], fresh_rng))
         channel = None
+    out = _out_dir(opts, "audit")
     _echo_config(out, opts, "audit")
     payload = {"estimate": asdict(estimate), "safety": opts["safety"],
                "audited_kappa": kappa, "worst_channel": channel,

@@ -56,10 +56,9 @@ class TrainConfig:
     optimizer: OptimizerConfig = dc_field(default_factory=OptimizerConfig)
     # pseudo-label thresholding (used by the semi-supervised trainer)
     sigma0: float = 0.95
-    sigma_decrement: float = 0.05
+    sigma_decrement: float = 0.05        # 0 freezes the threshold at sigma0
     sigma_period: int = 30
     sigma_floor: float = 0.5
-    apl: bool = True                     # False freezes the threshold at sigma0
 
     def __post_init__(self):
         if self.epochs < 1:

@@ -104,7 +104,7 @@ def train_ssl(labeled: Splits, unlabeled: Dataset,
                    config.sigma_floor)
 
     def relabel(model: ModelState, epoch: int):
-        sigma_t = apl_threshold(epoch, apl) if config.apl else config.sigma0
+        sigma_t = apl_threshold(epoch, apl)
         pool = assign_pseudo_labels(model, unlabeled.inputs, sigma_t)
         pseudo_accuracy = -1.0
         if len(pool) and unlabeled.true_labels is not None:

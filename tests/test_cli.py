@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from metamix import cli, data, meta
+from metamix import cli, data, meta, nets
 from metamix.reporting import FIELD_ORDER, read_records
 
 TINY = ["--epochs", "2", "--per-class", "30", "--dim", "5",
@@ -72,6 +74,14 @@ class TestParsing:
         cfg.write_text("epochs=2\nbogus_knob=1\n")
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "bogus_knob" in capsys.readouterr().err
+
+    def test_removed_apl_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("apl=false\n")
+        out = tmp_path / "run"
+        assert run(["ssl", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown option 'apl'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["train", "--config", str(tmp_path / "absent.cfg")]) == 2
@@ -161,6 +171,18 @@ class TestTrainRun:
                         "--weight-decay", "1e200", *TINY])
         assert code == 4
         assert "numeric" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["train", "ssl"])
+@pytest.mark.parametrize("reject", [["--lr", "0"], ["--momentum", "1.5"],
+                                    ["--weight-decay", "-1"],
+                                    ["--cosine", "true", "--epochs", "0"]],
+                         ids=["lr", "momentum", "weight-decay", "cosine-epochs"])
+def test_rejected_optimizer_setting_exits_2(tmp_path, capsys, sub, reject):
+    out = tmp_path / "run"
+    assert run([sub, "--out", str(out), *reject]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 class TestSslRun:
@@ -334,6 +356,27 @@ class TestHostileCheckpoints:
         self.expect_data_error(capsys, str(path), "input size 5", "row size 8")
 
 
+class TestAuditRejections:
+    """A rejected audit exits with its code and creates no output directory."""
+
+    @pytest.mark.parametrize("code, reject", [
+        (2, ["--n-pairs", "0"]),
+        (2, ["--safety", "-1"]),
+        (2, ["--safety", "nan"]),
+        (2, ["--arch", "cnn3"]),
+        (3, ["--model", "{tmp}/absent.npz"]),
+        (4, ["--field", "quadratic", "--diag", "nan,1"]),
+    ], ids=["n-pairs", "safety", "safety-nan", "arch", "checkpoint", "diag"])
+    def test_exit_code_and_no_output_dir(self, tmp_path, capsys, code, reject):
+        out = tmp_path / "audit"
+        argv = ["audit", "--out", str(out), "--per-class", "20", "--n-pairs", "50",
+                *(arg.format(tmp=tmp_path) for arg in reject)]
+        assert run(argv) == code
+        prefix = {2: "config error:", 3: "data error:", 4: "numeric failure:"}[code]
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not out.exists()
+
+
 class TestAuditRun:
     def test_quadratic_default_safety_clean(self, tmp_path):
         out = tmp_path / "audit"
@@ -372,3 +415,47 @@ class TestAuditRun:
                     "--seed", "1"]) == 0
         payload = json.loads((out / "audit.json").read_text())
         assert payload["violations"] > 0
+
+
+def readme_mnist_command() -> list[str]:
+    """The README's MNIST run: the `metamix train` command naming the IDX
+    files, without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(line for line in text.replace("\\\n", "").splitlines()
+                if line.startswith("metamix train") and "--train-images" in line)
+    return shlex.split(line)[1:]
+
+
+def test_readme_mnist_command_trains_criterion_9s_model(tmp_path):
+    """The CLI form of acceptance criterion 9, cut to a 600-row synthetic
+    28x28 set and one epoch, saves the model the criterion's own config
+    trains, byte for byte."""
+    d = tmp_path / "mnist"
+    d.mkdir()
+    rng = np.random.default_rng(0)
+    for prefix, n in (("train", 600), ("t10k", 100)):
+        digits = data.Dataset(rng.uniform(size=(n, 28, 28)), np.arange(n) % 10, 10)
+        data.save_idx(digits, d / f"{prefix}-images-idx3-ubyte",
+                      d / f"{prefix}-labels-idx1-ubyte")
+
+    argv = [str(d / arg[2:]) if arg.startswith("D/") else arg
+            for arg in readme_mnist_command()]
+    for flag, value in (("--limit-train", "600"), ("--epochs", "1"),
+                        ("--out", str(tmp_path / "cli"))):
+        argv[argv.index(flag) + 1] = value
+    assert run(argv) == 0
+
+    train = data.load_idx(d / "train-images-idx3-ubyte", d / "train-labels-idx1-ubyte")
+    test_set = data.load_idx(d / "t10k-images-idx3-ubyte", d / "t10k-labels-idx1-ubyte")
+    rest, meta_val = data.split_meta_validation(train.subset(np.arange(600)),
+                                                data.SplitSpec(50, seed=9))
+    cfg = meta.TrainConfig(
+        mode="metamixup", epochs=1, batch_size=50, seed=9, arch=nets.cnn3(),
+        optimizer=nets.OptimizerConfig(learning_rate=0.05, momentum=0.9,
+                                       weight_decay=1e-4, cosine_anneal=True,
+                                       horizon=1))
+    report = meta.train_supervised(data.Splits(train=rest, meta_val=meta_val,
+                                               test=test_set), cfg)
+    nets.save_model(report.model, tmp_path / "criterion.npz")
+    assert (tmp_path / "cli" / "model.npz").read_bytes() == \
+        (tmp_path / "criterion.npz").read_bytes()

@@ -201,7 +201,7 @@ class TestTrainSsl:
         splits, unlabeled = tiny_ssl_problem(seed=8)
         # easy data + low threshold: most pseudo labels should be right
         cfg = ssl_config(mode="metamixup", epochs=4, batch_size=8, seed=9,
-                         sigma0=0.55, apl=False)
+                         sigma0=0.55, sigma_decrement=0.0)
         report = semi.train_ssl(splits, unlabeled, cfg)
         last = report.records[-1]
         assert last.accepted_count > 0
@@ -215,11 +215,10 @@ class TestTrainSsl:
         b = semi.train_ssl(splits, unlabeled, cfg)
         assert record_dicts(a) == record_dicts(b)
 
-    def test_apl_false_freezes_threshold(self):
+    def test_zero_decrement_freezes_threshold(self):
         splits, unlabeled = tiny_ssl_problem(seed=12)
         cfg = ssl_config(mode="metamixup", epochs=3, batch_size=8, seed=13,
-                         sigma0=0.7, sigma_period=1, sigma_decrement=0.1,
-                         apl=False)
+                         sigma0=0.7, sigma_period=1, sigma_decrement=0.0)
         report = semi.train_ssl(splits, unlabeled, cfg)
         assert all(r.threshold == 0.7 for r in report.records)
 
@@ -238,7 +237,8 @@ class TestTrainSsl:
 
         monkeypatch.setattr(meta, "augment_batch", spy)
         splits = Splits(train=images(10), meta_val=images(4), test=images(4))
-        cfg = ssl_config(epochs=1, batch_size=5, augment="flip", sigma0=0.5, apl=False)
+        cfg = ssl_config(epochs=1, batch_size=5, augment="flip", sigma0=0.5,
+                         sigma_decrement=0.0)
         report = semi.train_ssl(splits, images(6), cfg)
         assert report.records[0].accepted_count == 6
         # two steps, each augmenting its labeled rows and then its pseudo rows
