@@ -12,7 +12,7 @@ after it:
 
 Run it from the repository root. metamix is imported from ``src/`` and the
 setups (data, config, architecture) from ``perfbench/workloads.py``, which is
-only read. Every mode in ``CASES`` runs at each seed in ``SEEDS`` (16 lines);
+only read. Every mode in ``CASES`` runs at each seed in ``SEEDS`` (20 lines);
 the MLP setups are cut to ``EPOCHS`` epochs, cnn-synth keeps its single epoch
 of three steps.
 """
@@ -32,8 +32,8 @@ from metamix import meta, semi  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 CASES = {
-    "sup-mlp": ("metamixup", "mixup-beta", "baseline"),
-    "ssl-mlp": ("metamixup", "mixup-beta", "baseline"),
+    "sup-mlp": ("metamixup", "mixup-beta", "mixup-fixed", "baseline"),
+    "ssl-mlp": ("metamixup", "mixup-beta", "mixup-fixed", "baseline"),
     "cnn-synth": ("metamixup", "mixup-beta"),
 }
 SEEDS = (0, 1)

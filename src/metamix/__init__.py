@@ -7,7 +7,7 @@ from .engine import Tensor, backward, grad_check, no_grad
 from .meta import TrainConfig, hypergradient, train_step, train_supervised
 from .mixing import InterpolationPolicy, init_policy, mix_batch, sample_pairing
 from .nets import Architecture, ModelState, OptimizerConfig, build_model, forward
-from .semi import AplState, apl_threshold, assign_pseudo_labels, train_ssl
+from .semi import assign_pseudo_labels, train_ssl
 from .smoothness import QuadraticField, audit_gap_bound, estimate_kappa, mixup_gap
 
 __version__ = "0.1.0"
@@ -21,6 +21,6 @@ __all__ = [
     "TrainConfig", "hypergradient", "train_step", "train_supervised",
     "InterpolationPolicy", "init_policy", "mix_batch", "sample_pairing",
     "Architecture", "ModelState", "OptimizerConfig", "build_model", "forward",
-    "AplState", "apl_threshold", "assign_pseudo_labels", "train_ssl",
+    "assign_pseudo_labels", "train_ssl",
     "QuadraticField", "audit_gap_bound", "estimate_kappa", "mixup_gap",
 ]

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -230,16 +231,21 @@ def _load_splits(opts: dict) -> Splits:
         train = train.subset(np.arange(min(opts["limit_train"], len(train))))
     train, meta_val = dataio.split_meta_validation(
         train, SplitSpec(opts["meta_val_per_class"], seed=opts["seed"]))
-    if opts["corrupt"] > 0:
+    if opts["corrupt"] != 0:
         train = dataio.corrupt_labels(train, opts["corrupt"],
                                       np.random.default_rng(opts["seed"] + 1))
     return Splits(train=train, meta_val=meta_val, test=test)
 
 
+# config fields set by a flag of another name; every other field's flag is
+# its own name
+_FIELD_FLAGS = {"learning_rate": "lr", "fixed_lambda": "lambda",
+                "cosine_anneal": "cosine", "horizon": "epochs"}
+_FIELD_NAMES = re.compile(r"\b(%s)\b" % "|".join(
+    f.name for cls in (TrainConfig, OptimizerConfig) for f in fields(cls)))
+
+
 def _train_config(opts: dict, splits: Splits) -> TrainConfig:
-    lam = opts["lambda"]
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"lambda must be in [0, 1], got {lam}")
     arch = _parse_arch(opts["arch"], splits.train.inputs.shape[1:],
                        splits.train.n_classes)
     kwargs = dict(
@@ -247,7 +253,7 @@ def _train_config(opts: dict, splits: Splits) -> TrainConfig:
         meta_batch_size=opts["meta_batch_size"],
         policy_step_size=opts["policy_step_size"],
         policy_updates=opts["policy_updates"], mode=opts["mode"],
-        beta_alpha=opts["beta_alpha"], fixed_lambda=lam,
+        beta_alpha=opts["beta_alpha"], fixed_lambda=opts["lambda"],
         augment=opts["augment"], seed=opts["seed"], arch=arch)
     if "sigma0" in opts:
         kwargs.update(
@@ -259,8 +265,9 @@ def _train_config(opts: dict, splits: Splits) -> TrainConfig:
             learning_rate=opts["lr"], momentum=opts["momentum"],
             weight_decay=opts["weight_decay"], cosine_anneal=opts["cosine"],
             horizon=opts["epochs"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    except ValueError as exc:   # name the flags, not the fields
+        raise ConfigError(_FIELD_NAMES.sub(
+            lambda m: "--" + _FIELD_FLAGS.get(m[1], m[1]).replace("_", "-"), str(exc)))
 
 
 def _out_dir(opts: dict, subcommand: str) -> Path:

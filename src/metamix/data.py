@@ -156,6 +156,9 @@ class SyntheticSpec:
         if self.dim < self.classes:
             raise DataError(f"dim {self.dim} < classes {self.classes}; "
                             "means are placed on distinct axes")
+        if not np.isfinite([self.separation, self.noise_sigma,
+                            *(self.class_sigmas or ())]).all():
+            raise DataError("separation, noise_sigma and class_sigmas must be finite")
         if self.per_class < 1 or self.noise_sigma <= 0 or self.separation < 0:
             raise DataError("per_class >= 1, noise_sigma > 0, separation >= 0 required")
         if self.class_sigmas is not None:
@@ -311,6 +314,6 @@ def standard_splits(spec: SyntheticSpec, seed: int, corrupt: float = 0.0,
     test = make_synthetic(test_spec, rng)
     train_rest, meta_val = split_meta_validation(
         train_full, SplitSpec(meta_val_per_class, seed=seed + 1))
-    if corrupt > 0:
+    if corrupt != 0:
         train_rest = corrupt_labels(train_rest, corrupt, rng)
     return Splits(train=train_rest, meta_val=meta_val, test=test)

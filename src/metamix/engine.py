@@ -67,10 +67,6 @@ class no_grad:
         return False
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A float64 array plus its position in the computation graph.
 

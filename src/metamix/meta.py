@@ -9,10 +9,11 @@ the batch re-mixed under the updated coefficients.
 The hypergradient is exact and records no second-order graph: a plain inner
 gradient, a plain validation gradient at the simulated weights, and one
 forward pass that carries a parameter tangent and a lambda tangent
-(:func:`hypergradient`). :func:`simulated_step_losses` keeps the double
-backward (the inner gradient recorded with ``create_graph``) as the
-reference: the tests and ``gradcheck`` compare against it, and ``gradcheck``
-also differences it.
+(:func:`hypergradient`). Training never differentiates the mix: each
+coefficient vector mixes the batch once, in numpy, for the meta loss, that
+pass and the real update. :func:`simulated_step_losses` keeps the double
+backward (through ``mixing.mix_batch`` and ``create_graph``) as the
+reference that the tests and ``gradcheck`` compare against and difference.
 
 One step function (:func:`train_step`) runs every mode, with or without a
 group of pseudo-labeled rows, and one epoch loop drives every run: the
@@ -61,6 +62,10 @@ class TrainConfig:
     sigma_floor: float = 0.5
 
     def __post_init__(self):
+        for name in ("policy_step_size", "beta_alpha", "fixed_lambda", "unsup_weight",
+                     "sigma0", "sigma_decrement", "sigma_floor"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
@@ -86,6 +91,11 @@ class TrainConfig:
             raise ValueError("need 0 < sigma_floor <= sigma0 <= 1")
         if self.sigma_decrement < 0 or self.sigma_period < 1:
             raise ValueError("sigma_decrement >= 0 and sigma_period >= 1 required")
+
+    def threshold_at(self, epoch: int) -> float:
+        """The pseudo-label threshold, stepped down every sigma_period epochs."""
+        return max(self.sigma_floor,
+                   self.sigma0 - self.sigma_decrement * (epoch // self.sigma_period))
 
 
 @dataclass
@@ -127,33 +137,48 @@ class TrainingReport:
 Group = tuple[np.ndarray, np.ndarray, np.ndarray, float]
 
 
-def _group_loss(model: ModelState, groups: Sequence[Group],
-                lam_source, params) -> Tensor:
-    """Sum over groups of (weight * mean mixed cross-entropy)."""
-    lam = lam_source.lambdas() if isinstance(lam_source, InterpolationPolicy) else lam_source
+def _group_rows(groups: Sequence[Group], length: int) -> list[np.ndarray]:
+    """Each group's positions in a coefficient vector that must cover them all."""
+    rows, offset = [], 0
+    for x, *_ in groups:
+        rows.append(np.arange(offset, offset + len(x)))
+        offset += len(x)
+    if length != offset:
+        raise eng.ShapeError(f"policy length {length} vs group total {offset}")
+    return rows
+
+
+def _mix_groups(groups: Sequence[Group], lam: np.ndarray) -> list:
+    """Each group mixed within itself under its slice of ``lam``, in numpy:
+    per group (mixed inputs, mixed labels, weight). The rounding is
+    ``mixing.mix_batch``'s, bit for bit."""
+    mixed = []
+    for (x, y, perm, weight), rows in zip(groups, _group_rows(groups, len(lam))):
+        lam_x = lam[rows].reshape((len(x),) + (1,) * (x.ndim - 1))
+        lam_y = lam[rows, None]
+        mixed.append((lam_x * x + (1.0 - lam_x) * x[perm],
+                      lam_y * y + (1.0 - lam_y) * y[perm], weight))
+    return mixed
+
+
+def _mixed_loss(model: ModelState, mixed, params) -> Tensor:
+    """Sum over groups of (weight * mean cross-entropy) on mixed rows."""
     total = None
-    offset = 0
-    for x, y, perm, weight in groups:
-        n = len(x)
-        lam_g = eng.gather_rows(lam, np.arange(offset, offset + n))
-        offset += n
-        mixed = mixing.mix_batch(x, y, perm, lam_g)
-        loss = nets.cross_entropy(nets.forward(model, mixed.inputs, params=params),
-                                  mixed.labels)
+    for x, y, weight in mixed:
+        loss = nets.cross_entropy(nets.forward(model, x, params=params), y)
         if weight != 1.0:
             loss = eng.scale(loss, weight)
         total = loss if total is None else eng.add(total, loss)
-    if lam.shape != (offset,):
-        raise eng.ShapeError(f"policy length {lam.shape[0]} vs group total {offset}")
     return total
 
 
-def simulated_step_losses(model: ModelState, groups: Sequence[Group], lam_source,
-                          val_batch, eta: float) -> tuple[Tensor, Tensor]:
+def simulated_step_losses(model: ModelState, groups: Sequence[Group],
+                          policy: InterpolationPolicy, val_batch,
+                          eta: float) -> tuple[Tensor, Tensor]:
     """(L_meta(lambda), L_val(theta - eta * grad L_meta(lambda))) on a throwaway
-    clone, with the inner gradient recorded so that L_val differentiates back
-    to the coefficients: the double-backward reference for
-    :func:`hypergradient`.
+    clone, with the mix and the inner gradient recorded so that L_val
+    differentiates back to the policy logits: the double-backward reference
+    for :func:`hypergradient`.
 
     The passed model is never touched: the inner update runs on cloned
     parameter leaves with no momentum (plain gradient descent).
@@ -161,7 +186,12 @@ def simulated_step_losses(model: ModelState, groups: Sequence[Group], lam_source
     clone = nets.clone_for_meta(model)
     names = list(clone.params)
     params = [clone.params[n] for n in names]
-    meta_loss = _group_loss(clone, groups, lam_source, clone.params)
+    lam = policy.lambdas()
+    mixed = []
+    for (x, y, perm, weight), rows in zip(groups, _group_rows(groups, len(policy))):
+        batch = mixing.mix_batch(x, y, perm, eng.gather_rows(lam, rows))
+        mixed.append((batch.inputs, batch.labels, weight))
+    meta_loss = _mixed_loss(clone, mixed, clone.params)
     grads = eng.backward(meta_loss, params, create_graph=True)
     simulated = {n: eng.sub(p, eng.scale(g, eta))
                  for n, p, g in zip(names, params, grads)}
@@ -205,7 +235,8 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
     if mode != "exact":
         raise ValueError(f"hypergradient mode '{mode}' is not 'exact'")
     lam = policy.lambda_values()
-    meta_loss = _group_loss(model, groups, Tensor(lam), model.params)
+    mixed = _mix_groups(groups, lam)
+    meta_loss = _mixed_loss(model, mixed, model.params)
     inner = nets.param_gradients(meta_loss, model)
     simulated = {n: Tensor(p.data - eta * inner[n].data, requires_grad=True)
                  for n, p in model.params.items()}
@@ -214,21 +245,15 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
     val_grads = eng.backward(val_loss, list(simulated.values()))
     v = {n: g.data for n, g in zip(simulated, val_grads)}
 
-    # every group's mixed rows and their lambda derivatives, stacked
-    xs, dxs, ys, dys, scales = [], [], [], [], []
-    offset = 0
+    # the mixed rows with their lambda derivatives, stacked over groups
+    dx, dy, row_scale = [], [], []
     for x, y, perm, weight in groups:
-        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-        n = len(x)
-        lam_x = lam[offset:offset + n].reshape((n,) + (1,) * (x.ndim - 1))
-        lam_y = lam[offset:offset + n, None]
-        offset += n
-        xs.append(lam_x * x + (1.0 - lam_x) * x[perm])
-        dxs.append(x - x[perm])
-        ys.append(lam_y * y + (1.0 - lam_y) * y[perm])
-        dys.append(y - y[perm])
-        scales.append(np.full(n, -eta * weight / n))
-    x_mix, dx, y_mix, dy, row_scale = map(np.concatenate, (xs, dxs, ys, dys, scales))
+        dx.append(x - x[perm])
+        dy.append(y - y[perm])
+        row_scale.append(np.full(len(x), -eta * weight / len(x)))
+    x_mix, y_mix, _ = zip(*mixed)
+    x_mix, dx, y_mix, dy, row_scale = map(np.concatenate,
+                                          (x_mix, dx, y_mix, dy, row_scale))
     d2 = _cross_entropy_mixed_derivative(
         *nets.forward_tangents(model, x_mix, dx, v), y_mix, dy)
     grad = row_scale * d2 * lam * (1.0 - lam)   # dlambda/dz = lambda (1 - lambda)
@@ -295,9 +320,7 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     else:
         lam = np.ones(n)
 
-    # the real update mixes with constant coefficients, so its forward records
-    # no graph back to the policy
-    loss = _group_loss(model, groups, Tensor(lam), model.params)
+    loss = _mixed_loss(model, _mix_groups(groups, lam), model.params)
     nets.sgd_step(model, nets.param_gradients(loss, model), config.optimizer, step_lr)
     if config.mode != "metamixup" and val_batch is not None:
         with eng.no_grad():
@@ -415,18 +438,17 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
 def epoch_record(epoch: int, stats: Sequence[StepStats], model: ModelState,
                  test_x, test_labels, t0: float, threshold: float,
                  accepted: int, pseudo_accuracy: float) -> EpochRecord:
-    lam_all = (np.concatenate([s.lambda_values for s in stats])
-               if stats else np.empty(0))
+    lam_all = np.concatenate([s.lambda_values for s in stats])
     test_error = (nets.error_rate(model, test_x, test_labels)
                   if test_x is not None else -1.0)
     return EpochRecord(
         epoch=epoch,
-        train_loss=float(np.mean([s.train_loss for s in stats])) if stats else 0.0,
-        meta_loss=float(np.mean([s.meta_loss for s in stats])) if stats else 0.0,
-        val_loss=float(np.mean([s.val_loss for s in stats])) if stats else 0.0,
+        train_loss=float(np.mean([s.train_loss for s in stats])),
+        meta_loss=float(np.mean([s.meta_loss for s in stats])),
+        val_loss=float(np.mean([s.val_loss for s in stats])),
         test_error=test_error,
-        lambda_mean=float(lam_all.mean()) if lam_all.size else 0.0,
-        lambda_std=float(lam_all.std()) if lam_all.size else 0.0,
+        lambda_mean=float(lam_all.mean()),
+        lambda_std=float(lam_all.std()),
         lambda_hist=lambda_histogram(lam_all),
         threshold=threshold,
         accepted_count=accepted,

@@ -1,8 +1,9 @@
 """Per-sample convex interpolation of batches.
 
 The interpolation coefficients live as logits, lambda = sigmoid(z), so a
-gradient step on z can never push lambda out of (0, 1). Mixing is built from
-engine primitives and stays differentiable w.r.t. the policy.
+gradient step on z can never push lambda out of (0, 1). :func:`mix_batch` is
+built from engine primitives and stays differentiable w.r.t. the policy; only
+the double-backward oracle needs that, so training mixes in numpy instead.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ def beta_sample(alpha: float, rng: np.random.Generator) -> float:
 class MixedBatch:
     inputs: Tensor
     labels: Tensor
-    permutation: np.ndarray
-    lam: Tensor  # the lambda vector actually used
 
 
 def _as_lambda_vector(lam, batch: int) -> Tensor:
@@ -111,4 +110,4 @@ def mix_batch(inputs, labels, permutation: np.ndarray, lam) -> MixedBatch:
 
     mixed_x = eng.add(eng.mul(lam_x, x), eng.mul(1.0 - lam_x, eng.gather_rows(x, perm)))
     mixed_y = eng.add(eng.mul(lam_y, y), eng.mul(1.0 - lam_y, eng.gather_rows(y, perm)))
-    return MixedBatch(inputs=mixed_x, labels=mixed_y, permutation=perm, lam=lam_vec)
+    return MixedBatch(inputs=mixed_x, labels=mixed_y)

@@ -252,6 +252,9 @@ class OptimizerConfig:
     horizon: int = 0  # annealing length in epochs; required when cosine_anneal
 
     def __post_init__(self):
+        for name in ("learning_rate", "momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
@@ -259,7 +262,7 @@ class OptimizerConfig:
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.cosine_anneal and self.horizon < 1:
-            raise ValueError("cosine_anneal requires a positive horizon")
+            raise ValueError(f"cosine_anneal requires a positive horizon, got {self.horizon}")
 
     def lr_at(self, epoch: int) -> float:
         if not self.cosine_anneal:

@@ -4,8 +4,8 @@ and one interpolation policy shared across the labeled and pseudo batches.
 Each epoch the unlabeled pool is relabeled by the current model; samples whose
 max softmax probability clears the threshold join training with hard one-hot
 labels. The threshold starts high and steps down every ``sigma_period`` epochs
-so early epochs only admit easy samples. This module holds only that relabel
-pass and the threshold schedule: the accepted rows ride along as a second
+so early epochs only admit easy samples (``TrainConfig.threshold_at``). This
+module holds only that relabel pass: the accepted rows ride along as a second
 group of ``meta.train_step`` inside the shared epoch loop. Both groups are
 mixed within themselves; the meta loss is the labeled mean plus
 ``unsup_weight`` times the pseudo mean, and the hypergradient is taken w.r.t.
@@ -14,7 +14,7 @@ the full logit vector at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,39 +26,11 @@ from .nets import ModelState
 
 
 @dataclass
-class AplState:
-    """Piecewise-constant threshold: sigma0 - sigma_d * (epoch // period),
-    never below the floor."""
-
-    sigma0: float = 0.95
-    sigma_d: float = 0.05
-    period: int = 30
-    floor: float = 0.5
-    current: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.floor <= self.sigma0 <= 1.0:
-            raise ValueError(f"need 0 < floor <= sigma0 <= 1, got "
-                             f"floor={self.floor} sigma0={self.sigma0}")
-        if self.sigma_d < 0 or self.period < 1:
-            raise ValueError("sigma_d >= 0 and period >= 1 required")
-        self.current = self.sigma0
-
-
-def apl_threshold(epoch: int, state: AplState) -> float:
-    if epoch < 0:
-        raise ValueError(f"epoch must be >= 0, got {epoch}")
-    state.current = max(state.floor, state.sigma0 - state.sigma_d * (epoch // state.period))
-    return state.current
-
-
-@dataclass
 class PseudoBatch:
     """Accepted slice of an unlabeled pool."""
 
     inputs: np.ndarray        # accepted inputs only
     labels: np.ndarray        # hard one-hot rows, argmax of the model
-    mask: np.ndarray          # acceptance over the full pool
     confidences: np.ndarray   # max softmax probability, full pool
     indices: np.ndarray       # positions of accepted rows in the pool
 
@@ -84,11 +56,9 @@ def assign_pseudo_labels(model: ModelState, inputs, sigma_t: float,
             probs /= probs.sum(axis=1, keepdims=True)
             conf[lo:lo + batch] = probs.max(axis=1)
             pred[lo:lo + batch] = probs.argmax(axis=1)
-    mask = conf > sigma_t
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero(conf > sigma_t)
     labels = nets.one_hot(pred[idx], model.arch.n_classes)
-    return PseudoBatch(inputs=x[idx], labels=labels, mask=mask,
-                       confidences=conf, indices=idx)
+    return PseudoBatch(inputs=x[idx], labels=labels, confidences=conf, indices=idx)
 
 
 def train_ssl(labeled: Splits, unlabeled: Dataset,
@@ -100,11 +70,8 @@ def train_ssl(labeled: Splits, unlabeled: Dataset,
     empty unlabeled pool is train_supervised itself (threshold reads -1.0,
     meaning no thresholding happened).
     """
-    apl = AplState(config.sigma0, config.sigma_decrement, config.sigma_period,
-                   config.sigma_floor)
-
     def relabel(model: ModelState, epoch: int):
-        sigma_t = apl_threshold(epoch, apl)
+        sigma_t = config.threshold_at(epoch)
         pool = assign_pseudo_labels(model, unlabeled.inputs, sigma_t)
         pseudo_accuracy = -1.0
         if len(pool) and unlabeled.true_labels is not None:

@@ -242,8 +242,9 @@ class TestCriterion05MixingIdentities:
 
 class TestCriterion06AplSchedule:
     def test_criterion_06_threshold_trace_and_acceptance_monotonicity(self):
-        state = semi.AplState(sigma0=0.95, sigma_d=0.05, period=30, floor=0.5)
-        trace = np.array([semi.apl_threshold(e, state) for e in range(90)])
+        config = meta.TrainConfig(sigma0=0.95, sigma_decrement=0.05, sigma_period=30,
+                                  sigma_floor=0.5)
+        trace = np.array([config.threshold_at(e) for e in range(90)])
         want = np.repeat([0.95, 0.90, 0.85], 30)
         # 0.95 - 2*0.05 is one ulp off the 0.85 literal in binary floats
         trace_err = np.max(np.abs(trace - want))

@@ -173,15 +173,37 @@ class TestTrainRun:
         assert "numeric" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sub", ["train", "ssl"])
-@pytest.mark.parametrize("reject", [["--lr", "0"], ["--momentum", "1.5"],
-                                    ["--weight-decay", "-1"],
-                                    ["--cosine", "true", "--epochs", "0"]],
-                         ids=["lr", "momentum", "weight-decay", "cosine-epochs"])
-def test_rejected_optimizer_setting_exits_2(tmp_path, capsys, sub, reject):
+# id -> (flags, exit code, text the message holds): config errors name the
+# flag the user typed; data settings exit 3
+REJECTED_SETTINGS = {
+    "lr": (["--lr", "0"], 2, "--lr"),
+    "momentum": (["--momentum", "1.5"], 2, "--momentum"),
+    "weight-decay": (["--weight-decay", "-1"], 2, "--weight-decay"),
+    "cosine-epochs": (["--cosine", "true", "--epochs", "0"], 2, "--epochs"),
+    "lr-nan": (["--lr", "nan"], 2, "--lr"),
+    "lr-inf": (["--lr", "inf"], 2, "--lr"),
+    "policy-step-size-nan": (["--policy-step-size", "nan"], 2, "--policy-step-size"),
+    "beta-alpha-nan": (["--mode", "mixup-beta", "--beta-alpha", "nan"], 2,
+                       "--beta-alpha"),
+    "weight-decay-inf": (["--weight-decay", "inf"], 2, "--weight-decay"),
+    "lambda": (["--mode", "mixup-fixed", "--lambda", "1.5"], 2, "--lambda"),
+    "separation-nan": (["--separation", "nan"], 3, "separation"),
+    "corrupt-nan": (["--corrupt", "nan"], 3, "corrupt"),
+}
+
+
+@pytest.mark.parametrize("sub, reject, code, named", [
+    *(pytest.param(sub, reject, code, named, id=f"{name}-{sub}")
+      for name, (reject, code, named) in REJECTED_SETTINGS.items()
+      for sub in ("train", "ssl")),
+    pytest.param("ssl", ["--unsup-weight", "nan"], 2, "--unsup-weight",
+                 id="unsup-weight-nan-ssl")])
+def test_rejected_optimizer_setting_exits_2(tmp_path, capsys, sub, reject, code, named):
     out = tmp_path / "run"
-    assert run([sub, "--out", str(out), *reject]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    assert run([sub, "--out", str(out), *reject]) == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "config error:", 3: "data error:"}[code])
+    assert named in err
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from metamix import engine as eng
 from metamix import meta, mixing, nets
-from metamix.data import Splits, SyntheticSpec, standard_splits
+from metamix.data import DataError, Splits, SyntheticSpec, standard_splits
 from metamix.engine import Tensor
 from metamix.meta import TrainConfig
 from metamix.nets import OptimizerConfig
@@ -297,6 +297,47 @@ def test_metamixup_step_builds_no_second_order_graph(kind, monkeypatch):
     assert clones == []
 
 
+@pytest.mark.parametrize("kind", ["supervised", "pseudo"])
+@pytest.mark.parametrize("mode", meta.MODES)
+def test_train_step_mixes_without_mix_batch(kind, mode, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("train_step mixed through mixing.mix_batch")
+
+    model, labeled, val, pseudo = _step_inputs(kind)
+    monkeypatch.setattr(mixing, "mix_batch", refuse)
+    stats = meta.train_step(model, labeled, val, run_config(mode=mode, batch_size=6),
+                            np.random.default_rng(19), lr=0.1, pseudo_batch=pseudo)
+    assert stats.accepted == (0 if pseudo is None else len(pseudo[0]))
+
+
+@st.composite
+def mix_cases(draw):
+    """Groups of vector or [n, h, w, c] rows and per-row coefficients that
+    include exact 0 and 1."""
+    row = draw(st.sampled_from([(4,), (3, 3, 2)]))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    groups = [(rng.normal(size=(n,) + row), nets.one_hot(rng.integers(0, 3, n), 3),
+               rng.permutation(n), w) for n, w in zip(sizes, (1.0, 0.7))]
+    lam = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                        min_size=sum(sizes), max_size=sum(sizes)))
+    return groups, np.array(lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mix_cases())
+def test_numpy_mix_equals_mix_batch_bitwise(case):
+    groups, lam = case
+    offset = 0
+    for (x, y, perm, weight), (mx, my, w) in zip(groups, meta._mix_groups(groups, lam)):
+        ref = mixing.mix_batch(x, y, perm, lam[offset:offset + len(x)])
+        offset += len(x)
+        assert mx.shape == ref.inputs.shape and my.shape == ref.labels.shape
+        assert mx.tobytes() == ref.inputs.data.tobytes()
+        assert my.tobytes() == ref.labels.data.tobytes()
+        assert w == weight
+
+
 class TestConfigValidation:
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -309,6 +350,19 @@ class TestConfigValidation:
             run_config(fixed_lambda=1.5)
         with pytest.raises(ValueError):
             run_config(policy_updates=0)
+        for name in ("policy_step_size", "beta_alpha", "fixed_lambda", "unsup_weight",
+                     "sigma0", "sigma_decrement", "sigma_floor"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    run_config(**{name: bad})
+        for name in ("learning_rate", "momentum", "weight_decay"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    OptimizerConfig(**{name: bad})
+        for spec in (dict(separation=float("nan")), dict(noise_sigma=float("inf")),
+                     dict(class_sigmas=(1.0, float("nan")))):
+            with pytest.raises(DataError):
+                SyntheticSpec(**spec)
 
     def test_alpha_zero_allowed(self):
         assert run_config(policy_step_size=0.0).policy_step_size == 0.0

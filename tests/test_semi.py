@@ -12,21 +12,21 @@ from metamix.data import (Dataset, Splits, SyntheticSpec, split_labeled_pool,
 from metamix.engine import ShapeError, Tensor
 from metamix.meta import TrainConfig
 from metamix.nets import OptimizerConfig
-from metamix.semi import AplState
 
 
 class TestThresholdSchedule:
     def test_reference_trace(self):
-        state = AplState(sigma0=0.95, sigma_d=0.05, period=30)
-        assert semi.apl_threshold(0, state) == pytest.approx(0.95)
-        assert semi.apl_threshold(29, state) == pytest.approx(0.95)
-        assert semi.apl_threshold(30, state) == pytest.approx(0.90)
-        assert semi.apl_threshold(59, state) == pytest.approx(0.90)
-        assert semi.apl_threshold(60, state) == pytest.approx(0.85)
+        config = TrainConfig(sigma0=0.95, sigma_decrement=0.05, sigma_period=30)
+        assert config.threshold_at(0) == pytest.approx(0.95)
+        assert config.threshold_at(29) == pytest.approx(0.95)
+        assert config.threshold_at(30) == pytest.approx(0.90)
+        assert config.threshold_at(59) == pytest.approx(0.90)
+        assert config.threshold_at(60) == pytest.approx(0.85)
 
     def test_floor_clamp(self):
-        state = AplState(sigma0=0.95, sigma_d=0.05, period=1, floor=0.5)
-        values = [semi.apl_threshold(e, state) for e in range(40)]
+        config = TrainConfig(sigma0=0.95, sigma_decrement=0.05, sigma_period=1,
+                             sigma_floor=0.5)
+        values = [config.threshold_at(e) for e in range(40)]
         assert min(values) == 0.5
         assert values[-1] == 0.5
 
@@ -34,8 +34,9 @@ class TestThresholdSchedule:
     @given(sigma0=st.floats(0.6, 1.0), sigma_d=st.floats(0.0, 0.2),
            period=st.integers(1, 40))
     def test_non_increasing_and_floored(self, sigma0, sigma_d, period):
-        state = AplState(sigma0=sigma0, sigma_d=sigma_d, period=period, floor=0.5)
-        values = [semi.apl_threshold(e, state) for e in range(120)]
+        config = TrainConfig(sigma0=sigma0, sigma_decrement=sigma_d,
+                             sigma_period=period, sigma_floor=0.5)
+        values = [config.threshold_at(e) for e in range(120)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(v >= 0.5 for v in values)
         # piecewise constant within a period
@@ -45,9 +46,9 @@ class TestThresholdSchedule:
 
     def test_state_validation(self):
         with pytest.raises(ValueError):
-            AplState(sigma0=0.4, floor=0.5)
+            TrainConfig(sigma0=0.4, sigma_floor=0.5)
         with pytest.raises(ValueError):
-            AplState(period=0)
+            TrainConfig(sigma_period=0)
 
 
 def frozen_model(seed=0, in_dim=6, classes=3):
