@@ -68,7 +68,7 @@ _DATA_OPTS = {
     "test_images": (_opt_str, None, "idx: test images file"),
     "test_labels": (_opt_str, None, "idx: test labels file"),
     "n_classes": (int, 10, "idx: number of classes"),
-    "limit_train": (_opt_int, None, "cap on training samples after loading"),
+    "limit_train": (_opt_int, None, "idx: cap on training samples after loading"),
 }
 
 _TRAIN_OPTS = {
@@ -77,14 +77,12 @@ _TRAIN_OPTS = {
              "metamixup | mixup-beta | mixup-fixed | baseline"),
     "seed": (int, 0, "run seed"),
     "epochs": (int, 10, "training epochs"),
-    "batch_size": (int, 64, "training batch size"),
-    "meta_batch_size": (_opt_int, None, "validation batch per step"),
+    "batch_size": (int, 64, "training and validation batch size"),
     "lr": (float, 0.1, "learning rate"),
     "momentum": (float, 0.9, "SGD momentum"),
     "weight_decay": (float, 1e-4, "L2 coefficient folded into the gradient"),
     "cosine": (_bool, False, "cosine-anneal the learning rate"),
     "policy_step_size": (float, 5.0, "step on the interpolation logits"),
-    "policy_updates": (int, 1, "hypergradient steps per batch"),
     "lambda": (float, 0.5, "mixup-fixed coefficient"),
     "beta_alpha": (float, 1.0, "mixup-beta Beta(a, a) parameter"),
     "augment": (str, "none", "batch augmentation: none | flip | flip-translate"),
@@ -94,7 +92,7 @@ _TRAIN_OPTS = {
 
 _SSL_OPTS = {
     **_TRAIN_OPTS,
-    "batch_size": (int, 8, "training batch size"),
+    "batch_size": (int, 8, "training and validation batch size"),
     "labeled_per_class": (int, 25, "labeled samples kept per class"),
     "unsup_weight": (float, 1.0, "weight on the pseudo-label loss"),
     "sigma0": (float, 0.95, "initial confidence threshold"),
@@ -199,7 +197,10 @@ def _parse_arch(text, input_shape: tuple, n_classes: int):
                 hidden = [int(h) for h in text.split(":", 1)[1].split(",")]
             except ValueError:
                 raise ConfigError(f"bad arch spec {text!r}")
-        return nets.mlp(int(np.prod(input_shape)), hidden, n_classes)
+        try:
+            return nets.mlp(int(np.prod(input_shape)), hidden, n_classes)
+        except eng.ShapeError as exc:
+            raise ConfigError(f"--arch {text!r}: {exc}")
     raise ConfigError(f"unknown arch {text!r}")
 
 
@@ -213,7 +214,13 @@ def _load_idx_pair(images, labels, n_classes, what) -> Dataset:
 
 
 def _load_splits(opts: dict) -> Splits:
+    limit = opts["limit_train"]
+    if limit is not None and limit < 1:
+        raise ConfigError(f"--limit-train must be >= 1, got {limit}")
     if opts["data"] == "synthetic":
+        if limit is not None:
+            raise ConfigError("--limit-train applies to idx data; --per-class "
+                              "sets the size of a synthetic set")
         spec = SyntheticSpec(classes=opts["classes"], per_class=opts["per_class"],
                              dim=opts["dim"], separation=opts["separation"],
                              noise_sigma=opts["noise_sigma"])
@@ -227,8 +234,8 @@ def _load_splits(opts: dict) -> Splits:
                            opts["n_classes"], "train")
     test = _load_idx_pair(opts["test_images"], opts["test_labels"],
                           opts["n_classes"], "test")
-    if opts["limit_train"]:
-        train = train.subset(np.arange(min(opts["limit_train"], len(train))))
+    if limit is not None:
+        train = train.subset(np.arange(min(limit, len(train))))
     train, meta_val = dataio.split_meta_validation(
         train, SplitSpec(opts["meta_val_per_class"], seed=opts["seed"]))
     if opts["corrupt"] != 0:
@@ -250,9 +257,7 @@ def _train_config(opts: dict, splits: Splits) -> TrainConfig:
                        splits.train.n_classes)
     kwargs = dict(
         epochs=opts["epochs"], batch_size=opts["batch_size"],
-        meta_batch_size=opts["meta_batch_size"],
-        policy_step_size=opts["policy_step_size"],
-        policy_updates=opts["policy_updates"], mode=opts["mode"],
+        policy_step_size=opts["policy_step_size"], mode=opts["mode"],
         beta_alpha=opts["beta_alpha"], fixed_lambda=opts["lambda"],
         augment=opts["augment"], seed=opts["seed"], arch=arch)
     if "sigma0" in opts:
@@ -387,9 +392,9 @@ def _audit_field(opts: dict, rng: np.random.Generator):
 
 def cmd_audit(opts: dict) -> int:
     if opts["n_pairs"] < 1:
-        raise ConfigError(f"n_pairs must be >= 1, got {opts['n_pairs']}")
+        raise ConfigError(f"--n-pairs must be >= 1, got {opts['n_pairs']}")
     if not 0.0 <= opts["safety"] < np.inf:
-        raise ConfigError(f"safety must be finite and >= 0, got {opts['safety']}")
+        raise ConfigError(f"--safety must be finite and >= 0, got {opts['safety']}")
     rng = np.random.default_rng(opts["seed"])
     anchors, target = _audit_field(opts, rng)
     sampler = lambda n, r: smoothness.sample_pairs(anchors, n, r)
@@ -427,6 +432,9 @@ def cmd_gradcheck(opts: dict) -> int:
     """The hypergradient against central differences of the same validation
     loss, taken as a function of the policy logits, and against its double
     backward through the simulated step."""
+    if not 0.0 <= opts["tolerance"] < np.inf:
+        raise ConfigError(f"--tolerance must be finite and >= 0, "
+                          f"got {opts['tolerance']}")
     rng = np.random.default_rng(opts["seed"])
     model = nets.build_model(nets.mlp(4, [8], 3), rng)
     x = rng.normal(size=(8, 4))
@@ -464,6 +472,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         opts = resolve_options(_SUBCOMMANDS[args.subcommand], vars(args))
+        if opts["seed"] < 0:   # every subcommand seeds numpy, which needs >= 0
+            raise ConfigError(f"--seed must be >= 0, got {opts['seed']}")
         return _DISPATCH[args.subcommand](opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -43,10 +43,8 @@ MODES = ("metamixup", "mixup-beta", "mixup-fixed", "baseline")
 @dataclass
 class TrainConfig:
     epochs: int = 10
-    batch_size: int = 64
-    meta_batch_size: int | None = None   # validation batch per step; None -> batch_size
+    batch_size: int = 64                 # training and validation rows per step
     policy_step_size: float = 5.0        # gradient step on the logits
-    policy_updates: int = 1              # hypergradient steps per batch
     mode: str = "metamixup"
     beta_alpha: float = 1.0              # mixup-beta shared draw
     fixed_lambda: float = 0.5            # mixup-fixed coefficient
@@ -70,13 +68,11 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.meta_batch_size is not None and self.meta_batch_size < 1:
-            raise ValueError(f"meta_batch_size must be >= 1, got {self.meta_batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # 0 is legal and reduces the step to vanilla random-lambda mixing
         if self.policy_step_size < 0:
             raise ValueError(f"policy_step_size must be >= 0, got {self.policy_step_size}")
-        if self.policy_updates < 1:
-            raise ValueError(f"policy_updates must be >= 1, got {self.policy_updates}")
         if self.mode not in MODES:
             raise ValueError(f"mode '{self.mode}' not in {MODES}")
         if self.beta_alpha <= 0:
@@ -283,10 +279,10 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
 
     The coefficients cover labeled rows then pseudo rows; each group mixes
     within itself and the loss is L_labeled + unsup_weight * L_pseudo.
-    metamixup learns the coefficients (each policy update simulates its inner
-    step on a fresh clone), mixup-beta shares one Beta draw, mixup-fixed uses
-    fixed_lambda, and the baseline is lambda = 1 on the identity pairing
-    (mixing with anything is the identity).
+    metamixup learns the coefficients (one hypergradient step on the policy
+    logits against the validation batch), mixup-beta shares one Beta draw,
+    mixup-fixed uses fixed_lambda, and the baseline is lambda = 1 on the
+    identity pairing (mixing with anything is the identity).
 
     Randomness drawn, in order: labeled pairing, pseudo pairing (only when the
     pseudo group is non-empty), then the policy or the Beta draw; the baseline
@@ -307,12 +303,10 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     meta_loss = val_loss = hyper_norm = 0.0
     if config.mode == "metamixup":
         policy = mixing.init_policy(n, rng)
-        for _ in range(config.policy_updates):
-            last = hypergradient(model, groups, policy, val_batch, step_lr)
-            policy = update_policy(policy, last.grad, config.policy_step_size)
-        lam = policy.lambda_values()
-        meta_loss, val_loss = last.meta_loss, last.val_loss
-        hyper_norm = float(np.linalg.norm(last.grad))
+        res = hypergradient(model, groups, policy, val_batch, step_lr)
+        lam = update_policy(policy, res.grad, config.policy_step_size).lambda_values()
+        meta_loss, val_loss = res.meta_loss, res.val_loss
+        hyper_norm = float(np.linalg.norm(res.grad))
     elif config.mode == "mixup-beta":
         lam = np.full(n, mixing.beta_sample(config.beta_alpha, rng))
     elif config.mode == "mixup-fixed":
@@ -399,7 +393,6 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
     model = nets.build_model(arch, rng)
     y_onehot = nets.one_hot(train.labels, classes)
     val_onehot = nets.one_hot(meta_val.labels, classes)
-    m = config.meta_batch_size or config.batch_size
     test_x = shape_for(arch, test.inputs) if len(test) else None
 
     records: list[EpochRecord] = []
@@ -419,7 +412,8 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
         stats: list[StepStats] = []
         for s in range(len(train) // config.batch_size):
             idx = order[s * config.batch_size:(s + 1) * config.batch_size]
-            val_batch = sample_val_batch(meta_val, val_onehot, m, arch, rng)
+            val_batch = sample_val_batch(meta_val, val_onehot, config.batch_size,
+                                         arch, rng)
             bx = shape_for(arch, augment_batch(train.inputs[idx], config.augment, rng))
             pseudo = None
             if accepted:

@@ -98,6 +98,10 @@ class Architecture:
                 raise ShapeError("conv layers cannot follow dense layers")
             if isinstance(layer, Conv) and len(self.input_shape) != 3:
                 raise ShapeError("conv layers need an image input shape")
+            sizes = ((layer.width,) if isinstance(layer, Dense)
+                     else (layer.kernel, layer.channels))
+            if min(sizes) < 1:
+                raise ShapeError(f"layer sizes must be >= 1, got {layer}")
             act = layer.activation
             if act is not None and act not in ACTIVATIONS:
                 raise ShapeError(f"unknown activation '{act}'")

@@ -2,7 +2,9 @@
 
 Every test prints a single ``[criterion NN] PASS/FAIL`` line with the
 measured quantities before asserting, so a verbose run reads as a
-checklist even when pytest swallows stdout on success. Runtime budgets
+checklist even when pytest swallows stdout on success. The multi-seed
+comparisons (criteria 7 and 8) are the experiments' entry point and first
+print one ``[criterion NN] seed S`` line of per-seed results. Runtime budgets
 are asserted alongside the numeric tolerances.
 
 The digits run (criterion 9) needs the real IDX files; it skips with
@@ -287,9 +289,13 @@ class TestCriterion07SupervisedComparison:
     def test_criterion_07_learned_lambda_beats_beta_and_fixed(self):
         t0 = time.perf_counter()
         seeds = range(5)
-        means = {mode: float(np.mean([self._error(mode, s) for s in seeds]))
-                 for mode in ("metamixup", "mixup-beta", "mixup-fixed")}
+        errors = {mode: [self._error(mode, s) for s in seeds]
+                  for mode in ("metamixup", "mixup-beta", "mixup-fixed")}
         wall = time.perf_counter() - t0
+        for s in seeds:
+            print(f"[criterion 07] seed {s} test error: " + ", ".join(
+                f"{mode} {errs[s]:.4f}" for mode, errs in errors.items()))
+        means = {mode: float(np.mean(errs)) for mode, errs in errors.items()}
 
         m, b, f = (means["metamixup"], means["mixup-beta"],
                    means["mixup-fixed"])
@@ -306,7 +312,8 @@ class TestCriterion07SupervisedComparison:
 
 class TestCriterion08SslComparison:
     @staticmethod
-    def _error(mode: str, seed: int) -> float:
+    def _run(mode: str, seed: int) -> tuple[float, int, float]:
+        """Test error, accepted count and pseudo-label accuracy at the end."""
         full = data.standard_splits(SPEC_2G, seed=seed, corrupt=0.2,
                                     meta_val_per_class=10, test_per_class=1000)
         labeled, unlabeled = data.split_labeled_pool(full.train, 24,
@@ -315,14 +322,23 @@ class TestCriterion08SslComparison:
                              test=full.test)
         cfg = meta.TrainConfig(mode=mode, epochs=60, batch_size=8, seed=seed,
                                sigma0=0.7, sigma_period=5, optimizer=_opt(60))
-        return semi.train_ssl(bundle, unlabeled, cfg).final_test_error
+        report = semi.train_ssl(bundle, unlabeled, cfg)
+        last = report.records[-1]
+        return report.final_test_error, last.accepted_count, last.pseudo_accuracy
 
     def test_criterion_08_ssl_learned_mixing_beats_pseudo_label_baseline(self):
         t0 = time.perf_counter()
         seeds = range(5)
-        m = float(np.mean([self._error("metamixup", s) for s in seeds]))
-        b = float(np.mean([self._error("baseline", s) for s in seeds]))
+        runs = {mode: [self._run(mode, s) for s in seeds]
+                for mode in ("metamixup", "baseline")}
         wall = time.perf_counter() - t0
+        for s in seeds:
+            for mode, results in runs.items():
+                err, accepted, pacc = results[s]
+                print(f"[criterion 08] seed {s} {mode}: test error {err:.4f}, "
+                      f"accepted {accepted}, pseudo accuracy {pacc:.4f}")
+        m = float(np.mean([err for err, _, _ in runs["metamixup"]]))
+        b = float(np.mean([err for err, _, _ in runs["baseline"]]))
 
         ok = m <= b and wall < 600.0
         report(8, ok, f"5-seed mean test error at 10% labeled: "

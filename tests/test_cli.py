@@ -60,6 +60,15 @@ class TestParsing:
         assert "double backward" in double and "FAIL" in double
         assert line_error(double) == pytest.approx(0.001 / 1.001, rel=1e-3)
 
+    @pytest.mark.parametrize("reject", [["--tolerance", "nan"], ["--tolerance", "inf"],
+                                        ["--tolerance", "-1"], ["--seed", "-1"]],
+                             ids=["tolerance-nan", "tolerance-inf", "tolerance", "seed"])
+    def test_gradcheck_rejected_setting_exits_2(self, capsys, reject):
+        assert run(["gradcheck", *reject]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and reject[0] in captured.err
+        assert captured.out == ""
+
     def test_invalid_lambda_names_field(self, tmp_path, capsys):
         code = run(["train", "--mode", "mixup-fixed", "--lambda", "1.5",
                     "--out", str(tmp_path)])
@@ -75,12 +84,15 @@ class TestParsing:
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "bogus_knob" in capsys.readouterr().err
 
-    def test_removed_apl_key_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("apl", "false"), ("policy_updates", "1"),
+                                            ("meta_batch_size", "8")],
+                             ids=["apl", "policy_updates", "meta_batch_size"])
+    def test_removed_apl_key_exits_2(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("apl=false\n")
+        cfg.write_text(f"{key}={value}\n")
         out = tmp_path / "run"
         assert run(["ssl", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "unknown option 'apl'" in capsys.readouterr().err
+        assert f"unknown option '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
@@ -187,6 +199,10 @@ REJECTED_SETTINGS = {
                        "--beta-alpha"),
     "weight-decay-inf": (["--weight-decay", "inf"], 2, "--weight-decay"),
     "lambda": (["--mode", "mixup-fixed", "--lambda", "1.5"], 2, "--lambda"),
+    "seed": (["--seed", "-1"], 2, "--seed"),
+    "limit-train": (["--limit-train", "0"], 2, "--limit-train"),
+    "limit-train-synthetic": (["--limit-train", "5"], 2, "--per-class"),
+    "arch-zero": (["--arch", "mlp:0"], 2, "--arch"),
     "separation-nan": (["--separation", "nan"], 3, "separation"),
     "corrupt-nan": (["--corrupt", "nan"], 3, "corrupt"),
 }
@@ -386,9 +402,12 @@ class TestAuditRejections:
         (2, ["--safety", "-1"]),
         (2, ["--safety", "nan"]),
         (2, ["--arch", "cnn3"]),
+        (2, ["--arch", "mlp:0"]),
+        (2, ["--seed", "-1"]),
         (3, ["--model", "{tmp}/absent.npz"]),
         (4, ["--field", "quadratic", "--diag", "nan,1"]),
-    ], ids=["n-pairs", "safety", "safety-nan", "arch", "checkpoint", "diag"])
+    ], ids=["n-pairs", "safety", "safety-nan", "arch", "arch-zero", "seed",
+            "checkpoint", "diag"])
     def test_exit_code_and_no_output_dir(self, tmp_path, capsys, code, reject):
         out = tmp_path / "audit"
         argv = ["audit", "--out", str(out), "--per-class", "20", "--n-pairs", "50",

@@ -191,30 +191,25 @@ class TestTrainStep:
             assert (model_a.params[name].data.tobytes()
                     == model_b.params[name].data.tobytes()), name
 
-    def test_policy_updates_repeat_on_fresh_clones(self):
-        cfg1 = run_config(policy_updates=1, epochs=1, batch_size=8)
-        cfg2 = run_config(policy_updates=2, epochs=1, batch_size=8)
+    def test_one_policy_update_per_step(self):
+        cfg = run_config(epochs=1, batch_size=8)
         base = nets.build_model(nets.mlp(4, [8], 3), np.random.default_rng(7))
         data_rng = np.random.default_rng(8)
         x = data_rng.normal(size=(8, 4))
         y = nets.one_hot(data_rng.integers(0, 3, 8), 3)
         val = (data_rng.normal(size=(8, 4)), nets.one_hot(data_rng.integers(0, 3, 8), 3))
 
-        s1 = meta.train_step(nets.clone_for_meta(base), (x, y), val,
-                             cfg1, np.random.default_rng(9), lr=0.1)
-        s2 = meta.train_step(nets.clone_for_meta(base), (x, y), val,
-                             cfg2, np.random.default_rng(9), lr=0.1)
-        assert not np.array_equal(s1.lambda_values, s2.lambda_values)
+        stats = meta.train_step(nets.clone_for_meta(base), (x, y), val,
+                                cfg, np.random.default_rng(9), lr=0.1)
 
-        # manual two-round reference reproduces the k=2 coefficients
+        # one hypergradient and one policy update on the same draws
         rng = np.random.default_rng(9)
-        model = nets.clone_for_meta(base)
         perm = mixing.sample_pairing(8, rng)
         policy = mixing.init_policy(8, rng)
-        for _ in range(2):
-            res = meta.hypergradient(model, [(x, y, perm, 1.0)], policy, val, 0.1)
-            policy = meta.update_policy(policy, res.grad, cfg2.policy_step_size)
-        np.testing.assert_array_equal(policy.lambda_values(), s2.lambda_values)
+        res = meta.hypergradient(base, [(x, y, perm, 1.0)], policy, val, 0.1)
+        policy = meta.update_policy(policy, res.grad, cfg.policy_step_size)
+        np.testing.assert_array_equal(policy.lambda_values(), stats.lambda_values)
+        assert stats.hypergrad_norm == float(np.linalg.norm(res.grad))
 
     def test_step_stats_sane(self):
         _, model, batch, val, _, _ = tiny_setup(seed=11)
@@ -290,7 +285,7 @@ def test_metamixup_step_builds_no_second_order_graph(kind, monkeypatch):
 
     monkeypatch.setattr(eng, "backward", spy_backward)
     monkeypatch.setattr(nets, "clone_for_meta", spy_clone)
-    cfg = run_config(mode="metamixup", epochs=1, batch_size=6, policy_updates=2)
+    cfg = run_config(mode="metamixup", epochs=1, batch_size=6)
     meta.train_step(model, labeled, val, cfg, np.random.default_rng(18),
                     lr=0.1, pseudo_batch=pseudo)
     assert create_graph_flags and not any(create_graph_flags)
@@ -348,8 +343,8 @@ class TestConfigValidation:
             run_config(mode="cutmix")
         with pytest.raises(ValueError):
             run_config(fixed_lambda=1.5)
-        with pytest.raises(ValueError):
-            run_config(policy_updates=0)
+        with pytest.raises(ValueError, match="seed"):
+            run_config(seed=-1)
         for name in ("policy_step_size", "beta_alpha", "fixed_lambda", "unsup_weight",
                      "sigma0", "sigma_decrement", "sigma_floor"):
             for bad in (float("nan"), float("inf")):
@@ -380,7 +375,7 @@ class TestTrainSupervised:
         splits = standard_splits(spec, seed=1, meta_val_per_class=2,
                                  test_per_class=2)
         # train has 14 - 4 = 10 samples -> exactly 5 steps of batch 2
-        cfg = run_config(epochs=1, batch_size=2, meta_batch_size=2)
+        cfg = run_config(epochs=1, batch_size=2)
         report = meta.train_supervised(splits, cfg)
         lam = report.records[0].lambda_hist
         assert len(report.records) == 1
