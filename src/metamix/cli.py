@@ -217,10 +217,16 @@ def _load_splits(opts: dict) -> Splits:
     limit = opts["limit_train"]
     if limit is not None and limit < 1:
         raise ConfigError(f"--limit-train must be >= 1, got {limit}")
+    if opts["meta_val_per_class"] < 1:
+        raise DataError("--meta-val-per-class must be >= 1, "
+                        f"got {opts['meta_val_per_class']}")
     if opts["data"] == "synthetic":
         if limit is not None:
             raise ConfigError("--limit-train applies to idx data; --per-class "
                               "sets the size of a synthetic set")
+        test_per_class = opts["test_per_class"]
+        if test_per_class is not None and test_per_class < 1:
+            raise DataError(f"--test-per-class must be >= 1, got {test_per_class}")
         spec = SyntheticSpec(classes=opts["classes"], per_class=opts["per_class"],
                              dim=opts["dim"], separation=opts["separation"],
                              noise_sigma=opts["noise_sigma"])

@@ -159,8 +159,12 @@ class SyntheticSpec:
         if not np.isfinite([self.separation, self.noise_sigma,
                             *(self.class_sigmas or ())]).all():
             raise DataError("separation, noise_sigma and class_sigmas must be finite")
-        if self.per_class < 1 or self.noise_sigma <= 0 or self.separation < 0:
-            raise DataError("per_class >= 1, noise_sigma > 0, separation >= 0 required")
+        if self.per_class < 1:
+            raise DataError(f"per_class must be >= 1, got {self.per_class}")
+        if self.noise_sigma <= 0:
+            raise DataError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        if self.separation < 0:
+            raise DataError(f"separation must be >= 0, got {self.separation}")
         if self.class_sigmas is not None:
             if len(self.class_sigmas) != self.classes:
                 raise DataError(f"class_sigmas needs {self.classes} entries")

@@ -5,8 +5,10 @@ forward pass, so a backward pass can itself be recorded and differentiated
 (``create_graph=True``). That closure property serves the oracles: the
 double backward through a simulated gradient step, against which the
 one-step meta-gradient is checked (``meta.simulated_step_losses``), and
-``exact_hvp``. Training takes its meta-gradient from plain backward passes
-and a forward pass with two tangents, and never records a backward pass.
+``exact_hvp``. Training builds no graph here: ``nets.loss_and_gradients``
+runs the same forward formulas and vjp rules in plain numpy, bit for bit,
+and ``backward`` of the same loss is its reference. The engine runs the
+inference passes (``nets.forward``, ``predict``) and the oracles.
 
 Every primitive builds its node with one ``_result`` call. A backward rule
 has the signature ``vjp(y, u, needs)``: ``y`` is the node's own output, ``u``
@@ -18,7 +20,8 @@ a gradient no target reads is never computed, and with ``create_graph`` never
 recorded.
 
 All arrays are float64. Non-finite values are rejected at every node
-construction, so a NaN or Inf surfaces at the primitive that produced it.
+construction, so a NaN or Inf surfaces at the primitive that produced it;
+the numpy training passes check their loss, gradients and updates instead.
 """
 
 from __future__ import annotations
@@ -320,11 +323,13 @@ def log_softmax(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"log_softmax: expected [n, classes], got shape {a.shape}")
-    m = a.data.max(axis=1, keepdims=True)
-    s = a.data - m
-    out = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
-    return _result(out, "log_softmax", (a,),
+    return _result(_log_softmax(a.data), "log_softmax", (a,),
                    lambda y, u, needs: (sub(u, mul(exp(y), row_sum(u))),))
+
+
+def _log_softmax(a: np.ndarray) -> np.ndarray:
+    s = a - a.max(axis=1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
 
 
 def row_sum(a) -> Tensor:
@@ -455,6 +460,19 @@ def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (cols @ w.reshape(k * k * cin, cout)).reshape(n, h, wd, cout)
 
 
+def _conv_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Correlate the output gradient g [n,h,w,cout] with the spatially
+    flipped, channel-swapped kernel."""
+    return _conv_forward(g, w[::-1, ::-1].transpose(0, 1, 3, 2).copy())
+
+
+def _conv_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    n, h, wd, cin = x.shape
+    cout = g.shape[3]
+    cols = _im2col(x, k)  # [n*h*w, k*k*cin]
+    return (cols.T @ g.reshape(n * h * wd, cout)).reshape(k, k, cin, cout)
+
+
 def conv2d(x, w) -> Tensor:
     """Cross-correlation, stride 1, same zero padding. x [n,h,w,ci], w [k,k,ci,co]."""
     x, w = as_tensor(x), as_tensor(w)
@@ -480,8 +498,7 @@ def conv2d_input_grad(g, w) -> Tensor:
     k = _check_kernel(w)
     if g.ndim != 4 or g.shape[3] != w.shape[3]:
         raise ShapeError(f"conv2d_input_grad: g shape {g.shape} vs kernel {w.shape}")
-    wt = w.data[::-1, ::-1].transpose(0, 1, 3, 2).copy()  # [k,k,cout,cin]
-    out = _conv_forward(g.data, wt)
+    out = _conv_input_grad(g.data, w.data)
 
     def vjp(y, u, needs):
         gg = conv2d(u, w) if needs[0] else None
@@ -501,10 +518,7 @@ def conv2d_weight_grad(x, g, kernel: int) -> Tensor:
     k = int(kernel)
     if k % 2 == 0 or k > 5 or k < 1:
         raise ShapeError(f"conv2d_weight_grad: kernel must be odd <= 5, got {k}")
-    n, h, wd, cin = x.shape
-    cout = g.shape[3]
-    cols = _im2col(x.data, k)  # [n*h*w, k*k*cin]
-    out = (cols.T @ g.data.reshape(n * h * wd, cout)).reshape(k, k, cin, cout)
+    out = _conv_weight_grad(x.data, g.data, k)
 
     def vjp(y, u, needs):
         gx = conv2d_input_grad(g, u) if needs[0] else None

@@ -6,13 +6,15 @@ validation batch at the simulated weights, and differentiate the validation
 loss all the way back to the policy logits. The real model then trains on
 the batch re-mixed under the updated coefficients.
 
-The hypergradient is exact and records no second-order graph: a plain inner
-gradient, a plain validation gradient at the simulated weights, and one
-forward pass that carries a parameter tangent and a lambda tangent
-(:func:`hypergradient`). Training never differentiates the mix: each
+Training runs in numpy and builds no engine graph. The hypergradient is
+exact: an inner gradient, a validation gradient at the simulated weights
+(each one forward and one reverse pass of ``nets.loss_and_gradients``),
+and one forward pass that carries a parameter tangent and a lambda tangent
+(:func:`hypergradient`); the real update is one more
+``loss_and_gradients`` call. Training never differentiates the mix: each
 coefficient vector mixes the batch once, in numpy, for the meta loss, that
-pass and the real update. :func:`simulated_step_losses` keeps the double
-backward (through ``mixing.mix_batch`` and ``create_graph``) as the
+pass and the real update. :func:`simulated_step_losses` keeps the engine's
+double backward (through ``mixing.mix_batch`` and ``create_graph``) as the
 reference that the tests and ``gradcheck`` compare against and difference.
 
 One step function (:func:`train_step`) runs every mode, with or without a
@@ -158,7 +160,9 @@ def _mix_groups(groups: Sequence[Group], lam: np.ndarray) -> list:
 
 
 def _mixed_loss(model: ModelState, mixed, params) -> Tensor:
-    """Sum over groups of (weight * mean cross-entropy) on mixed rows."""
+    """Sum over groups of (weight * mean cross-entropy) on mixed rows, as an
+    engine graph: the double backward differentiates it, and it is the
+    reference for ``nets.loss_and_gradients``."""
     total = None
     for x, y, weight in mixed:
         loss = nets.cross_entropy(nets.forward(model, x, params=params), y)
@@ -221,8 +225,9 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
 
     Row i's mixed loss depends on lambda_i alone, so one forward pass that
     carries an eps and a lambda tangent (``nets.forward_tangents``) yields
-    every d2 l_i / (deps dlambda_i). Two plain backward passes (the inner
-    gradient, then v) and that pass replace a double backward;
+    every d2 l_i / (deps dlambda_i). Two numpy gradients from
+    ``nets.loss_and_gradients`` (the inner gradient, then L_val and v) and
+    that pass replace a double backward, and no engine graph is built;
     :func:`simulated_step_losses` keeps the double backward as the reference.
     The model is not touched.
 
@@ -232,14 +237,9 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
         raise ValueError(f"hypergradient mode '{mode}' is not 'exact'")
     lam = policy.lambda_values()
     mixed = _mix_groups(groups, lam)
-    meta_loss = _mixed_loss(model, mixed, model.params)
-    inner = nets.param_gradients(meta_loss, model)
-    simulated = {n: Tensor(p.data - eta * inner[n].data, requires_grad=True)
-                 for n, p in model.params.items()}
-    val_loss = nets.cross_entropy(nets.forward(model, val_batch[0], params=simulated),
-                                  val_batch[1])
-    val_grads = eng.backward(val_loss, list(simulated.values()))
-    v = {n: g.data for n, g in zip(simulated, val_grads)}
+    meta_loss, inner = nets.loss_and_gradients(model, mixed)
+    simulated = {n: p.data - eta * inner[n] for n, p in model.params.items()}
+    val_loss, v = nets.loss_and_gradients(model, [(*val_batch, 1.0)], simulated)
 
     # the mixed rows with their lambda derivatives, stacked over groups
     dx, dy, row_scale = [], [], []
@@ -255,7 +255,7 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
     grad = row_scale * d2 * lam * (1.0 - lam)   # dlambda/dz = lambda (1 - lambda)
     if not np.isfinite(grad).all():
         raise NonFiniteError("hypergradient is not finite")
-    return MetaGradResult(grad, meta_loss.item(), val_loss.item())
+    return MetaGradResult(grad, meta_loss, val_loss)
 
 
 def update_policy(policy: InterpolationPolicy, grad,
@@ -314,14 +314,14 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     else:
         lam = np.ones(n)
 
-    loss = _mixed_loss(model, _mix_groups(groups, lam), model.params)
-    nets.sgd_step(model, nets.param_gradients(loss, model), config.optimizer, step_lr)
+    loss, grads = nets.loss_and_gradients(model, _mix_groups(groups, lam))
+    nets.sgd_step(model, grads, config.optimizer, step_lr)
     if config.mode != "metamixup" and val_batch is not None:
         with eng.no_grad():
             val_loss = nets.cross_entropy(
                 nets.forward(model, val_batch[0]), val_batch[1]).item()
     return StepStats(
-        train_loss=loss.item(), meta_loss=meta_loss, val_loss=val_loss,
+        train_loss=loss, meta_loss=meta_loss, val_loss=val_loss,
         lambda_mean=float(lam.mean()), lambda_std=float(lam.std()),
         lambda_min=float(lam.min()), lambda_max=float(lam.max()),
         hypergrad_norm=hyper_norm, lambda_values=lam, accepted=n - len(batch[0]))

@@ -3,8 +3,10 @@
 Models are deliberately functional: ``forward`` takes an optional parameter
 mapping so a simulated update (new parameter tensors, same architecture) can
 be evaluated without touching the real model. That is the hook the one-step
-meta gradient hangs off; ``forward_tangents`` runs the same layers in numpy
-with two tangents for its second-order term.
+meta gradient hangs off. Training runs the same layers in numpy:
+``loss_and_gradients`` for every loss and its gradients, and
+``forward_tangents`` with two tangents for the second-order term; the
+engine's ``forward`` serves inference and the oracles.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ def _relu_derivatives(a):
     return np.maximum(a, 0.0), (a > 0).astype(np.float64), None
 
 
-# (f, f', f'') of each activation on numpy arrays, for forward_tangents;
-# None stands for an f'' that is zero everywhere
+# (f, f', f'') of each activation on numpy arrays, for the numpy training
+# passes (f and f' match the engine's forward and vjp bit for bit); None
+# stands for an f'' that is zero everywhere
 ACTIVATION_DERIVATIVES = {
     "tanh": _tanh_derivatives,
     "relu": _relu_derivatives,
@@ -247,6 +250,84 @@ def param_gradients(loss: Tensor, model: ModelState) -> dict[str, Tensor]:
     return dict(zip(names, grads))
 
 
+def loss_and_gradients(model: ModelState, batches,
+                       params: Mapping[str, np.ndarray] | None = None
+                       ) -> tuple[float, dict[str, np.ndarray]]:
+    """The sum of weight * mean cross-entropy over ``[(x, y, weight), ...]``
+    and its gradient for every parameter, in numpy; ``params`` overrides the
+    model's own parameter values.
+
+    Per batch, one forward pass keeps each layer's input and f', and one
+    reverse pass applies the engine's vjp rules; batches add up in order.
+    Loss and gradients are bit for bit those of ``eng.backward`` on the same
+    loss built from engine primitives, and no graph is recorded. A
+    non-finite loss or gradient raises NonFiniteError.
+    """
+    p = {n: t.data for n, t in model.params.items()} if params is None else params
+    total, grads = None, {}
+    for x, y, weight in batches:
+        loss, batch_grads = _batch_loss_and_gradients(model, p, x, y, weight)
+        total = loss if total is None else total + loss
+        for name, g in batch_grads.items():
+            held = grads.get(name)
+            grads[name] = g if held is None else held + g
+    if not np.isfinite(total):
+        raise eng.NonFiniteError("loss is not finite")
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise eng.NonFiniteError(f"gradient of '{name}' is not finite")
+    return float(total), grads
+
+
+def _batch_loss_and_gradients(model: ModelState, p, x, y, weight: float):
+    h = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if h.shape[1:] != model.arch.input_shape:
+        raise ShapeError(f"forward: batch shape {h.shape} does not match "
+                         f"input {model.arch.input_shape}")
+    n = len(h)
+    tape = []   # per layer: layer, input, weight, pre-flatten shape, f'
+    for i, layer in enumerate(model.arch.layers):
+        w, b = p[f"layer{i}.w"], p[f"layer{i}.b"]
+        shape = h.shape
+        if isinstance(layer, Conv):
+            a = eng._conv_forward(h, w) + b
+        else:
+            if h.ndim > 2:
+                h = h.reshape(n, -1)
+            a = h @ w + b
+        d1 = None
+        if layer.activation is not None:
+            a, d1, _ = ACTIVATION_DERIVATIVES[layer.activation](a)
+        tape.append((layer, h, w, shape, d1))
+        h = a
+    if h.shape != y.shape:
+        raise ShapeError(f"cross_entropy: logits {h.shape} vs labels {y.shape}")
+    ls = eng._log_softmax(h)
+    c = -1.0 / n
+    loss = (y * ls).sum() * c
+    if weight != 1.0:
+        loss = loss * weight
+
+    # the engine's vjp rules, loss to first layer: scale, sum, mul, log_softmax
+    u = (weight * c) * y
+    u = u - np.exp(ls) * u.sum(axis=1, keepdims=True)
+    grads = {}
+    for i, (layer, h, w, shape, d1) in reversed(list(enumerate(tape))):
+        if d1 is not None:
+            u = u * d1
+        grads[f"layer{i}.b"] = u.sum(axis=tuple(range(u.ndim - 1)))
+        if isinstance(layer, Conv):
+            grads[f"layer{i}.w"] = eng._conv_weight_grad(h, u, layer.kernel)
+            if i:
+                u = eng._conv_input_grad(u, w)
+        else:
+            grads[f"layer{i}.w"] = h.T.copy() @ u
+            if i:
+                u = (u @ w.T.copy()).reshape(shape)
+    return loss, grads
+
+
 @dataclass
 class OptimizerConfig:
     learning_rate: float = 0.1
@@ -278,8 +359,11 @@ class OptimizerConfig:
 def sgd_step(model: ModelState, grads: Mapping[str, Tensor | np.ndarray],
              config: OptimizerConfig, lr: float | None = None) -> None:
     """In-place heavy-ball update. Weight decay folds into the gradient before
-    the momentum buffer: m <- mu*m + (g + wd*theta); theta <- theta - lr*m."""
+    the momentum buffer: m <- mu*m + (g + wd*theta); theta <- theta - lr*m.
+    A step that would make any parameter non-finite raises NonFiniteError
+    naming it and changes nothing."""
     step_lr = config.learning_rate if lr is None else lr
+    updated = {}
     for name, p in model.params.items():
         if name not in grads:
             raise KeyError(f"sgd_step: missing gradient for parameter '{name}'")
@@ -288,10 +372,15 @@ def sgd_step(model: ModelState, grads: Mapping[str, Tensor | np.ndarray],
         if g.shape != p.data.shape:
             raise ShapeError(f"sgd_step: gradient shape {g.shape} vs parameter "
                              f"{p.data.shape} for '{name}'")
-        m = model.momentum[name]
-        m *= config.momentum
-        m += g + config.weight_decay * p.data
-        p.data = p.data - step_lr * m  # fresh array; retained graphs keep old leaves
+        m = model.momentum[name] * config.momentum + (g + config.weight_decay * p.data)
+        theta = p.data - step_lr * m
+        if not np.isfinite(theta).all():
+            raise eng.NonFiniteError(f"sgd_step: parameter '{name}' is not finite "
+                                     "after the update")
+        updated[name] = m, theta
+    for name, (m, theta) in updated.items():
+        model.momentum[name] = m
+        model.params[name].data = theta  # fresh array; retained graphs keep old leaves
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:

@@ -205,6 +205,13 @@ REJECTED_SETTINGS = {
     "arch-zero": (["--arch", "mlp:0"], 2, "--arch"),
     "separation-nan": (["--separation", "nan"], 3, "separation"),
     "corrupt-nan": (["--corrupt", "nan"], 3, "corrupt"),
+    "test-per-class": (["--test-per-class", "-1"], 3, "--test-per-class must be >= 1"),
+    "meta-val-per-class": (["--meta-val-per-class", "0"], 3,
+                           "--meta-val-per-class must be >= 1"),
+    "per-class": (["--per-class", "0"], 3, "per_class must be >= 1, got 0"),
+    "noise-sigma": (["--noise-sigma", "0"], 3, "noise_sigma must be > 0, got 0.0"),
+    "separation-negative": (["--separation", "-1"], 3,
+                            "separation must be >= 0, got -1.0"),
 }
 
 

@@ -270,26 +270,85 @@ def test_step_graphs_are_freed_without_the_cycle_collector(kind, mode):
 
 
 @pytest.mark.parametrize("kind", ["supervised", "pseudo"])
-def test_metamixup_step_builds_no_second_order_graph(kind, monkeypatch):
+@pytest.mark.parametrize("mode", meta.MODES)
+def test_train_step_records_no_graph(kind, mode, monkeypatch):
+    """Training runs in numpy: no engine node with parents, no backward pass,
+    no cloned model."""
     model, labeled, val, pseudo = _step_inputs(kind)
-    backward, clone = eng.backward, nets.clone_for_meta
-    create_graph_flags, clones = [], []
+    backward_calls, clones, graph_nodes = [], [], []
+    init = Tensor.__init__
 
-    def spy_backward(loss, targets, create_graph=False):
-        create_graph_flags.append(create_graph)
-        return backward(loss, targets, create_graph)
+    def spy_init(tensor, data, requires_grad=False, *, op="leaf", parents=(), vjp=None):
+        if parents:
+            graph_nodes.append(op)
+        init(tensor, data, requires_grad, op=op, parents=parents, vjp=vjp)
 
-    def spy_clone(m):
-        clones.append(m)
-        return clone(m)
+    monkeypatch.setattr(eng, "backward", lambda *a, **k: backward_calls.append(a))
+    monkeypatch.setattr(nets, "clone_for_meta", lambda m: clones.append(m))
+    monkeypatch.setattr(Tensor, "__init__", spy_init)
+    stats = meta.train_step(model, labeled, val, run_config(mode=mode, batch_size=6),
+                            np.random.default_rng(18), lr=0.1, pseudo_batch=pseudo)
+    assert np.isfinite(stats.train_loss)
+    assert backward_calls == [] and clones == [] and graph_nodes == []
 
-    monkeypatch.setattr(eng, "backward", spy_backward)
-    monkeypatch.setattr(nets, "clone_for_meta", spy_clone)
-    cfg = run_config(mode="metamixup", epochs=1, batch_size=6)
-    meta.train_step(model, labeled, val, cfg, np.random.default_rng(18),
-                    lr=0.1, pseudo_batch=pseudo)
-    assert create_graph_flags and not any(create_graph_flags)
-    assert clones == []
+
+@pytest.mark.parametrize("mode", meta.MODES)
+def test_overflowing_input_raises_non_finite(mode):
+    # a relu net passes the overflow on, so the logits are not finite
+    model = nets.build_model(nets.mlp(4, [8], 3, activation="relu"),
+                             np.random.default_rng(20))
+    model.params["layer0.w"].data[:] = 1.0
+    x = np.full((6, 4), 1e308)
+    y = nets.one_hot(np.arange(6) % 3, 3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(eng.NonFiniteError):
+        meta.train_step(model, (x, y), (x[:4], y[:4]),
+                        run_config(mode=mode, batch_size=6),
+                        np.random.default_rng(21), lr=0.1)
+
+
+@st.composite
+def loss_cases(draw):
+    """A random net (MLP on vectors, dense head on [h, w, c] rows, or a conv
+    stack) and one or two groups of mixed rows with weights 1 or 0.7."""
+    activation = st.sampled_from(sorted(nets.ACTIVATIONS))
+    classes = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["mlp", "flatten", "conv"]))
+    if kind == "conv":
+        convs = draw(st.lists(st.tuples(st.sampled_from([3, 5]), st.integers(1, 3)),
+                              min_size=1, max_size=2))
+        layers = tuple(nets.Conv(k, c, draw(activation)) for k, c in convs)
+    else:
+        hidden = draw(st.lists(st.integers(2, 6), min_size=0, max_size=2))
+        layers = tuple(nets.Dense(h, draw(activation)) for h in hidden)
+    shape = (draw(st.integers(1, 5)),) if kind == "mlp" else (5, 5, draw(st.integers(1, 2)))
+    arch = nets.Architecture(shape, layers + (nets.Dense(classes),))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
+    weights = [draw(st.sampled_from([1.0, 0.7])) for _ in sizes]
+    return arch, sizes, weights, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(loss_cases())
+def test_numpy_loss_and_gradients_equal_the_engine_bitwise(case):
+    arch, sizes, weights, seed = case
+    rng = np.random.default_rng(seed)
+    model = nets.build_model(arch, rng)
+    for p in model.params.values():   # nonzero biases exercise every term
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    classes = arch.n_classes
+    groups = [(rng.normal(size=(n,) + arch.input_shape),
+               nets.one_hot(rng.integers(0, classes, n), classes),
+               mixing.sample_pairing(n, rng), w) for n, w in zip(sizes, weights)]
+    mixed = meta._mix_groups(groups, rng.uniform(size=sum(sizes)))
+    reference = meta._mixed_loss(model, mixed, model.params)
+    expected = nets.param_gradients(reference, model)
+    loss, grads = nets.loss_and_gradients(model, mixed)
+    assert loss == reference.item()
+    assert grads.keys() == expected.keys()
+    for name, g in grads.items():
+        assert g.shape == expected[name].shape, name
+        assert g.tobytes() == expected[name].data.tobytes(), name
 
 
 @pytest.mark.parametrize("kind", ["supervised", "pseudo"])

@@ -107,6 +107,20 @@ class TestSgd:
         # m = 0.5*0 + (0 + 0.1*2) = 0.2; theta = 2 - 0.5*0.2 = 1.9
         assert model.params["layer0.w"].item() == pytest.approx(1.9, abs=1e-15)
 
+    def test_non_finite_update_names_the_parameter_and_changes_nothing(self):
+        model = nets.build_model(small_mlp(), np.random.default_rng(0))
+        # layer0 updates to finite values; layer1.w overflows
+        model.params["layer1.w"].data[0, 0] = 1e200
+        before = {n: p.data.copy() for n, p in model.params.items()}
+        grads = {n: np.zeros_like(p.data) for n, p in model.params.items()}
+        cfg = OptimizerConfig(learning_rate=0.1, weight_decay=1e200)
+        with np.errstate(over="ignore"), pytest.raises(eng.NonFiniteError,
+                                                       match="'layer1.w'"):
+            nets.sgd_step(model, grads, cfg)
+        for name, p in model.params.items():
+            assert p.data.tobytes() == before[name].tobytes(), name
+            assert not model.momentum[name].any(), name
+
     def test_missing_gradient_is_an_error(self):
         model = nets.build_model(small_mlp(), np.random.default_rng(0))
         with pytest.raises(KeyError, match="layer0.b"):
