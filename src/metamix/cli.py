@@ -234,8 +234,6 @@ def _load_splits(opts: dict) -> Splits:
             spec, seed=opts["seed"], corrupt=opts["corrupt"],
             meta_val_per_class=opts["meta_val_per_class"],
             test_per_class=opts["test_per_class"])
-    if opts["data"] != "idx":
-        raise ConfigError(f"unknown data source {opts['data']!r}")
     train = _load_idx_pair(opts["train_images"], opts["train_labels"],
                            opts["n_classes"], "train")
     test = _load_idx_pair(opts["test_images"], opts["test_labels"],
@@ -480,6 +478,8 @@ def main(argv=None) -> int:
         opts = resolve_options(_SUBCOMMANDS[args.subcommand], vars(args))
         if opts["seed"] < 0:   # every subcommand seeds numpy, which needs >= 0
             raise ConfigError(f"--seed must be >= 0, got {opts['seed']}")
+        if opts.get("data", "synthetic") not in ("synthetic", "idx"):
+            raise ConfigError(f"unknown data source {opts['data']!r}")
         return _DISPATCH[args.subcommand](opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

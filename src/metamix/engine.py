@@ -434,11 +434,12 @@ def scatter_add_rows(a, index, n_rows: int) -> Tensor:
 # convolution (stride 1, zero-padded "same", odd kernels)
 
 
-def _check_kernel(w) -> int:
-    if w.ndim != 4:
-        raise ShapeError(f"conv2d: kernel must be [kh, kw, cin, cout], got shape {w.shape}")
-    kh, kw = w.shape[0], w.shape[1]
-    if kh != kw or kh % 2 == 0 or kh > 5:
+def _check_kernel(shape) -> int:
+    """The size k of a [k, k, cin, cout] kernel shape: odd, at most 5."""
+    if len(shape) != 4:
+        raise ShapeError(f"conv2d: kernel must be [kh, kw, cin, cout], got shape {shape}")
+    kh, kw = shape[0], shape[1]
+    if kh != kw or kh % 2 == 0 or not 1 <= kh <= 5:
         raise ShapeError(f"conv2d: kernel must be square odd <= 5, got {kh}x{kw}")
     return kh
 
@@ -476,7 +477,7 @@ def _conv_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
 def conv2d(x, w) -> Tensor:
     """Cross-correlation, stride 1, same zero padding. x [n,h,w,ci], w [k,k,ci,co]."""
     x, w = as_tensor(x), as_tensor(w)
-    k = _check_kernel(w)
+    k = _check_kernel(w.shape)
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be [n, h, w, c], got shape {x.shape}")
     if x.shape[3] != w.shape[2]:
@@ -495,7 +496,7 @@ def conv2d_input_grad(g, w) -> Tensor:
     """Input gradient of conv2d: correlate the output gradient g [n,h,w,cout]
     with the spatially flipped, channel-swapped kernel."""
     g, w = as_tensor(g), as_tensor(w)
-    k = _check_kernel(w)
+    k = _check_kernel(w.shape)
     if g.ndim != 4 or g.shape[3] != w.shape[3]:
         raise ShapeError(f"conv2d_input_grad: g shape {g.shape} vs kernel {w.shape}")
     out = _conv_input_grad(g.data, w.data)
@@ -515,9 +516,7 @@ def conv2d_weight_grad(x, g, kernel: int) -> Tensor:
     x, g = as_tensor(x), as_tensor(g)
     if x.ndim != 4 or g.ndim != 4 or x.shape[:3] != g.shape[:3]:
         raise ShapeError(f"conv2d_weight_grad: shapes {x.shape} and {g.shape}")
-    k = int(kernel)
-    if k % 2 == 0 or k > 5 or k < 1:
-        raise ShapeError(f"conv2d_weight_grad: kernel must be odd <= 5, got {k}")
+    k = _check_kernel((int(kernel), int(kernel), x.shape[3], g.shape[3]))
     out = _conv_weight_grad(x.data, g.data, k)
 
     def vjp(y, u, needs):

@@ -9,13 +9,14 @@ the batch re-mixed under the updated coefficients.
 Training runs in numpy and builds no engine graph. The hypergradient is
 exact: an inner gradient, a validation gradient at the simulated weights
 (each one forward and one reverse pass of ``nets.loss_and_gradients``),
-and one forward pass that carries a parameter tangent and a lambda tangent
-(:func:`hypergradient`); the real update is one more
-``loss_and_gradients`` call. Training never differentiates the mix: each
-coefficient vector mixes the batch once, in numpy, for the meta loss, that
-pass and the real update. :func:`simulated_step_losses` keeps the engine's
-double backward (through ``mixing.mix_batch`` and ``create_graph``) as the
-reference that the tests and ``gradcheck`` compare against and difference.
+and a pass that carries a parameter tangent and a lambda tangent along the
+inner gradient's tape (:func:`hypergradient`), so each loss runs one numpy
+forward; the real update is one more ``loss_and_gradients`` call. Training
+never differentiates the mix: each coefficient vector mixes the batch once,
+in numpy, for the meta loss, that pass and the real update.
+:func:`simulated_step_losses` keeps the engine's double backward (through
+``mixing.mix_batch`` and ``create_graph``) as the reference that the tests
+and ``gradcheck`` compare against and difference.
 
 One step function (:func:`train_step`) runs every mode, with or without a
 group of pseudo-labeled rows, and one epoch loop drives every run: the
@@ -223,13 +224,15 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
         dL_val/dlambda = -eta d/dlambda <grad L_meta(theta, lambda), v>
                        = -eta d2/(deps dlambda) L_meta(theta + eps v, lambda).
 
-    Row i's mixed loss depends on lambda_i alone, so one forward pass that
-    carries an eps and a lambda tangent (``nets.forward_tangents``) yields
-    every d2 l_i / (deps dlambda_i). Two numpy gradients from
+    Row i's mixed loss depends on lambda_i alone, so a pass that carries an
+    eps and a lambda tangent (``nets.forward_tangents``) yields every
+    d2 l_i / (deps dlambda_i). Two numpy gradients from
     ``nets.loss_and_gradients`` (the inner gradient, then L_val and v) and
-    that pass replace a double backward, and no engine graph is built;
-    :func:`simulated_step_losses` keeps the double backward as the reference.
-    The model is not touched.
+    that pass replace a double backward, and no engine graph is built. The
+    pass runs per group along the tape of that group's inner forward, whose
+    logits and activation derivatives it reuses, so each of the two losses
+    runs one numpy forward per batch; :func:`simulated_step_losses` keeps
+    the double backward as the reference. The model is not touched.
 
     ``mode`` accepts only "exact"; it remains for callers that still name it.
     """
@@ -237,22 +240,18 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
         raise ValueError(f"hypergradient mode '{mode}' is not 'exact'")
     lam = policy.lambda_values()
     mixed = _mix_groups(groups, lam)
-    meta_loss, inner = nets.loss_and_gradients(model, mixed)
+    meta_loss, inner, passes = nets.loss_and_gradients(model, mixed)
     simulated = {n: p.data - eta * inner[n] for n, p in model.params.items()}
-    val_loss, v = nets.loss_and_gradients(model, [(*val_batch, 1.0)], simulated)
+    val_loss, v, _ = nets.loss_and_gradients(model, [(*val_batch, 1.0)], simulated)
 
-    # the mixed rows with their lambda derivatives, stacked over groups
-    dx, dy, row_scale = [], [], []
-    for x, y, perm, weight in groups:
-        dx.append(x - x[perm])
-        dy.append(y - y[perm])
-        row_scale.append(np.full(len(x), -eta * weight / len(x)))
-    x_mix, y_mix, _ = zip(*mixed)
-    x_mix, dx, y_mix, dy, row_scale = map(np.concatenate,
-                                          (x_mix, dx, y_mix, dy, row_scale))
-    d2 = _cross_entropy_mixed_derivative(
-        *nets.forward_tangents(model, x_mix, dx, v), y_mix, dy)
-    grad = row_scale * d2 * lam * (1.0 - lam)   # dlambda/dz = lambda (1 - lambda)
+    # per group, the tangents along the inner pass's tape; a mixed row moves
+    # with its lambda by x - x[perm] and its label by y - y[perm]
+    d2 = []
+    for (x, y, perm, weight), (_, y_mix, _), (logits, tape) in zip(groups, mixed, passes):
+        tangents = nets.forward_tangents(tape, x - x[perm], v)
+        d2.append((-eta * weight / len(x)) * _cross_entropy_mixed_derivative(
+            logits, *tangents, y_mix, y - y[perm]))
+    grad = np.concatenate(d2) * lam * (1.0 - lam)   # dlambda/dz = lambda (1 - lambda)
     if not np.isfinite(grad).all():
         raise NonFiniteError("hypergradient is not finite")
     return MetaGradResult(grad, meta_loss, val_loss)
@@ -314,7 +313,7 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     else:
         lam = np.ones(n)
 
-    loss, grads = nets.loss_and_gradients(model, _mix_groups(groups, lam))
+    loss, grads, _ = nets.loss_and_gradients(model, _mix_groups(groups, lam))
     nets.sgd_step(model, grads, config.optimizer, step_lr)
     if config.mode != "metamixup" and val_batch is not None:
         with eng.no_grad():

@@ -3,10 +3,11 @@
 Models are deliberately functional: ``forward`` takes an optional parameter
 mapping so a simulated update (new parameter tensors, same architecture) can
 be evaluated without touching the real model. That is the hook the one-step
-meta gradient hangs off. Training runs the same layers in numpy:
-``loss_and_gradients`` for every loss and its gradients, and
-``forward_tangents`` with two tangents for the second-order term; the
-engine's ``forward`` serves inference and the oracles.
+meta gradient hangs off. Training walks the same layers once per loss, in
+numpy (``_forward``, which keeps a per-layer tape): ``loss_and_gradients``
+runs a reverse pass over the tape, and ``forward_tangents`` carries two
+tangents along it for the second-order term. The engine's ``forward``
+serves inference (``batched_logits``) and the oracles.
 """
 
 from __future__ import annotations
@@ -89,11 +90,12 @@ class Architecture:
     layers: tuple[Dense | Conv, ...]
 
     def __post_init__(self):
-        if len(self.input_shape) not in (1, 3):
-            raise ShapeError(f"input_shape must be (d,) or (h, w, c), got {self.input_shape}")
+        if len(self.input_shape) not in (1, 3) or min(self.input_shape) < 1:
+            raise ShapeError("input_shape must be (d,) or (h, w, c) of sizes >= 1, "
+                             f"got {self.input_shape}")
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise ShapeError("architecture must end with a Dense layer")
-        seen_dense = False
+        seen_dense, cin = False, self.input_shape[-1]
         for layer in self.layers:
             if isinstance(layer, Dense):
                 seen_dense = True
@@ -108,6 +110,9 @@ class Architecture:
             act = layer.activation
             if act is not None and act not in ACTIVATIONS:
                 raise ShapeError(f"unknown activation '{act}'")
+            if isinstance(layer, Conv):   # a kernel the conv passes run
+                eng._check_kernel((layer.kernel, layer.kernel, cin, layer.channels))
+                cin = layer.channels
 
     @property
     def n_classes(self) -> int:
@@ -189,50 +194,58 @@ def forward(model: ModelState, x, params: Mapping[str, Tensor] | None = None) ->
     return h
 
 
-def forward_tangents(model: ModelState, x, dx, direction: Mapping[str, np.ndarray]):
-    """Logits a and three of their derivatives, in one numpy pass.
-
-    The parameters move to theta + eps * direction and the input to
-    x + t * dx. Returns (a, da/deps, da/dt, d2a/(deps dt)) at eps = t = 0:
-    every layer carries these four parts forward (hyper-dual numbers). The
-    values follow the engine's formulas, and no graph is recorded. Rows stay
-    independent, as in ``forward``.
-    """
-    p = model.params
-    h, h_l = np.asarray(x, dtype=np.float64), np.asarray(dx, dtype=np.float64)
-    if h.shape[1:] != model.arch.input_shape or h_l.shape != h.shape:
-        raise ShapeError(f"forward_tangents: batch {h.shape} and tangent {h_l.shape} "
-                         f"vs input {model.arch.input_shape}")
-    h_e = h_el = None   # the input does not move with eps
-    n = len(h)
+def _forward(model: ModelState, params: Mapping[str, np.ndarray], x):
+    """Logits for a batch in numpy, and the tape that the reverse and tangent
+    passes read: per layer (layer, its input as the layer sees it, weight,
+    the input's pre-flatten shape, f', f''). f' is None on a layer without
+    activation, f'' on one where it is zero. The values follow the engine's
+    formulas bit for bit, and no graph is recorded."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.shape[1:] != model.arch.input_shape:
+        raise ShapeError(f"forward: batch shape {h.shape} does not match "
+                         f"input {model.arch.input_shape}")
+    tape = []
     for i, layer in enumerate(model.arch.layers):
-        name = f"layer{i}"
-        w, b = p[f"{name}.w"].data, p[f"{name}.b"].data
-        vw, vb = direction[f"{name}.w"], direction[f"{name}.b"]
+        w, b = params[f"layer{i}.w"], params[f"layer{i}.b"]
+        shape = h.shape
         if isinstance(layer, Conv):
-            product = eng._conv_forward
+            a = eng._conv_forward(h, w) + b
         else:
-            product = np.matmul
-            if h.ndim > 2:
-                h, h_l = h.reshape(n, -1), h_l.reshape(n, -1)
-                if h_e is not None:
-                    h_e, h_el = h_e.reshape(n, -1), h_el.reshape(n, -1)
-        # [h; h_l] against [w | vw] gives h w, h vw, h_l w and h_l vw at once
-        cout = w.shape[-1]
-        both = product(np.concatenate([h, h_l]), np.concatenate([w, vw], axis=-1))
-        a, a_e = both[:n, ..., :cout] + b, both[:n, ..., cout:] + vb
-        a_l, a_el = both[n:, ..., :cout], both[n:, ..., cout:]
+            h = h.reshape(len(h), -1)
+            a = h @ w + b
+        d1 = d2 = None
+        if layer.activation is not None:
+            a, d1, d2 = ACTIVATION_DERIVATIVES[layer.activation](a)
+        tape.append((layer, h, w, shape, d1, d2))
+        h = a
+    return h, tape
+
+
+def forward_tangents(tape, dx, direction: Mapping[str, np.ndarray]):
+    """(da/deps, da/dt, d2a/(deps dt)) at eps = t = 0 for the logits a of the
+    pass that ``tape`` (a ``_forward`` tape) recorded at theta and x, with
+    theta moved to theta + eps * direction and x to x + t * dx. Each layer
+    carries these three parts (hyper-dual numbers) and reads its input,
+    weight, f' and f'' from the tape; the primal pass is not run again."""
+    h_l = np.asarray(dx, dtype=np.float64)
+    h_e = h_el = None   # the input does not move with eps
+    for i, (layer, h, w, _, d1, d2) in enumerate(tape):
+        product = eng._conv_forward if isinstance(layer, Conv) else np.matmul
+        vw, vb = direction[f"layer{i}.w"], direction[f"layer{i}.b"]
+        a_e, cout = product(h, vw) + vb, w.shape[-1]
+        # h_l against [w | vw] gives h_l w and h_l vw at once
+        both = product(h_l.reshape(h.shape), np.concatenate([w, vw], axis=-1))
+        a_l, a_el = both[..., :cout], both[..., cout:]
         if h_e is not None:
-            moved = product(np.concatenate([h_e, h_el]), w)
-            a_e, a_el = a_e + moved[:n], a_el + moved[n:]
-        if layer.activation is None:
-            h, h_e, h_l, h_el = a, a_e, a_l, a_el
-            continue
-        h, d1, d2 = ACTIVATION_DERIVATIVES[layer.activation](a)
-        h_e, h_l, h_el = d1 * a_e, d1 * a_l, d1 * a_el
+            moved = product(np.concatenate([h_e.reshape(h.shape),
+                                            h_el.reshape(h.shape)]), w)
+            a_e, a_el = a_e + moved[:len(h)], a_el + moved[len(h):]
+        h_e, h_l, h_el = a_e, a_l, a_el
+        if d1 is not None:
+            h_e, h_l, h_el = d1 * a_e, d1 * a_l, d1 * a_el
         if d2 is not None:
             h_el += d2 * a_e * a_l
-    return h, h_e, h_l, h_el
+    return h_e, h_l, h_el
 
 
 def clone_for_meta(model: ModelState) -> ModelState:
@@ -251,22 +264,24 @@ def param_gradients(loss: Tensor, model: ModelState) -> dict[str, Tensor]:
 
 
 def loss_and_gradients(model: ModelState, batches,
-                       params: Mapping[str, np.ndarray] | None = None
-                       ) -> tuple[float, dict[str, np.ndarray]]:
+                       params: Mapping[str, np.ndarray] | None = None):
     """The sum of weight * mean cross-entropy over ``[(x, y, weight), ...]``
     and its gradient for every parameter, in numpy; ``params`` overrides the
     model's own parameter values.
 
-    Per batch, one forward pass keeps each layer's input and f', and one
-    reverse pass applies the engine's vjp rules; batches add up in order.
-    Loss and gradients are bit for bit those of ``eng.backward`` on the same
-    loss built from engine primitives, and no graph is recorded. A
-    non-finite loss or gradient raises NonFiniteError.
+    Per batch, one ``_forward`` and a reverse pass over its tape with the
+    engine's vjp rules; batches add up in order. Returns (loss, gradients,
+    each batch's (logits, tape)), the tapes for ``forward_tangents``. Loss
+    and gradients are bit for bit those of ``eng.backward`` on the same loss
+    built from engine primitives. A non-finite loss or gradient raises
+    NonFiniteError.
     """
     p = {n: t.data for n, t in model.params.items()} if params is None else params
-    total, grads = None, {}
+    total, grads, passes = None, {}, []
     for x, y, weight in batches:
-        loss, batch_grads = _batch_loss_and_gradients(model, p, x, y, weight)
+        logits, tape = _forward(model, p, x)
+        loss, batch_grads = _reverse(tape, logits, y, weight)
+        passes.append((logits, tape))
         total = loss if total is None else total + loss
         for name, g in batch_grads.items():
             held = grads.get(name)
@@ -276,35 +291,17 @@ def loss_and_gradients(model: ModelState, batches,
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise eng.NonFiniteError(f"gradient of '{name}' is not finite")
-    return float(total), grads
+    return float(total), grads, passes
 
 
-def _batch_loss_and_gradients(model: ModelState, p, x, y, weight: float):
-    h = np.asarray(x, dtype=np.float64)
+def _reverse(tape, logits, y, weight: float):
+    """weight * mean cross-entropy of ``logits`` against ``y`` and its
+    parameter gradients, back along a ``_forward`` tape."""
     y = np.asarray(y, dtype=np.float64)
-    if h.shape[1:] != model.arch.input_shape:
-        raise ShapeError(f"forward: batch shape {h.shape} does not match "
-                         f"input {model.arch.input_shape}")
-    n = len(h)
-    tape = []   # per layer: layer, input, weight, pre-flatten shape, f'
-    for i, layer in enumerate(model.arch.layers):
-        w, b = p[f"layer{i}.w"], p[f"layer{i}.b"]
-        shape = h.shape
-        if isinstance(layer, Conv):
-            a = eng._conv_forward(h, w) + b
-        else:
-            if h.ndim > 2:
-                h = h.reshape(n, -1)
-            a = h @ w + b
-        d1 = None
-        if layer.activation is not None:
-            a, d1, _ = ACTIVATION_DERIVATIVES[layer.activation](a)
-        tape.append((layer, h, w, shape, d1))
-        h = a
-    if h.shape != y.shape:
-        raise ShapeError(f"cross_entropy: logits {h.shape} vs labels {y.shape}")
-    ls = eng._log_softmax(h)
-    c = -1.0 / n
+    if logits.shape != y.shape:
+        raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {y.shape}")
+    ls = eng._log_softmax(logits)
+    c = -1.0 / len(logits)
     loss = (y * ls).sum() * c
     if weight != 1.0:
         loss = loss * weight
@@ -313,7 +310,7 @@ def _batch_loss_and_gradients(model: ModelState, p, x, y, weight: float):
     u = (weight * c) * y
     u = u - np.exp(ls) * u.sum(axis=1, keepdims=True)
     grads = {}
-    for i, (layer, h, w, shape, d1) in reversed(list(enumerate(tape))):
+    for i, (layer, h, w, shape, d1, _) in reversed(list(enumerate(tape))):
         if d1 is not None:
             u = u * d1
         grads[f"layer{i}.b"] = u.sum(axis=tuple(range(u.ndim - 1)))
@@ -392,15 +389,22 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return eng.scale(eng.sum_reduce(eng.mul(labels, ls)), -1.0 / logits.shape[0])
 
 
-def predict(model: ModelState, x, batch: int = 512) -> np.ndarray:
-    """Argmax class per row, evaluated without recording a graph."""
+INFERENCE_BATCH = 512   # rows per engine forward in batched_logits
+
+
+def batched_logits(model: ModelState, x) -> np.ndarray:
+    """Logits of every row of ``x``, INFERENCE_BATCH rows per engine forward,
+    without recording a graph."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty(len(x), dtype=np.int64)
     with eng.no_grad():
-        for lo in range(0, len(x), batch):
-            logits = forward(model, x[lo:lo + batch]).data
-            out[lo:lo + batch] = logits.argmax(axis=1)
-    return out
+        parts = [forward(model, x[lo:lo + INFERENCE_BATCH]).data
+                 for lo in range(0, len(x), INFERENCE_BATCH)]
+    return np.concatenate(parts) if parts else np.empty((0, model.arch.n_classes))
+
+
+def predict(model: ModelState, x) -> np.ndarray:
+    """Argmax class per row, evaluated without recording a graph."""
+    return batched_logits(model, x).argmax(axis=1)
 
 
 def error_rate(model: ModelState, x, y: np.ndarray) -> float:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine as eng
 from . import meta, nets
 from .data import Dataset, Splits
 from .meta import TrainConfig, TrainingReport
@@ -38,26 +37,18 @@ class PseudoBatch:
         return len(self.indices)
 
 
-def assign_pseudo_labels(model: ModelState, inputs, sigma_t: float,
-                         batch: int = 512) -> PseudoBatch:
+def assign_pseudo_labels(model: ModelState, inputs, sigma_t: float) -> PseudoBatch:
     """Label a pool with the model's argmax class (ties resolve to the lowest
     class index); accept rows whose confidence strictly exceeds sigma_t."""
     if not 0.0 < sigma_t <= 1.0:
         raise ValueError(f"sigma_t must be in (0, 1], got {sigma_t}")
     x = meta.shape_for(model.arch, np.asarray(inputs, dtype=np.float64))
-    n = len(x)
-    conf = np.empty(n)
-    pred = np.empty(n, dtype=np.int64)
-    with eng.no_grad():
-        for lo in range(0, n, batch):
-            logits = nets.forward(model, x[lo:lo + batch]).data
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=1, keepdims=True)
-            conf[lo:lo + batch] = probs.max(axis=1)
-            pred[lo:lo + batch] = probs.argmax(axis=1)
+    logits = nets.batched_logits(model, x)
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    conf = probs.max(axis=1)
     idx = np.flatnonzero(conf > sigma_t)
-    labels = nets.one_hot(pred[idx], model.arch.n_classes)
+    labels = nets.one_hot(probs.argmax(axis=1)[idx], model.arch.n_classes)
     return PseudoBatch(inputs=x[idx], labels=labels, confidences=conf, indices=idx)
 
 

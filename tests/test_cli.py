@@ -203,6 +203,7 @@ REJECTED_SETTINGS = {
     "limit-train": (["--limit-train", "0"], 2, "--limit-train"),
     "limit-train-synthetic": (["--limit-train", "5"], 2, "--per-class"),
     "arch-zero": (["--arch", "mlp:0"], 2, "--arch"),
+    "data": (["--data", "bogus"], 2, "unknown data source 'bogus'"),
     "separation-nan": (["--separation", "nan"], 3, "separation"),
     "corrupt-nan": (["--corrupt", "nan"], 3, "corrupt"),
     "test-per-class": (["--test-per-class", "-1"], 3, "--test-per-class must be >= 1"),
@@ -401,6 +402,20 @@ class TestHostileCheckpoints:
         self.expect_data_error(capsys, str(path), "input size 5", "row size 8")
 
 
+def write_even_kernel_checkpoint(path):
+    """A checkpoint of a 4x4 conv net on (5, 2, 1) rows, a kernel size the
+    conv passes do not run; every array has the shape its architecture
+    implies."""
+    layers = [{"kind": "conv", "kernel": 4, "channels": 2, "activation": "relu"},
+              {"kind": "dense", "width": 2, "activation": None}]
+    shapes = {"layer0.w": (4, 4, 1, 2), "layer0.b": (2,),
+              "layer1.w": (20, 2), "layer1.b": (2,)}
+    np.savez(path, __arch__=np.array(json.dumps({"input_shape": [5, 2, 1],
+                                                 "layers": layers})),
+             **{f"{kind}:{name}": np.full(shape, 0.1)
+                for kind in ("p", "m") for name, shape in shapes.items()})
+
+
 class TestAuditRejections:
     """A rejected audit exits with its code and creates no output directory."""
 
@@ -411,11 +426,14 @@ class TestAuditRejections:
         (2, ["--arch", "cnn3"]),
         (2, ["--arch", "mlp:0"]),
         (2, ["--seed", "-1"]),
+        (2, ["--data", "bogus"]),
         (3, ["--model", "{tmp}/absent.npz"]),
+        (3, ["--model", "{tmp}/even-kernel.npz"]),
         (4, ["--field", "quadratic", "--diag", "nan,1"]),
     ], ids=["n-pairs", "safety", "safety-nan", "arch", "arch-zero", "seed",
-            "checkpoint", "diag"])
+            "data", "checkpoint", "checkpoint-even-kernel", "diag"])
     def test_exit_code_and_no_output_dir(self, tmp_path, capsys, code, reject):
+        write_even_kernel_checkpoint(tmp_path / "even-kernel.npz")
         out = tmp_path / "audit"
         argv = ["audit", "--out", str(out), "--per-class", "20", "--n-pairs", "50",
                 *(arg.format(tmp=tmp_path) for arg in reject)]

@@ -292,6 +292,35 @@ def test_train_step_records_no_graph(kind, mode, monkeypatch):
     assert backward_calls == [] and clones == [] and graph_nodes == []
 
 
+@pytest.mark.parametrize("kind", ["supervised", "pseudo"])
+def test_hypergradient_reuses_the_inner_tape(kind, monkeypatch):
+    """One numpy forward per loss: a forward per inner group and one for the
+    validation batch; the two-tangent pass reads the inner tapes."""
+    model, labeled, val, pseudo = _step_inputs(kind)
+    rng = np.random.default_rng(22)
+    groups = [(x, y, mixing.sample_pairing(len(x), rng), 1.0)
+              for x, y in [labeled] + ([pseudo] if pseudo is not None else [])]
+    forwards, during_tangents = [], []
+    real_forward, real_tangents = nets._forward, nets.forward_tangents
+
+    def spy_forward(*args):
+        forwards.append(args)
+        return real_forward(*args)
+
+    def spy_tangents(*args):
+        before = len(forwards)
+        result = real_tangents(*args)
+        during_tangents.append(len(forwards) - before)
+        return result
+
+    monkeypatch.setattr(nets, "_forward", spy_forward)
+    monkeypatch.setattr(nets, "forward_tangents", spy_tangents)
+    policy = mixing.init_policy(sum(len(g[0]) for g in groups), rng)
+    meta.hypergradient(model, groups, policy, val, 0.1)
+    assert len(forwards) == len(groups) + 1
+    assert during_tangents == [0] * len(groups)
+
+
 @pytest.mark.parametrize("mode", meta.MODES)
 def test_overflowing_input_raises_non_finite(mode):
     # a relu net passes the overflow on, so the logits are not finite
@@ -343,7 +372,7 @@ def test_numpy_loss_and_gradients_equal_the_engine_bitwise(case):
     mixed = meta._mix_groups(groups, rng.uniform(size=sum(sizes)))
     reference = meta._mixed_loss(model, mixed, model.params)
     expected = nets.param_gradients(reference, model)
-    loss, grads = nets.loss_and_gradients(model, mixed)
+    loss, grads, _ = nets.loss_and_gradients(model, mixed)
     assert loss == reference.item()
     assert grads.keys() == expected.keys()
     for name, g in grads.items():

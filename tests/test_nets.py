@@ -35,6 +35,18 @@ class TestBuild:
         with pytest.raises(ShapeError):
             Architecture((16,), (Conv(3, 4), Dense(2)))
 
+    @pytest.mark.parametrize("input_shape, layers", [
+        ((8, 8, 1), (Conv(4, 2), Dense(2))),
+        ((8, 8, 1), (Conv(7, 2), Dense(2))),
+        ((8, 8, 1), (Conv(3, 2), Conv(2, 2), Dense(2))),
+        ((0,), (Dense(4, "tanh"), Dense(2))),
+        ((8, 0, 1), (Conv(3, 2), Dense(2))),
+    ], ids=["even-kernel", "kernel-7", "second-kernel-even", "zero-input",
+            "zero-image-width"])
+    def test_unrunnable_kernel_or_input_size_rejected(self, input_shape, layers):
+        with pytest.raises(ShapeError):
+            Architecture(input_shape, layers)
+
     def test_batch_shape_validated(self):
         model = nets.build_model(small_mlp(), np.random.default_rng(0))
         with pytest.raises(ShapeError, match="batch shape"):
