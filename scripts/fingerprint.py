@@ -1,4 +1,5 @@
-"""Bit-identity fingerprints of seeded training runs on the benchmark setups.
+"""Bit-identity fingerprints of seeded training runs and smoothness audits on
+the benchmark setups.
 
 For each (workload setup, seed, mode) the script trains once and prints one
 line holding two sha256 digests: one of every ``EpochRecord`` field except
@@ -17,6 +18,13 @@ and so does metamixup on the sup-mlp setup with each net of ``ACTIVATIONS``
 (4 lines), which trains the activations no benchmark setup uses; the MLP
 setups are cut to ``EPOCHS`` epochs, cnn-synth keeps its single epoch of
 three steps.
+
+Then come the audit lines. The audit-softplus net at each seed in
+``AUDIT_SEEDS`` estimates kappa from ``AUDIT_PAIRS`` pairs and is audited over
+as many fresh pairs at each factor of ``AUDIT_FACTORS`` times the estimate.
+Below 1 several channels violate the bound, so each line also pins which
+channel is reported: channel 0 at seeds 0 and 1, channels 1 and 2 at seed 3.
+One line audits a quadratic at its estimated constant.
 """
 
 from __future__ import annotations
@@ -30,7 +38,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from metamix import meta, nets, semi  # noqa: E402
+import numpy as np  # noqa: E402
+
+from metamix import meta, nets, semi, smoothness  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 CASES = {
@@ -42,6 +52,9 @@ CASES = {
 ACTIVATIONS = ("sigmoid", "softplus")
 SEEDS = (0, 1)
 EPOCHS = 2
+AUDIT_SEEDS = (0, 1, 3)
+AUDIT_PAIRS = 2_000
+AUDIT_FACTORS = (0.3, 1.2)
 
 
 def digest_records(records) -> str:
@@ -79,6 +92,43 @@ def fingerprint(name: str, seed: int, mode: str, activation: str | None = None) 
             f"state={digest_state(report.model)}")
 
 
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.tobytes() if isinstance(part, np.ndarray)
+                 else json.dumps(part, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def audit_fingerprint(seed: int) -> str:
+    """The audit-softplus net's kappa estimate and its audits."""
+    inputs = WORKLOADS["audit-softplus"].setup(seed)
+    sampler = lambda n, r: smoothness.sample_pairs(inputs.pool, n, r)
+    est = smoothness.estimate_kappa_network(
+        inputs.model, sampler, AUDIT_PAIRS, np.random.default_rng(seed + 1))
+    line = (f"audit-softplus seed={seed} pairs={AUDIT_PAIRS} estimate="
+            + digest(est.kappa, list(est.per_channel), est.n_pairs,
+                     est.distance_min, est.distance_mean, est.distance_max))
+    fresh = sampler(AUDIT_PAIRS, np.random.default_rng(seed + 2))
+    for factor in AUDIT_FACTORS:
+        rep, channel = smoothness.audit_network(inputs.model, factor * est.kappa, fresh)
+        line += f" audit@{factor}=" + digest(rep.rows, rep.worst_pair, rep.violations,
+                                             rep.max_ratio, channel)
+    return line
+
+
+def quadratic_fingerprint() -> str:
+    """diag(1, 3, 0.5) audited at its kappa estimate."""
+    field = smoothness.QuadraticField(np.diag([1.0, 3.0, 0.5]))
+    pool = np.random.default_rng(0).normal(size=(200, 3), scale=2.0)
+    sampler = lambda n, r: smoothness.sample_pairs(pool, n, r)
+    est = smoothness.estimate_kappa(field, sampler, AUDIT_PAIRS, np.random.default_rng(1))
+    rep = smoothness.audit_gap_bound(field, est.kappa,
+                                     sampler(AUDIT_PAIRS, np.random.default_rng(2)))
+    return (f"quadratic pairs={AUDIT_PAIRS} "
+            f"audit={digest(est.kappa, rep.rows, rep.worst_pair)}")
+
+
 def main() -> None:
     for name, modes in CASES.items():
         for seed in SEEDS:
@@ -87,6 +137,9 @@ def main() -> None:
     for activation in ACTIVATIONS:
         for seed in SEEDS:
             print(fingerprint("sup-mlp", seed, "metamixup", activation), flush=True)
+    for seed in AUDIT_SEEDS:
+        print(audit_fingerprint(seed), flush=True)
+    print(quadratic_fingerprint(), flush=True)
 
 
 if __name__ == "__main__":

@@ -355,7 +355,7 @@ def cmd_ssl(opts: dict) -> int:
 
 
 def _audit_field(opts: dict, rng: np.random.Generator):
-    """Returns (anchors, target) where target is a scalar field or a model."""
+    """Returns (anchors, field): a quadratic or a network's logits."""
     if opts["field"] == "quadratic":
         try:
             diag = np.array([float(v) for v in opts["diag"].split(",")])
@@ -391,7 +391,7 @@ def _audit_field(opts: dict, rng: np.random.Generator):
                 nets.Dense(l.width, "softplus" if l.activation else None)
                 for l in arch.layers))
         model = nets.build_model(arch, rng)
-    return anchors, model
+    return anchors, smoothness.LogitField(model)
 
 
 def cmd_audit(opts: dict) -> int:
@@ -400,27 +400,21 @@ def cmd_audit(opts: dict) -> int:
     if not 0.0 <= opts["safety"] < np.inf:
         raise ConfigError(f"--safety must be finite and >= 0, got {opts['safety']}")
     rng = np.random.default_rng(opts["seed"])
-    anchors, target = _audit_field(opts, rng)
+    anchors, field = _audit_field(opts, rng)
     sampler = lambda n, r: smoothness.sample_pairs(anchors, n, r)
-    est_rng = np.random.default_rng(opts["seed"] + 1)
-    fresh_rng = np.random.default_rng(opts["seed"] + 2)
-    if isinstance(target, nets.ModelState):
-        estimate = smoothness.estimate_kappa_network(
-            target, sampler, opts["n_pairs"], est_rng)
-        kappa = opts["safety"] * estimate.kappa
-        report, channel = smoothness.audit_network(
-            target, kappa, sampler(opts["n_pairs"], fresh_rng))
-    else:
+    try:
         estimate = smoothness.estimate_kappa(
-            target, sampler, opts["n_pairs"], est_rng)
-        kappa = opts["safety"] * estimate.kappa
-        report = smoothness.audit_gap_bound(
-            target, kappa, sampler(opts["n_pairs"], fresh_rng))
-        channel = None
+            field, sampler, opts["n_pairs"], np.random.default_rng(opts["seed"] + 1))
+    except ValueError as exc:   # only a sample of x == x' pairs raises it
+        raise DataError(f"--n-pairs {opts['n_pairs']}: {exc}; sample more pairs "
+                        f"or from more data rows")
+    kappa = opts["safety"] * estimate.kappa
+    report = smoothness.audit_gap_bound(
+        field, kappa, sampler(opts["n_pairs"], np.random.default_rng(opts["seed"] + 2)))
     out = _out_dir(opts, "audit")
     _echo_config(out, opts, "audit")
     payload = {"estimate": asdict(estimate), "safety": opts["safety"],
-               "audited_kappa": kappa, "worst_channel": channel,
+               "audited_kappa": kappa, "worst_channel": report.channel,
                **report.summary()}
     (out / "audit.json").write_text(json.dumps(payload, indent=2) + "\n")
     smoothness.write_audit_csv(report, out / "pairs.csv")

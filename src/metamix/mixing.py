@@ -38,8 +38,7 @@ class InterpolationPolicy:
         return eng.sigmoid(self.logits)
 
     def lambda_values(self) -> np.ndarray:
-        with eng.no_grad():
-            return eng.sigmoid(self.logits).data
+        return eng._sigmoid_values(self.logits.data)
 
 
 def init_policy(batch_size: int, rng: np.random.Generator) -> InterpolationPolicy:

@@ -8,7 +8,10 @@ For a scalar field f whose gradient is kappa-Lipschitz,
 holds for every pair and every lam in [0, 1]. This module estimates kappa
 empirically, evaluates the left side (the "gap") over sampled pairs and a
 lam grid, and counts violations of the bound. Everything here works on
-batches of flattened points, shape [n, d].
+batches of flattened points, shape [n, d]. A field has one channel (values
+[n], gradients [n, d]) or k channels (values [n, k], gradients [k, n, d]),
+such as a network's logits; the bound is checked per channel and the audit
+reports the worst one.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ GAP_SLACK = 1e-12
 
 
 class ScalarField(Protocol):
-    """Batched scalar field: values [n] and gradients [n, d] from points [n, d]."""
+    """Batched field of points [n, d]: values [n] and gradients [n, d] for one
+    channel, values [n, k] and gradients [k, n, d] for k channels."""
 
     def value(self, points: np.ndarray) -> np.ndarray: ...
 
@@ -66,23 +70,18 @@ class QuadraticField:
 
 
 class LogitField:
-    """One output channel of a network as a scalar field of the input.
+    """A network's logits as a k-channel field of the input.
 
-    Gradients come from one backward pass over the whole batch: rows are
-    independent, so the gradient of the summed channel is the per-row
-    gradient stack. Meaningful kappa estimates need smooth activations
-    (softplus, tanh, sigmoid); relu gradients are piecewise constant.
+    Gradients come from one recorded forward over the whole batch and one
+    backward pass per channel: rows are independent, so the gradient of the
+    summed channel is the per-row gradient stack. Meaningful kappa estimates
+    need smooth activations (softplus, tanh, sigmoid); relu gradients are
+    piecewise constant.
     """
 
-    def __init__(self, model: ModelState, channel: int):
-        n_out = model.arch.layers[-1].width
-        if not 0 <= channel < n_out:
-            raise ValueError(f"channel {channel} out of range for {n_out} outputs")
+    def __init__(self, model: ModelState):
         self.model = model
-        self.channel = channel
         self.input_shape = model.arch.input_shape
-        self._pick = np.zeros((n_out, 1))
-        self._pick[channel, 0] = 1.0
 
     def _batched(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
@@ -90,19 +89,17 @@ class LogitField:
 
     def value(self, points: np.ndarray) -> np.ndarray:
         with eng.no_grad():
-            logits = nets.forward(self.model, self._batched(points))
-        return logits.data[:, self.channel].copy()
+            return nets.forward(self.model, self._batched(points)).data
 
     def grad(self, points: np.ndarray) -> np.ndarray:
         x = Tensor(self._batched(points), requires_grad=True)
         logits = nets.forward(self.model, x)
-        total = eng.sum_reduce(eng.matmul(logits, Tensor(self._pick)))
-        (gx,) = eng.backward(total, [x])
-        return gx.data.reshape(len(gx.data), -1)
-
-
-def logit_fields(model: ModelState) -> list[LogitField]:
-    return [LogitField(model, c) for c in range(model.arch.layers[-1].width)]
+        grads = []
+        for pick in np.eye(logits.shape[1])[:, :, None]:
+            total = eng.sum_reduce(eng.matmul(logits, Tensor(pick)))
+            (gx,) = eng.backward(total, [x])
+            grads.append(gx.data.reshape(len(gx.data), -1))
+        return np.stack(grads)
 
 
 def _as_pair_batch(x, x_prime):
@@ -116,7 +113,8 @@ def _as_pair_batch(x, x_prime):
 def mixup_gap(field: ScalarField, x, x_prime, lam: float) -> np.ndarray | float:
     """|f(lam x + (1-lam) x') - [lam f(x) + (1-lam) f(x')]| per pair.
 
-    Vector inputs give a float; [n, d] batches give an [n] array."""
+    Vector inputs give a float; [n, d] batches give an [n] array. A k-channel
+    field gives [k] and [n, k] instead."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0, 1], got {lam}")
     scalar = np.asarray(x).ndim == 1
@@ -125,7 +123,9 @@ def mixup_gap(field: ScalarField, x, x_prime, lam: float) -> np.ndarray | float:
                  - (lam * field.value(bx) + (1.0 - lam) * field.value(bp)))
     if not np.all(np.isfinite(gap)):
         raise NonFiniteError("field evaluation produced a non-finite gap")
-    return float(gap[0]) if scalar else gap
+    if scalar:
+        return float(gap[0]) if gap.ndim == 1 else gap[0]
+    return gap
 
 
 def gap_bound(kappa: float, lam, distance) -> np.ndarray:
@@ -157,29 +157,34 @@ PairSampler = Callable[[int, np.random.Generator], tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class KappaEstimate:
+    """The worst channel's constant; ``per_channel`` holds every channel's."""
     kappa: float
     n_pairs: int
     distance_min: float
     distance_mean: float
     distance_max: float
-    per_channel: tuple[float, ...] | None = None
+    per_channel: tuple[float, ...]
 
 
 def kappa_from_pairs(field: ScalarField, x: np.ndarray,
                      x_prime: np.ndarray) -> KappaEstimate:
-    """max ||grad f(x) - grad f(x')|| / ||x - x'|| over the given pairs.
-    A lower bound of the true constant; degenerate pairs (x = x') are skipped."""
+    """max ||grad f(x) - grad f(x')|| / ||x - x'|| over the given pairs, per
+    channel. A lower bound of the true constant; degenerate pairs (x = x')
+    are skipped."""
     x, x_prime = _as_pair_batch(x, x_prime)
     dist = np.linalg.norm(x - x_prime, axis=1)
     keep = dist > 0
     if not keep.any():
         raise ValueError("all pairs are degenerate (x == x')")
-    diff = np.linalg.norm(field.grad(x[keep]) - field.grad(x_prime[keep]), axis=1)
     d = dist[keep]
+    m, dim = len(d), x.shape[1]
+    diff = np.linalg.norm(field.grad(x[keep]).reshape(-1, m, dim)
+                          - field.grad(x_prime[keep]).reshape(-1, m, dim), axis=2)
+    per_channel = tuple(float(c.max()) for c in diff / d)
     return KappaEstimate(
-        kappa=float((diff / d).max()), n_pairs=int(keep.sum()),
+        kappa=max(per_channel), n_pairs=m,
         distance_min=float(d.min()), distance_mean=float(d.mean()),
-        distance_max=float(d.max()))
+        distance_max=float(d.max()), per_channel=per_channel)
 
 
 def estimate_kappa(field: ScalarField, sampler: PairSampler, n_pairs: int,
@@ -189,22 +194,17 @@ def estimate_kappa(field: ScalarField, sampler: PairSampler, n_pairs: int,
 
 def estimate_kappa_network(model: ModelState, sampler: PairSampler,
                            n_pairs: int, rng: np.random.Generator) -> KappaEstimate:
-    """Worst channel over a shared pair sample; per-channel values retained."""
-    x, x_prime = sampler(n_pairs, rng)
-    estimates = [kappa_from_pairs(f, x, x_prime) for f in logit_fields(model)]
-    worst = max(estimates, key=lambda e: e.kappa)
-    return KappaEstimate(
-        kappa=worst.kappa, n_pairs=worst.n_pairs,
-        distance_min=worst.distance_min, distance_mean=worst.distance_mean,
-        distance_max=worst.distance_max,
-        per_channel=tuple(e.kappa for e in estimates))
+    """``estimate_kappa`` of the model's logits."""
+    return estimate_kappa(LogitField(model), sampler, n_pairs, rng)
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Outcome of checking the bound over pairs x lam grid.
+    """Outcome of checking the bound over pairs x lam grid, for the worst
+    channel: most violations, highest max ratio breaking ties, the first
+    channel winning exact ties.
 
-    ``rows`` is the flat evaluation table, one row per (pair, lam):
+    ``rows`` is that channel's flat evaluation table, one row per (pair, lam):
     columns (distance, lam, gap, bound). ``max_ratio`` is gap/bound over
     rows with a positive bound; a zero bound with a real gap counts as a
     violation directly (ratio undefined)."""
@@ -215,6 +215,7 @@ class AuditReport:
     violations: int
     worst_pair: dict
     rows: np.ndarray
+    channel: int
 
     def summary(self) -> dict:
         return {
@@ -226,7 +227,8 @@ class AuditReport:
 
 def audit_gap_bound(field: ScalarField, kappa: float, pairs,
                       lam_grid: tuple[float, ...] = LAMBDA_GRID) -> AuditReport:
-    """Evaluate the gap against the bound for every pair at every lam.
+    """Evaluate the gap against the bound for every pair at every lam, on
+    every channel, and report the worst channel.
 
     Pairs are passed explicitly (from ``sample_pairs`` or hand-built) so a
     caller can append adversarial pairs such as eigendirections. A pair
@@ -237,26 +239,29 @@ def audit_gap_bound(field: ScalarField, kappa: float, pairs,
     x, x_prime = _as_pair_batch(*pairs)
     n = len(x)
     dist = np.linalg.norm(x - x_prime, axis=1)
-    fx, fp = field.value(x), field.value(x_prime)
+    fx, fp = field.value(x).reshape(n, -1), field.value(x_prime).reshape(n, -1)
 
-    rows = np.empty((n * len(lam_grid), 4))
+    # one (lam, pair) row per table row; gaps keep a column per channel
+    lams = np.repeat(np.asarray(lam_grid, dtype=np.float64), n)
+    dists = np.tile(dist, len(lam_grid))
+    bounds = gap_bound(kappa, lams, dists)
+    gaps = np.empty((len(lams), fx.shape[1]))
     for j, lam in enumerate(lam_grid):
-        gap = np.abs(field.value(lam * x + (1.0 - lam) * x_prime)
-                     - (lam * fx + (1.0 - lam) * fp))
-        block = rows[j * n:(j + 1) * n]
-        block[:, 0] = dist
-        block[:, 1] = lam
-        block[:, 2] = gap
-        block[:, 3] = gap_bound(kappa, lam, dist)
-    if not np.all(np.isfinite(rows)):
+        gaps[j * n:(j + 1) * n] = np.abs(
+            field.value(lam * x + (1.0 - lam) * x_prime).reshape(n, -1)
+            - (lam * fx + (1.0 - lam) * fp))
+    if not (np.all(np.isfinite(gaps)) and np.all(np.isfinite(bounds))):
         raise NonFiniteError("audit evaluation produced non-finite values")
 
-    gaps, bounds = rows[:, 2], rows[:, 3]
-    violated = gaps > bounds * (1.0 + RATIO_SLACK) + GAP_SLACK
+    violated = gaps > (bounds * (1.0 + RATIO_SLACK) + GAP_SLACK)[:, None]
     positive = bounds > 0
-    ratios = np.zeros(len(rows))
-    ratios[positive] = gaps[positive] / bounds[positive]
-    worst_row = int(np.argmax(np.where(violated & ~positive, np.inf, ratios)))
+    ratios = np.zeros(gaps.shape)
+    ratios[positive] = gaps[positive] / bounds[positive, None]
+    counts, peaks = violated.sum(axis=0), ratios.max(axis=0)
+    channel = max(range(len(counts)), key=lambda c: (counts[c], peaks[c]))
+    score = np.where(violated[:, channel] & ~positive, np.inf, ratios[:, channel])
+    worst_row = int(np.argmax(score))
+    rows = np.stack([dists, lams, gaps[:, channel], bounds], axis=1)
     worst = {
         "pair_index": worst_row % n, "distance": float(rows[worst_row, 0]),
         "lam": float(rows[worst_row, 1]), "gap": float(rows[worst_row, 2]),
@@ -264,20 +269,16 @@ def audit_gap_bound(field: ScalarField, kappa: float, pairs,
     }
     return AuditReport(
         kappa=float(kappa), n_pairs=n, lam_grid=tuple(lam_grid),
-        max_ratio=float(ratios.max()), violations=int(violated.sum()),
-        worst_pair=worst, rows=rows)
+        max_ratio=float(peaks[channel]), violations=int(counts[channel]),
+        worst_pair=worst, rows=rows, channel=channel)
 
 
 def audit_network(model: ModelState, kappa: float, pairs,
                   lam_grid: tuple[float, ...] = LAMBDA_GRID
                   ) -> tuple[AuditReport, int]:
-    """Audit every logit channel with a shared kappa; return the worst
-    (most violations, highest max ratio breaking ties) and its channel index."""
-    reports = [audit_gap_bound(f, kappa, pairs, lam_grid)
-               for f in logit_fields(model)]
-    worst = max(range(len(reports)),
-                key=lambda c: (reports[c].violations, reports[c].max_ratio))
-    return reports[worst], worst
+    """``audit_gap_bound`` of the model's logits, and the reported channel."""
+    report = audit_gap_bound(LogitField(model), kappa, pairs, lam_grid)
+    return report, report.channel
 
 
 def write_audit_csv(report: AuditReport, path) -> None:

@@ -429,9 +429,11 @@ class TestAuditRejections:
         (2, ["--data", "bogus"]),
         (3, ["--model", "{tmp}/absent.npz"]),
         (3, ["--model", "{tmp}/even-kernel.npz"]),
+        (3, ["--n-pairs", "1", "--per-class", "1", "--classes", "2", "--seed", "4"]),
         (4, ["--field", "quadratic", "--diag", "nan,1"]),
     ], ids=["n-pairs", "safety", "safety-nan", "arch", "arch-zero", "seed",
-            "data", "checkpoint", "checkpoint-even-kernel", "diag"])
+            "data", "checkpoint", "checkpoint-even-kernel", "degenerate-pairs",
+            "diag"])
     def test_exit_code_and_no_output_dir(self, tmp_path, capsys, code, reject):
         write_even_kernel_checkpoint(tmp_path / "even-kernel.npz")
         out = tmp_path / "audit"

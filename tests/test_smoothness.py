@@ -138,35 +138,74 @@ class TestKappaEstimate:
         est = sm.estimate_kappa_network(
             model, lambda n, r: sm.sample_pairs(data, n, r), 500,
             np.random.default_rng(9))
-        assert est.per_channel is not None and len(est.per_channel) == 3
+        assert len(est.per_channel) == 3
         assert est.kappa == max(est.per_channel)
+
+
+class ColumnField:
+    """One logit channel as a one-channel field: values [n], gradients [n, d]."""
+
+    def __init__(self, model, channel):
+        self.field = sm.LogitField(model)
+        self.channel = channel
+
+    def value(self, points):
+        return self.field.value(points)[:, self.channel].copy()
+
+    def grad(self, points):
+        return self.field.grad(points)[self.channel]
 
 
 class TestLogitField:
     def test_value_matches_forward(self):
         model = softplus_net(seed=10)
         x = np.random.default_rng(11).normal(size=(7, 5))
-        logits = nets.forward(model, x).data
-        for c in range(3):
-            assert np.allclose(sm.LogitField(model, c).value(x), logits[:, c])
+        np.testing.assert_array_equal(sm.LogitField(model).value(x),
+                                      nets.forward(model, x).data)
 
     def test_grad_matches_finite_differences(self):
         model = softplus_net(seed=12)
-        field = sm.LogitField(model, 1)
+        field = sm.LogitField(model)
         x = np.random.default_rng(13).normal(size=(3, 5))
         analytic = field.grad(x)
+        assert analytic.shape == (3, 3, 5)
         eps = 1e-6
-        for i in range(3):
-            for j in range(5):
-                hi, lo = x.copy(), x.copy()
-                hi[i, j] += eps
-                lo[i, j] -= eps
-                numeric = (field.value(hi)[i] - field.value(lo)[i]) / (2 * eps)
-                assert analytic[i, j] == pytest.approx(numeric, abs=1e-6)
+        for j in range(5):
+            hi, lo = x.copy(), x.copy()
+            hi[:, j] += eps
+            lo[:, j] -= eps
+            numeric = (field.value(hi) - field.value(lo)) / (2 * eps)
+            np.testing.assert_allclose(analytic[:, :, j], numeric.T, rtol=0, atol=1e-6)
 
-    def test_channel_validated(self):
-        with pytest.raises(ValueError):
-            sm.LogitField(softplus_net(), 3)
+    def test_per_channel_kappa_is_each_columns_estimate(self):
+        model = softplus_net(seed=22)
+        data = np.random.default_rng(23).normal(size=(60, 5))
+        x, xp = sm.sample_pairs(data, 400, np.random.default_rng(24))
+        est = sm.kappa_from_pairs(sm.LogitField(model), x, xp)
+        columns = [sm.kappa_from_pairs(ColumnField(model, c), x, xp) for c in range(3)]
+        assert est.per_channel == tuple(c.kappa for c in columns)
+        assert est.kappa == max(est.per_channel)
+        for column in columns:
+            assert column.per_channel == (column.kappa,)
+            assert (est.n_pairs, est.distance_min, est.distance_mean, est.distance_max) \
+                == (column.n_pairs, column.distance_min, column.distance_mean,
+                    column.distance_max)
+
+    def test_mixup_gap_per_channel(self):
+        model = softplus_net(seed=25)
+        rng = np.random.default_rng(26)
+        x, xp = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
+        gaps = sm.mixup_gap(sm.LogitField(model), x, xp, 0.3)
+        assert gaps.shape == (6, 3)
+        for c in range(3):
+            column = sm.mixup_gap(ColumnField(model, c), x, xp, 0.3)
+            assert column.shape == (6,)
+            np.testing.assert_array_equal(gaps[:, c], column)
+        one = sm.mixup_gap(sm.LogitField(model), x[0], xp[0], 0.3)
+        assert one.shape == (3,)
+        np.testing.assert_array_equal(
+            one, sm.mixup_gap(sm.LogitField(model), x[:1], xp[:1], 0.3)[0])
+        assert isinstance(sm.mixup_gap(ColumnField(model, 1), x[0], xp[0], 0.3), float)
 
 
 class TestAudit:
@@ -208,6 +247,35 @@ class TestAudit:
         report, channel = sm.audit_network(model, 1.2 * est.kappa, fresh)
         assert report.violations == 0
         assert 0 <= channel < 3
+        assert channel == report.channel
+
+    def test_network_audit_is_the_worst_column_audit(self):
+        model = softplus_net(seed=32, classes=4)
+        data = np.random.default_rng(28).normal(size=(80, 5))
+        pairs = sm.sample_pairs(data, 600, np.random.default_rng(29))
+        kappa = sm.kappa_from_pairs(sm.LogitField(model), *pairs).kappa
+        winners = set()
+        for factor in (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.2):
+            report = sm.audit_gap_bound(sm.LogitField(model), factor * kappa, pairs)
+            columns = [sm.audit_gap_bound(ColumnField(model, c), factor * kappa, pairs)
+                       for c in range(4)]
+            assert all(c.channel == 0 for c in columns)
+            worst = max(range(4), key=lambda c: (columns[c].violations,
+                                                 columns[c].max_ratio))
+            expected = columns[worst]
+            assert report.channel == worst
+            assert report.rows.tobytes() == expected.rows.tobytes()
+            assert report.worst_pair == expected.worst_pair
+            assert (report.violations, report.max_ratio) \
+                == (expected.violations, expected.max_ratio)
+            winners.add(worst)
+        assert len(winners) > 1   # the kappas above let different channels win
+
+    def test_one_channel_audit_reports_channel_zero(self):
+        field = quad([1.0, 3.0])
+        pairs = sm.sample_pairs(np.random.default_rng(30).normal(size=(40, 2)),
+                                100, np.random.default_rng(31))
+        assert sm.audit_gap_bound(field, 1.0, pairs).channel == 0
 
     def test_rows_table_shape_and_csv(self, tmp_path):
         field = quad([1.0, 2.0])
