@@ -445,7 +445,11 @@ def _check_kernel(shape) -> int:
 
 
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """[n,h,w,c] -> [n*h*w, k*k*c] patches under same padding, (kh,kw,c) order."""
+    """[n,h,w,c] -> [n*h*w, k*k*c] patches under same padding, (kh,kw,c) order.
+
+    The columns feed the forward GEMM and the weight gradient's; the numpy
+    training pass keeps each conv layer's columns on its tape and builds them
+    once per forward. The input gradient needs none (``_conv_input_grad``)."""
     pad = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
@@ -455,23 +459,47 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return _conv_from_columns(_im2col(x, w.shape[0]), w, x.shape)
+
+
+def _conv_from_columns(cols: np.ndarray, w: np.ndarray, shape) -> np.ndarray:
+    """The conv output [n,h,w,cout] from the ``_im2col`` columns of an input
+    of shape [n,h,w,cin]."""
     k, _, cin, cout = w.shape
-    n, h, wd, _ = x.shape
-    cols = _im2col(x, k)
-    return (cols @ w.reshape(k * k * cin, cout)).reshape(n, h, wd, cout)
+    return (cols @ w.reshape(k * k * cin, cout)).reshape(shape[:3] + (cout,))
 
 
 def _conv_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Correlate the output gradient g [n,h,w,cout] with the spatially
-    flipped, channel-swapped kernel."""
-    return _conv_forward(g, w[::-1, ::-1].transpose(0, 1, 3, 2).copy())
+    flipped, channel-swapped kernel, as k*k shifted GEMMs and no columns.
+
+    With g zero-padded and flattened to rows, row r of the result (indexed
+    over the padded grid) takes tap (p, q) from row r + p*W + q, W the
+    padded width, so each tap is one contiguous slice of rows times a
+    [cout, cin] slice of the flipped kernel. Rows whose taps wrap past an
+    image's edge fall in the padding, which the crop to the valid h x w
+    window drops."""
+    k, _, cin, cout = w.shape
+    n, h, wd, _ = g.shape
+    pad = (k - 1) // 2
+    width = wd + 2 * pad
+    flat = np.pad(g, ((0, 0), (pad, pad), (pad, pad), (0, 0))).reshape(-1, cout)
+    m = len(flat) - (k - 1) * (width + 1)   # the last valid row is row m - 1
+    flip = w[::-1, ::-1]
+    out = np.zeros((len(flat), cin))
+    acc = out[:m]
+    for p in range(k):
+        for q in range(k):
+            s = p * width + q
+            acc += flat[s:s + m] @ flip[p, q].T
+    return out.reshape(n, h + 2 * pad, width, cin)[:, :h, :wd].copy()
 
 
-def _conv_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
-    n, h, wd, cin = x.shape
+def _conv_weight_grad(cols: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """The kernel gradient [k,k,cin,cout] from the input's ``_im2col``
+    columns and the output gradient g [n,h,w,cout]."""
     cout = g.shape[3]
-    cols = _im2col(x, k)  # [n*h*w, k*k*cin]
-    return (cols.T @ g.reshape(n * h * wd, cout)).reshape(k, k, cin, cout)
+    return (cols.T @ g.reshape(len(cols), cout)).reshape(k, k, -1, cout)
 
 
 def conv2d(x, w) -> Tensor:
@@ -517,7 +545,7 @@ def conv2d_weight_grad(x, g, kernel: int) -> Tensor:
     if x.ndim != 4 or g.ndim != 4 or x.shape[:3] != g.shape[:3]:
         raise ShapeError(f"conv2d_weight_grad: shapes {x.shape} and {g.shape}")
     k = _check_kernel((int(kernel), int(kernel), x.shape[3], g.shape[3]))
-    out = _conv_weight_grad(x.data, g.data, k)
+    out = _conv_weight_grad(_im2col(x.data, k), g.data, k)
 
     def vjp(y, u, needs):
         gx = conv2d_input_grad(g, u) if needs[0] else None

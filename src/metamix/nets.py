@@ -4,10 +4,13 @@ Models are deliberately functional: ``forward`` takes an optional parameter
 mapping so a simulated update (new parameter tensors, same architecture) can
 be evaluated without touching the real model. That is the hook the one-step
 meta gradient hangs off. Training walks the same layers once per loss, in
-numpy (``_forward``, which keeps a per-layer tape): ``loss_and_gradients``
-runs a reverse pass over the tape, and ``forward_tangents`` carries two
+numpy (``_forward``, which keeps a per-layer tape of each layer's input,
+a conv layer's as the im2col columns its forward GEMM read):
+``loss_and_gradients`` runs a reverse pass over the tape, taking each conv
+weight gradient from those columns, and ``forward_tangents`` carries two
 tangents along it for the second-order term. The engine's ``forward``
-serves inference (``batched_logits``) and the oracles.
+serves inference (``batched_logits``, in batches bounded by the widest
+layer's bytes) and the oracles.
 """
 
 from __future__ import annotations
@@ -197,9 +200,12 @@ def forward(model: ModelState, x, params: Mapping[str, Tensor] | None = None) ->
 def _forward(model: ModelState, params: Mapping[str, np.ndarray], x):
     """Logits for a batch in numpy, and the tape that the reverse and tangent
     passes read: per layer (layer, its input as the layer sees it, weight,
-    the input's pre-flatten shape, f', f''). f' is None on a layer without
-    activation, f'' on one where it is zero. The values follow the engine's
-    formulas bit for bit, and no graph is recorded."""
+    the input's pre-flatten shape, f', f''). A dense layer sees its input
+    flattened to rows, a conv layer as the ``_im2col`` columns that its
+    forward GEMM reads, so the weight gradient and the tangent pass reuse
+    them. f' is None on a layer without activation, f'' on one where it is
+    zero. The values follow the engine's formulas bit for bit, and no graph
+    is recorded."""
     h = np.asarray(x, dtype=np.float64)
     if h.shape[1:] != model.arch.input_shape:
         raise ShapeError(f"forward: batch shape {h.shape} does not match "
@@ -209,7 +215,8 @@ def _forward(model: ModelState, params: Mapping[str, np.ndarray], x):
         w, b = params[f"layer{i}.w"], params[f"layer{i}.b"]
         shape = h.shape
         if isinstance(layer, Conv):
-            a = eng._conv_forward(h, w) + b
+            h = eng._im2col(h, layer.kernel)
+            a = eng._conv_from_columns(h, w, shape) + b
         else:
             h = h.reshape(len(h), -1)
             a = h @ w + b
@@ -226,20 +233,26 @@ def forward_tangents(tape, dx, direction: Mapping[str, np.ndarray]):
     pass that ``tape`` (a ``_forward`` tape) recorded at theta and x, with
     theta moved to theta + eps * direction and x to x + t * dx. Each layer
     carries these three parts (hyper-dual numbers) and reads its input,
-    weight, f' and f'' from the tape; the primal pass is not run again."""
+    weight, f' and f'' from the tape (a conv layer its input's columns); the
+    primal pass is not run again."""
     h_l = np.asarray(dx, dtype=np.float64)
     h_e = h_el = None   # the input does not move with eps
-    for i, (layer, h, w, _, d1, d2) in enumerate(tape):
-        product = eng._conv_forward if isinstance(layer, Conv) else np.matmul
+    for i, (layer, h, w, shape, d1, d2) in enumerate(tape):
         vw, vb = direction[f"layer{i}.w"], direction[f"layer{i}.b"]
-        a_e, cout = product(h, vw) + vb, w.shape[-1]
+        if isinstance(layer, Conv):   # h holds the input's columns
+            product, rows = eng._conv_forward, shape
+            a_e = eng._conv_from_columns(h, vw, shape) + vb
+        else:
+            product, rows = np.matmul, h.shape
+            a_e = h @ vw + vb
+        cout = w.shape[-1]
         # h_l against [w | vw] gives h_l w and h_l vw at once
-        both = product(h_l.reshape(h.shape), np.concatenate([w, vw], axis=-1))
+        both = product(h_l.reshape(rows), np.concatenate([w, vw], axis=-1))
         a_l, a_el = both[..., :cout], both[..., cout:]
         if h_e is not None:
-            moved = product(np.concatenate([h_e.reshape(h.shape),
-                                            h_el.reshape(h.shape)]), w)
-            a_e, a_el = a_e + moved[:len(h)], a_el + moved[len(h):]
+            moved = product(np.concatenate([h_e.reshape(rows),
+                                            h_el.reshape(rows)]), w)
+            a_e, a_el = a_e + moved[:rows[0]], a_el + moved[rows[0]:]
         h_e, h_l, h_el = a_e, a_l, a_el
         if d1 is not None:
             h_e, h_l, h_el = d1 * a_e, d1 * a_l, d1 * a_el
@@ -314,7 +327,7 @@ def _reverse(tape, logits, y, weight: float):
         if d1 is not None:
             u = u * d1
         grads[f"layer{i}.b"] = u.sum(axis=tuple(range(u.ndim - 1)))
-        if isinstance(layer, Conv):
+        if isinstance(layer, Conv):   # h holds the input's columns
             grads[f"layer{i}.w"] = eng._conv_weight_grad(h, u, layer.kernel)
             if i:
                 u = eng._conv_input_grad(u, w)
@@ -389,16 +402,31 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return eng.scale(eng.sum_reduce(eng.mul(labels, ls)), -1.0 / logits.shape[0])
 
 
-INFERENCE_BATCH = 512   # rows per engine forward in batched_logits
+INFERENCE_ROWS = 512   # most rows per engine forward in batched_logits
+# most bytes of the widest layer input per engine forward in batched_logits:
+# the im2col columns of one 50-row cnn3 batch of 28x28 images
+INFERENCE_BYTES = 50 * (28 * 28) * (3 * 3 * 16) * 8
+
+
+def inference_rows(arch: Architecture) -> int:
+    """Rows per engine forward in ``batched_logits``: INFERENCE_ROWS, or fewer
+    where the widest layer input would pass INFERENCE_BYTES. A dense layer's
+    input is its fan-in per row, a conv layer's its im2col columns, fan-in
+    times the image's pixels; so an MLP on up to 11k inputs takes
+    INFERENCE_ROWS, and cnn3 on 28x28 images 50."""
+    pixels = math.prod(arch.input_shape[:2]) if len(arch.input_shape) == 3 else 1
+    widest = max(fan_in * (pixels if len(w_shape) == 4 else 1)
+                 for _, w_shape, _, fan_in in _layer_shapes(arch))
+    return max(1, min(INFERENCE_ROWS, INFERENCE_BYTES // (8 * widest)))
 
 
 def batched_logits(model: ModelState, x) -> np.ndarray:
-    """Logits of every row of ``x``, INFERENCE_BATCH rows per engine forward,
-    without recording a graph."""
+    """Logits of every row of ``x``, ``inference_rows`` rows per engine
+    forward, without recording a graph."""
     x = np.asarray(x, dtype=np.float64)
+    rows = inference_rows(model.arch)
     with eng.no_grad():
-        parts = [forward(model, x[lo:lo + INFERENCE_BATCH]).data
-                 for lo in range(0, len(x), INFERENCE_BATCH)]
+        parts = [forward(model, x[lo:lo + rows]).data for lo in range(0, len(x), rows)]
     return np.concatenate(parts) if parts else np.empty((0, model.arch.n_classes))
 
 

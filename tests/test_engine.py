@@ -413,6 +413,32 @@ class TestConvValues:
                 ref[0, i, j, 0] = np.sum(xp[0, i:i + 3, j:j + 3, :] * w[:, :, :, 0])
         np.testing.assert_allclose(out, ref, rtol=1e-12)
 
+    # (n, h, w, cout, cin, k): both cnn3 input-gradient shapes, kernels 1, 3
+    # and 5, a 1x1 image under k = 5 (its shifted slices are one row long), a
+    # non-square image and a single image
+    @pytest.mark.parametrize("n,h,w,cout,cin,k", [
+        (2, 6, 6, 32, 16, 3), (2, 6, 6, 16, 1, 3), (2, 5, 7, 3, 2, 1),
+        (2, 5, 7, 3, 2, 5), (1, 1, 1, 4, 3, 5), (1, 4, 3, 2, 2, 3),
+    ])
+    def test_input_grad_matches_direct_sum(self, n, h, w, cout, cin, k):
+        rng = np.random.default_rng(12)
+        g = rng.normal(size=(n, h, w, cout))
+        kernel = rng.normal(size=(k, k, cin, cout))
+        got = eng.conv2d_input_grad(Tensor(g), Tensor(kernel)).data
+        # the adjoint of the forward sum: output (i, j) reads input
+        # (i + p - pad, j + q - pad) through tap (p, q)
+        pad = (k - 1) // 2
+        ref = np.zeros((n, h, w, cin))
+        for i in range(h):
+            for j in range(w):
+                for p in range(k):
+                    for q in range(k):
+                        a, b = i + p - pad, j + q - pad
+                        if 0 <= a < h and 0 <= b < w:
+                            ref[:, a, b, :] += g[:, i, j, :] @ kernel[p, q].T
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-12)
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
             eng.conv2d(Tensor(np.zeros((1, 4, 4, 1))), Tensor(np.zeros((2, 2, 1, 1))))

@@ -321,6 +321,56 @@ def test_hypergradient_reuses_the_inner_tape(kind, monkeypatch):
     assert during_tangents == [0] * len(groups)
 
 
+def test_cnn3_step_builds_each_conv_input_columns_once(monkeypatch):
+    """A conv layer's im2col columns ride on the tape: per cnn3 metamixup
+    step, one build per conv layer in each of the three forwards (inner,
+    validation, real update), one per layer for the lambda tangent and one
+    for layer 1's moved tangents: 9. The reverse passes build none."""
+    model, labeled, val, _ = _step_inputs("cnn3")
+    builds, in_reverse = [], []
+    real_im2col, real_reverse = eng._im2col, nets._reverse
+
+    def spy_im2col(x, k):
+        builds.append(len(x))
+        return real_im2col(x, k)
+
+    def spy_reverse(*args):
+        before = len(builds)
+        result = real_reverse(*args)
+        in_reverse.append(len(builds) - before)
+        return result
+
+    monkeypatch.setattr(eng, "_im2col", spy_im2col)
+    monkeypatch.setattr(nets, "_reverse", spy_reverse)
+    meta.train_step(model, labeled, val, run_config(mode="metamixup", batch_size=6),
+                    np.random.default_rng(23), lr=0.1)
+    assert len(builds) == 9
+    assert in_reverse == [0, 0, 0]
+
+
+def _im2col_input_grad(g, w):
+    """The input-gradient kernel as im2col computed it: the forward conv of g
+    with the spatially flipped, channel-swapped kernel."""
+    return eng._conv_forward(g, w[::-1, ::-1].transpose(0, 1, 3, 2).copy())
+
+
+@pytest.mark.parametrize("mode", ["metamixup", "mixup-beta"])
+def test_cnn3_step_matches_the_im2col_input_grad(mode, monkeypatch):
+    """The shifted-GEMM input gradient sums in another order than the im2col
+    one; after a cnn3 step every parameter agrees to 1e-12 relative."""
+    def step():
+        model, labeled, val, _ = _step_inputs("cnn3")
+        meta.train_step(model, labeled, val, run_config(mode=mode, batch_size=6),
+                        np.random.default_rng(24), lr=0.1)
+        return {name: p.data for name, p in model.params.items()}
+
+    shipped = step()
+    monkeypatch.setattr(eng, "_conv_input_grad", _im2col_input_grad)
+    reference = step()
+    for name, value in shipped.items():
+        np.testing.assert_allclose(value, reference[name], rtol=1e-12, err_msg=name)
+
+
 @pytest.mark.parametrize("mode", meta.MODES)
 def test_overflowing_input_raises_non_finite(mode):
     # a relu net passes the overflow on, so the logits are not finite

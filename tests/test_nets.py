@@ -77,6 +77,31 @@ class TestForward:
             assert g.shape == model.params[name].shape
             assert float(np.abs(g.data).max()) > 0, name
 
+    @pytest.mark.parametrize("arch,rows", [
+        (nets.mlp(10, [32], 2), 512), (nets.mlp(784, [32], 10), 512),
+        (nets.cnn3(), 50), (nets.cnn3((32, 32), 3), 38),
+    ])
+    def test_inference_rows_bound_the_widest_layer(self, arch, rows):
+        assert nets.inference_rows(arch) == rows
+
+    def test_batched_logits_runs_inference_rows_per_forward(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        model = nets.build_model(nets.cnn3((8, 8), 1, 3), rng)
+        x = rng.normal(size=(7, 8, 8, 1))
+        whole = nets.forward(model, x).data
+        # layer 1's columns take 8*8 * 3*3*16 * 8 bytes per row; allow 3 rows
+        monkeypatch.setattr(nets, "INFERENCE_BYTES", 3 * 8 * 8 * 3 * 3 * 16 * 8)
+        sizes, real_forward = [], nets.forward
+
+        def spy_forward(model, x):
+            sizes.append(len(x))
+            return real_forward(model, x)
+
+        monkeypatch.setattr(nets, "forward", spy_forward)
+        logits = nets.batched_logits(model, x)
+        assert sizes == [3, 3, 1]
+        np.testing.assert_allclose(logits, whole, rtol=1e-12)
+
 
 class TestCloneForMeta:
     def test_clone_is_detached_copy(self):
