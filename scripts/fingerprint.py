@@ -24,7 +24,9 @@ Then come the audit lines. The audit-softplus net at each seed in
 as many fresh pairs at each factor of ``AUDIT_FACTORS`` times the estimate.
 Below 1 several channels violate the bound, so each line also pins which
 channel is reported: channel 0 at seeds 0 and 1, channels 1 and 2 at seed 3.
-One line audits a quadratic at its estimated constant.
+One line audits a softplus conv net on 8x8x1 points the same way, from
+``CONV_PAIRS`` pairs at 1.2 times its estimate, which pins the conv input
+gradient of the audit. One line audits a quadratic at its estimated constant.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ EPOCHS = 2
 AUDIT_SEEDS = (0, 1, 3)
 AUDIT_PAIRS = 2_000
 AUDIT_FACTORS = (0.3, 1.2)
+CONV_PAIRS = 1_000
 
 
 def digest_records(records) -> str:
@@ -117,6 +120,23 @@ def audit_fingerprint(seed: int) -> str:
     return line
 
 
+def conv_audit_fingerprint() -> str:
+    """Conv(3, 4, softplus) then Dense(3) on 8x8x1 points from a uniform pool."""
+    rng = np.random.default_rng(0)
+    arch = nets.Architecture((8, 8, 1), (nets.Conv(3, 4, "softplus"), nets.Dense(3)))
+    model = nets.build_model(arch, rng)
+    pool = rng.uniform(size=(100, 64))
+    sampler = lambda n, r: smoothness.sample_pairs(pool, n, r)
+    est = smoothness.estimate_kappa_network(model, sampler, CONV_PAIRS,
+                                            np.random.default_rng(1))
+    rep, channel = smoothness.audit_network(
+        model, 1.2 * est.kappa, sampler(CONV_PAIRS, np.random.default_rng(2)))
+    return (f"audit-conv pairs={CONV_PAIRS} estimate="
+            + digest(est.kappa, list(est.per_channel), est.n_pairs)
+            + " audit@1.2=" + digest(rep.rows, rep.worst_pair, rep.violations,
+                                     rep.max_ratio, channel))
+
+
 def quadratic_fingerprint() -> str:
     """diag(1, 3, 0.5) audited at its kappa estimate."""
     field = smoothness.QuadraticField(np.diag([1.0, 3.0, 0.5]))
@@ -139,6 +159,7 @@ def main() -> None:
             print(fingerprint("sup-mlp", seed, "metamixup", activation), flush=True)
     for seed in AUDIT_SEEDS:
         print(audit_fingerprint(seed), flush=True)
+    print(conv_audit_fingerprint(), flush=True)
     print(quadratic_fingerprint(), flush=True)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -77,11 +79,14 @@ def _read_exact(fh, count: int, what: str, path) -> bytes:
     return b"".join(chunks)
 
 
+@contextmanager
 def _open_idx(path):
     # the canonical distribution ships gzipped; accept either form
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+    try:
+        with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as fh:
+            yield fh
+    except (EOFError, zlib.error) as exc:   # a cut or corrupted gzip stream
+        raise DataError(f"{path}: damaged gzip data: {exc}") from exc
 
 
 def load_idx(images_path, labels_path, n_classes: int = 10) -> Dataset:

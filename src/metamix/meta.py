@@ -262,7 +262,7 @@ def update_policy(policy: InterpolationPolicy, grad,
     """One gradient-descent step on the logits; returns a fresh leaf policy."""
     if step_size < 0:
         raise ValueError(f"update_policy: step_size must be >= 0, got {step_size}")
-    g = np.asarray(grad.data if isinstance(grad, Tensor) else grad, dtype=np.float64)
+    g = np.asarray(grad, dtype=np.float64)
     if g.shape != policy.logits.shape:
         raise eng.ShapeError(f"update_policy: grad shape {g.shape} vs "
                              f"logits {policy.logits.shape}")
@@ -313,12 +313,11 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     else:
         lam = np.ones(n)
 
-    loss, grads, _ = nets.loss_and_gradients(model, _mix_groups(groups, lam))
+    loss, grads = nets.loss_and_gradients(model, _mix_groups(groups, lam))[:2]
     nets.sgd_step(model, grads, config.optimizer, step_lr)
     if config.mode != "metamixup" and val_batch is not None:
-        with eng.no_grad():
-            val_loss = nets.cross_entropy(
-                nets.forward(model, val_batch[0]), val_batch[1]).item()
+        logits, _ = nets._forward(model, val_batch[0])
+        val_loss = float(nets._cross_entropy_head(logits, val_batch[1], 1.0)[0])
     return StepStats(
         train_loss=loss, meta_loss=meta_loss, val_loss=val_loss,
         lambda_mean=float(lam.mean()), lambda_std=float(lam.std()),

@@ -3,14 +3,14 @@
 Models are deliberately functional: ``forward`` takes an optional parameter
 mapping so a simulated update (new parameter tensors, same architecture) can
 be evaluated without touching the real model. That is the hook the one-step
-meta gradient hangs off. Training walks the same layers once per loss, in
-numpy (``_forward``, which keeps a per-layer tape of each layer's input,
-a conv layer's as the im2col columns its forward GEMM read):
-``loss_and_gradients`` runs a reverse pass over the tape, taking each conv
-weight gradient from those columns, and ``forward_tangents`` carries two
-tangents along it for the second-order term. The engine's ``forward``
-serves inference (``batched_logits``, in batches bounded by the widest
-layer's bytes) and the oracles.
+meta gradient hangs off. Training and the audit's logit gradients walk the
+layers in numpy: ``_forward`` keeps a per-layer tape of each layer's input
+(a conv layer's as the im2col columns its forward GEMM read), ``_reverse``
+walks it back from a gradient at the logits to the parameters (for
+``loss_and_gradients``, from ``_cross_entropy_head``) or to the input, and
+``forward_tangents`` carries two tangents along it for the second-order
+term. The engine's ``forward`` serves inference (``batched_logits``, in
+batches bounded by the widest layer's bytes) and the oracles.
 """
 
 from __future__ import annotations
@@ -197,22 +197,23 @@ def forward(model: ModelState, x, params: Mapping[str, Tensor] | None = None) ->
     return h
 
 
-def _forward(model: ModelState, params: Mapping[str, np.ndarray], x):
+def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = None):
     """Logits for a batch in numpy, and the tape that the reverse and tangent
     passes read: per layer (layer, its input as the layer sees it, weight,
-    the input's pre-flatten shape, f', f''). A dense layer sees its input
-    flattened to rows, a conv layer as the ``_im2col`` columns that its
-    forward GEMM reads, so the weight gradient and the tangent pass reuse
-    them. f' is None on a layer without activation, f'' on one where it is
-    zero. The values follow the engine's formulas bit for bit, and no graph
-    is recorded."""
+    the input's pre-flatten shape, f', f''); ``params`` overrides the model's
+    own parameter values. A dense layer sees its input flattened to rows, a
+    conv layer as the ``_im2col`` columns that its forward GEMM reads, so the
+    weight gradient and the tangent pass reuse them. f' is None on a layer
+    without activation, f'' on one where it is zero. The values follow the
+    engine's formulas bit for bit, and no graph is recorded."""
+    p = {n: t.data for n, t in model.params.items()} if params is None else params
     h = np.asarray(x, dtype=np.float64)
     if h.shape[1:] != model.arch.input_shape:
         raise ShapeError(f"forward: batch shape {h.shape} does not match "
                          f"input {model.arch.input_shape}")
     tape = []
     for i, layer in enumerate(model.arch.layers):
-        w, b = params[f"layer{i}.w"], params[f"layer{i}.b"]
+        w, b = p[f"layer{i}.w"], p[f"layer{i}.b"]
         shape = h.shape
         if isinstance(layer, Conv):
             h = eng._im2col(h, layer.kernel)
@@ -289,14 +290,13 @@ def loss_and_gradients(model: ModelState, batches,
     built from engine primitives. A non-finite loss or gradient raises
     NonFiniteError.
     """
-    p = {n: t.data for n, t in model.params.items()} if params is None else params
     total, grads, passes = None, {}, []
     for x, y, weight in batches:
-        logits, tape = _forward(model, p, x)
-        loss, batch_grads = _reverse(tape, logits, y, weight)
+        logits, tape = _forward(model, x, params)
+        loss, u = _cross_entropy_head(logits, y, weight)
         passes.append((logits, tape))
         total = loss if total is None else total + loss
-        for name, g in batch_grads.items():
+        for name, g in _reverse(tape, u, {}).items():
             held = grads.get(name)
             grads[name] = g if held is None else held + g
     if not np.isfinite(total):
@@ -307,9 +307,9 @@ def loss_and_gradients(model: ModelState, batches,
     return float(total), grads, passes
 
 
-def _reverse(tape, logits, y, weight: float):
-    """weight * mean cross-entropy of ``logits`` against ``y`` and its
-    parameter gradients, back along a ``_forward`` tape."""
+def _cross_entropy_head(logits, y, weight: float):
+    """weight * mean cross-entropy of ``logits`` against ``y`` and its gradient
+    at the logits, by the engine's vjp rules: scale, sum, mul, log_softmax."""
     y = np.asarray(y, dtype=np.float64)
     if logits.shape != y.shape:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {y.shape}")
@@ -318,24 +318,26 @@ def _reverse(tape, logits, y, weight: float):
     loss = (y * ls).sum() * c
     if weight != 1.0:
         loss = loss * weight
-
-    # the engine's vjp rules, loss to first layer: scale, sum, mul, log_softmax
     u = (weight * c) * y
-    u = u - np.exp(ls) * u.sum(axis=1, keepdims=True)
-    grads = {}
+    return loss, u - np.exp(ls) * u.sum(axis=1, keepdims=True)
+
+
+def _reverse(tape, u, grads=None):
+    """Back along a ``_forward`` tape from the gradient ``u`` at the logits, by
+    the engine's vjp rules: into ``grads``, if given, every parameter's
+    gradient, returning ``grads`` at layer 0; else the gradient at the input."""
     for i, (layer, h, w, shape, d1, _) in reversed(list(enumerate(tape))):
         if d1 is not None:
             u = u * d1
-        grads[f"layer{i}.b"] = u.sum(axis=tuple(range(u.ndim - 1)))
-        if isinstance(layer, Conv):   # h holds the input's columns
-            grads[f"layer{i}.w"] = eng._conv_weight_grad(h, u, layer.kernel)
-            if i:
-                u = eng._conv_input_grad(u, w)
-        else:
-            grads[f"layer{i}.w"] = h.T.copy() @ u
-            if i:
-                u = (u @ w.T.copy()).reshape(shape)
-    return loss, grads
+        conv = isinstance(layer, Conv)   # h holds a conv input's columns
+        if grads is not None:
+            grads[f"layer{i}.b"] = u.sum(axis=tuple(range(u.ndim - 1)))
+            grads[f"layer{i}.w"] = (eng._conv_weight_grad(h, u, layer.kernel) if conv
+                                    else h.T.copy() @ u)
+            if not i:
+                return grads
+        u = eng._conv_input_grad(u, w) if conv else (u @ w.T.copy()).reshape(shape)
+    return u
 
 
 @dataclass
@@ -402,18 +404,18 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return eng.scale(eng.sum_reduce(eng.mul(labels, ls)), -1.0 / logits.shape[0])
 
 
-INFERENCE_ROWS = 512   # most rows per engine forward in batched_logits
-# most bytes of the widest layer input per engine forward in batched_logits:
-# the im2col columns of one 50-row cnn3 batch of 28x28 images
+INFERENCE_ROWS = 512   # most rows per forward in batched_logits and the audit
+# most bytes of the widest layer input per forward in batched_logits and the
+# audit: the im2col columns of one 50-row cnn3 batch of 28x28 images
 INFERENCE_BYTES = 50 * (28 * 28) * (3 * 3 * 16) * 8
 
 
 def inference_rows(arch: Architecture) -> int:
-    """Rows per engine forward in ``batched_logits``: INFERENCE_ROWS, or fewer
-    where the widest layer input would pass INFERENCE_BYTES. A dense layer's
-    input is its fan-in per row, a conv layer's its im2col columns, fan-in
-    times the image's pixels; so an MLP on up to 11k inputs takes
-    INFERENCE_ROWS, and cnn3 on 28x28 images 50."""
+    """Rows per forward in ``batched_logits`` and ``smoothness.LogitField``:
+    INFERENCE_ROWS, or fewer where the widest layer input would pass
+    INFERENCE_BYTES. A dense layer's input is its fan-in per row, a conv
+    layer's its im2col columns, fan-in times the image's pixels; so an MLP
+    on up to 11k inputs takes INFERENCE_ROWS, and cnn3 on 28x28 images 50."""
     pixels = math.prod(arch.input_shape[:2]) if len(arch.input_shape) == 3 else 1
     widest = max(fan_in * (pixels if len(w_shape) == 4 else 1)
                  for _, w_shape, _, fan_in in _layer_shapes(arch))

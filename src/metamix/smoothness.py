@@ -11,7 +11,7 @@ lam grid, and counts violations of the bound. Everything here works on
 batches of flattened points, shape [n, d]. A field has one channel (values
 [n], gradients [n, d]) or k channels (values [n, k], gradients [k, n, d]),
 such as a network's logits; the bound is checked per channel and the audit
-reports the worst one.
+reports the worst one. Logit gradients run on the numpy tape of ``nets``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from . import engine as eng
 from . import nets
-from .engine import NonFiniteError, Tensor
+from .engine import NonFiniteError
 from .nets import ModelState
 
 LAMBDA_GRID = tuple(np.round(np.arange(1, 10) * 0.1, 1))
@@ -72,34 +71,34 @@ class QuadraticField:
 class LogitField:
     """A network's logits as a k-channel field of the input.
 
-    Gradients come from one recorded forward over the whole batch and one
-    backward pass per channel: rows are independent, so the gradient of the
-    summed channel is the per-row gradient stack. Meaningful kappa estimates
-    need smooth activations (softplus, tanh, sigmoid); relu gradients are
-    piecewise constant.
+    ``value`` is ``nets.batched_logits``. ``grad`` runs ``inference_rows``
+    rows at a time: one ``nets._forward`` and, per channel, one reverse pass
+    to the input with a one-hot upstream at the logits, whose rows are
+    independent. Meaningful kappa estimates need smooth activations
+    (softplus, tanh, sigmoid); relu gradients are piecewise constant.
     """
 
     def __init__(self, model: ModelState):
         self.model = model
-        self.input_shape = model.arch.input_shape
 
     def _batched(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
-        return points.reshape(len(points), *self.input_shape)
+        return points.reshape(len(points), *self.model.arch.input_shape)
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        with eng.no_grad():
-            return nets.forward(self.model, self._batched(points)).data
+        return nets.batched_logits(self.model, self._batched(points))
 
     def grad(self, points: np.ndarray) -> np.ndarray:
-        x = Tensor(self._batched(points), requires_grad=True)
-        logits = nets.forward(self.model, x)
-        grads = []
-        for pick in np.eye(logits.shape[1])[:, :, None]:
-            total = eng.sum_reduce(eng.matmul(logits, Tensor(pick)))
-            (gx,) = eng.backward(total, [x])
-            grads.append(gx.data.reshape(len(gx.data), -1))
-        return np.stack(grads)
+        x = self._batched(points)
+        k, rows = self.model.arch.n_classes, nets.inference_rows(self.model.arch)
+        grads = np.empty((k,) + x.shape)
+        for lo in range(0, len(x), rows):
+            chunk = x[lo:lo + rows]
+            _, tape = nets._forward(self.model, chunk)
+            for c, pick in enumerate(np.eye(k)):
+                grads[c, lo:lo + rows] = nets._reverse(
+                    tape, np.broadcast_to(pick, (len(chunk), k)))
+        return grads.reshape(k, len(x), -1)
 
 
 def _as_pair_batch(x, x_prime):

@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import json
 import re
 import shlex
@@ -344,6 +345,32 @@ class TestIdxRuns:
                         "--augment", augment]) == 0
             losses[augment] = read_records(out / "metrics.jsonl")[0]["train_loss"]
         assert losses["flip"] != losses["none"]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+@pytest.mark.parametrize("sub", ["train", "audit"])
+def test_damaged_gzip_idx_is_a_data_error(tmp_path, capsys, sub, damage):
+    """A cut or corrupted deflate stream exits 3 and creates no --out."""
+    rng = np.random.default_rng(1)
+    ds = data.Dataset(rng.uniform(0.0, 1.0, size=(40, 6, 6)), np.arange(40) % 2, 2)
+    data.save_idx(ds, tmp_path / "img", tmp_path / "lab")
+    raw = bytearray(gzip.compress((tmp_path / "img").read_bytes(), mtime=0))
+    if damage == "truncated":
+        raw = raw[:len(raw) // 2]
+    else:
+        raw[10] |= 0b110   # the first deflate block claims the reserved type 3
+    (tmp_path / "img.gz").write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    files = ["--train-images", str(tmp_path / "img.gz"),
+             "--train-labels", str(tmp_path / "lab")]
+    extra = (["--test-images", str(tmp_path / "img"), "--test-labels",
+              str(tmp_path / "lab"), "--epochs", "1"] if sub == "train" else [])
+    assert run([sub, "--out", str(out), "--data", "idx", "--n-classes", "2",
+                *files, *extra]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "img.gz" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

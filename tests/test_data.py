@@ -137,6 +137,24 @@ class TestIdx:
         back = dio.load_idx(tmp_path / "img.gz", tmp_path / "lab.gz")
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    @pytest.mark.parametrize("damage", ["truncated", "corrupted"])
+    @pytest.mark.parametrize("name", ["img", "lab"])
+    def test_damaged_gzip_is_a_data_error(self, tmp_path, name, damage):
+        ds = self._unit_dataset(np.random.default_rng(28))
+        dio.save_idx(ds, tmp_path / "img", tmp_path / "lab")
+        for each in ("img", "lab"):
+            raw = gzip.compress((tmp_path / each).read_bytes(), mtime=0)
+            if each == name and damage == "truncated":
+                raw = raw[:len(raw) // 2]
+            elif each == name:
+                # the deflate data starts after the 10-byte header; block type
+                # 3 is reserved, so every inflater rejects the stream
+                raw = bytearray(raw)
+                raw[10] |= 0b110
+            (tmp_path / f"{each}.gz").write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"{name}.gz: damaged gzip data"):
+            dio.load_idx(tmp_path / "img.gz", tmp_path / "lab.gz")
+
     def test_second_roundtrip_bit_identical(self, tmp_path):
         # once quantized, a save/load/save cycle is exact
         rng = np.random.default_rng(14)

@@ -273,9 +273,9 @@ def test_step_graphs_are_freed_without_the_cycle_collector(kind, mode):
 @pytest.mark.parametrize("mode", meta.MODES)
 def test_train_step_records_no_graph(kind, mode, monkeypatch):
     """Training runs in numpy: no engine node with parents, no backward pass,
-    no cloned model."""
+    no engine forward, no cloned model."""
     model, labeled, val, pseudo = _step_inputs(kind)
-    backward_calls, clones, graph_nodes = [], [], []
+    backward_calls, clones, graph_nodes, forwards = [], [], [], []
     init = Tensor.__init__
 
     def spy_init(tensor, data, requires_grad=False, *, op="leaf", parents=(), vjp=None):
@@ -285,11 +285,19 @@ def test_train_step_records_no_graph(kind, mode, monkeypatch):
 
     monkeypatch.setattr(eng, "backward", lambda *a, **k: backward_calls.append(a))
     monkeypatch.setattr(nets, "clone_for_meta", lambda m: clones.append(m))
+    real_forward = nets.forward
+
+    def spy_forward(*args, **kwargs):
+        forwards.append(args)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(nets, "forward", spy_forward)
     monkeypatch.setattr(Tensor, "__init__", spy_init)
     stats = meta.train_step(model, labeled, val, run_config(mode=mode, batch_size=6),
                             np.random.default_rng(18), lr=0.1, pseudo_batch=pseudo)
     assert np.isfinite(stats.train_loss)
     assert backward_calls == [] and clones == [] and graph_nodes == []
+    assert forwards == []
 
 
 @pytest.mark.parametrize("kind", ["supervised", "pseudo"])

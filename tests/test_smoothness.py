@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metamix import nets, smoothness as sm
-from metamix.engine import NonFiniteError
+from metamix import engine as eng, nets, smoothness as sm
+from metamix.engine import NonFiniteError, Tensor
 
 
 def quad(diag):
@@ -156,6 +156,30 @@ class ColumnField:
         return self.field.grad(points)[self.channel]
 
 
+def engine_logit_grad(model, points):
+    """Reference logit gradients [k, n, d]: one recorded engine forward over
+    the whole batch and one engine backward pass per channel."""
+    x = Tensor(points.reshape(len(points), *model.arch.input_shape), requires_grad=True)
+    logits = nets.forward(model, x)
+    grads = []
+    for pick in np.eye(logits.shape[1])[:, :, None]:
+        total = eng.sum_reduce(eng.matmul(logits, Tensor(pick)))
+        (gx,) = eng.backward(total, [x])
+        grads.append(gx.data.reshape(len(gx.data), -1))
+    return np.stack(grads)
+
+
+GRAD_ARCHS = {
+    **{f"mlp-{act}-{depth}": nets.mlp(4, [6, 5, 4][:depth], 3, activation=act)
+       for act in ("tanh", "sigmoid", "relu", "softplus") for depth in (1, 2, 3)},
+    **{f"conv-k{k}": nets.Architecture((5, 4, 2), (
+        nets.Conv(k, 3, "softplus"), nets.Conv(k, 2, "tanh"), nets.Dense(3)))
+       for k in (1, 3, 5)},
+    "dense-on-image": nets.Architecture((4, 3, 2), (nets.Dense(5, "sigmoid"),
+                                                   nets.Dense(3))),
+}
+
+
 class TestLogitField:
     def test_value_matches_forward(self):
         model = softplus_net(seed=10)
@@ -176,6 +200,56 @@ class TestLogitField:
             lo[:, j] -= eps
             numeric = (field.value(hi) - field.value(lo)) / (2 * eps)
             np.testing.assert_allclose(analytic[:, :, j], numeric.T, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("limit", [None, 3], ids=["one-chunk", "3-row-chunks"])
+    @pytest.mark.parametrize("name", GRAD_ARCHS)
+    def test_grad_is_the_engine_gradient_bit_for_bit(self, monkeypatch, name, limit):
+        if limit is not None:
+            monkeypatch.setattr(nets, "INFERENCE_ROWS", limit)
+        arch = GRAD_ARCHS[name]
+        model = nets.build_model(arch, np.random.default_rng(30))
+        points = np.random.default_rng(31).normal(size=(10, int(np.prod(arch.input_shape))))
+        got = sm.LogitField(model).grad(points)
+        rows = nets.inference_rows(arch)
+        per_chunk = np.concatenate([engine_logit_grad(model, points[lo:lo + rows])
+                                    for lo in range(0, len(points), rows)], axis=1)
+        whole = engine_logit_grad(model, points)
+        assert got.shape == whole.shape == (3, 10, points.shape[1])
+        assert got.tobytes() == per_chunk.tobytes()
+        # rows that share a chunk are the whole batch's bit for bit; numpy
+        # multiplies a lone row (the 10th of 3-row chunks) by gemv, not gemm
+        assert got[:, :9].tobytes() == whole[:, :9].tobytes()
+
+    def test_cnn3_grad_runs_inference_rows_per_forward(self, monkeypatch):
+        model = nets.build_model(nets.cnn3(classes=3), np.random.default_rng(32))
+        rows = nets.inference_rows(model.arch)
+        seen, real = [], nets._forward
+
+        def spy_forward(model, x):
+            seen.append(len(x))
+            return real(model, x)
+
+        monkeypatch.setattr(nets, "_forward", spy_forward)
+        points = np.random.default_rng(33).uniform(size=(2 * rows + 1, 28 * 28))
+        assert sm.LogitField(model).grad(points).shape == (3, 2 * rows + 1, 28 * 28)
+        assert seen == [rows, rows, 1]
+
+    def test_grad_makes_no_engine_graph_or_backward(self, monkeypatch):
+        backward_calls, graph_nodes = [], []
+        init = Tensor.__init__
+
+        def spy_init(tensor, data, requires_grad=False, *, op="leaf", parents=(),
+                     vjp=None):
+            if parents:
+                graph_nodes.append(op)
+            init(tensor, data, requires_grad, op=op, parents=parents, vjp=vjp)
+
+        monkeypatch.setattr(eng, "backward", lambda *a, **k: backward_calls.append(a))
+        monkeypatch.setattr(Tensor, "__init__", spy_init)
+        grads = sm.LogitField(softplus_net(seed=34)).grad(
+            np.random.default_rng(35).normal(size=(8, 5)))
+        assert np.isfinite(grads).all()
+        assert backward_calls == [] and graph_nodes == []
 
     def test_per_channel_kappa_is_each_columns_estimate(self):
         model = softplus_net(seed=22)
