@@ -14,7 +14,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +160,8 @@ def parse_config_file(path) -> dict[str, str]:
     return raw
 
 
-def resolve_options(table: dict, args: dict) -> dict:
+def resolve_options(table: dict, args: dict) -> tuple[dict, set]:
+    """Defaults, then the --config file, then the flags; and the keys set."""
     resolved = {key: default for key, (_, default, _) in table.items()}
     layers = []
     if args.get("config"):
@@ -178,7 +179,16 @@ def resolve_options(table: dict, args: dict) -> dict:
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key}: {exc}")
             resolved[key] = value
-    return resolved
+    return resolved, {key for layer in layers for key in layer}
+
+
+def _check_source_flags(opts: dict, given: set) -> None:
+    """A set data flag whose help names the other source is a config error."""
+    for key, (_, _, help_text) in _DATA_OPTS.items():
+        source = help_text.split(":")[0]
+        if key in given and source in ("synthetic", "idx") and source != opts["data"]:
+            raise ConfigError(f"--{key.replace('_', '-')} applies to --data {source}; "
+                              f"this run reads --data {opts['data']}")
 
 
 def _parse_arch(text, input_shape: tuple, n_classes: int):
@@ -204,11 +214,12 @@ def _parse_arch(text, input_shape: tuple, n_classes: int):
     raise ConfigError(f"unknown arch {text!r}")
 
 
-def _load_idx_pair(images, labels, n_classes, what) -> Dataset:
+def _load_idx_pair(opts: dict, what: str) -> Dataset:
+    images, labels = opts[f"{what}_images"], opts[f"{what}_labels"]
     if images is None or labels is None:
         raise ConfigError(f"idx data needs {what}_images and {what}_labels")
     try:
-        return dataio.load_idx(images, labels, n_classes)
+        return dataio.load_idx(images, labels, opts["n_classes"])
     except OSError as exc:
         raise DataError(f"cannot read {what} set: {exc}")
 
@@ -221,23 +232,15 @@ def _load_splits(opts: dict) -> Splits:
         raise DataError("--meta-val-per-class must be >= 1, "
                         f"got {opts['meta_val_per_class']}")
     if opts["data"] == "synthetic":
-        if limit is not None:
-            raise ConfigError("--limit-train applies to idx data; --per-class "
-                              "sets the size of a synthetic set")
         test_per_class = opts["test_per_class"]
         if test_per_class is not None and test_per_class < 1:
             raise DataError(f"--test-per-class must be >= 1, got {test_per_class}")
-        spec = SyntheticSpec(classes=opts["classes"], per_class=opts["per_class"],
-                             dim=opts["dim"], separation=opts["separation"],
-                             noise_sigma=opts["noise_sigma"])
-        return dataio.standard_splits(
-            spec, seed=opts["seed"], corrupt=opts["corrupt"],
-            meta_val_per_class=opts["meta_val_per_class"],
-            test_per_class=opts["test_per_class"])
-    train = _load_idx_pair(opts["train_images"], opts["train_labels"],
-                           opts["n_classes"], "train")
-    test = _load_idx_pair(opts["test_images"], opts["test_labels"],
-                          opts["n_classes"], "test")
+        spec = SyntheticSpec(**{k: opts[k] for k in ("classes", "per_class", "dim",
+                                                     "separation", "noise_sigma")})
+        return dataio.standard_splits(spec, seed=opts["seed"], corrupt=opts["corrupt"],
+                                      meta_val_per_class=opts["meta_val_per_class"],
+                                      test_per_class=test_per_class)
+    train, test = _load_idx_pair(opts, "train"), _load_idx_pair(opts, "test")
     if limit is not None:
         train = train.subset(np.arange(min(limit, len(train))))
     train, meta_val = dataio.split_meta_validation(
@@ -265,10 +268,8 @@ def _train_config(opts: dict, splits: Splits) -> TrainConfig:
         beta_alpha=opts["beta_alpha"], fixed_lambda=opts["lambda"],
         augment=opts["augment"], seed=opts["seed"], arch=arch)
     if "sigma0" in opts:
-        kwargs.update(
-            unsup_weight=opts["unsup_weight"], sigma0=opts["sigma0"],
-            sigma_decrement=opts["sigma_decrement"],
-            sigma_period=opts["sigma_period"], sigma_floor=opts["sigma_floor"])
+        kwargs.update({k: opts[k] for k in ("unsup_weight", "sigma0", "sigma_decrement",
+                                            "sigma_period", "sigma_floor")})
     try:
         return TrainConfig(**kwargs, optimizer=OptimizerConfig(
             learning_rate=opts["lr"], momentum=opts["momentum"],
@@ -343,10 +344,8 @@ def cmd_ssl(opts: dict) -> int:
     _run_trainer(meta.check_run, labeled, config)
     out = _out_dir(opts, "ssl")
     _echo_config(out, opts, "ssl")
-    report = _run_trainer(
-        semi.train_ssl,
-        Splits(train=labeled, meta_val=splits.meta_val, test=splits.test),
-        unlabeled, config)
+    report = _run_trainer(semi.train_ssl, replace(splits, train=labeled), unlabeled,
+                          config)
     _write_run(out, report, t0)
     last = report.records[-1]
     print(f"final test error {report.final_test_error:.4f}, "
@@ -361,18 +360,18 @@ def _audit_field(opts: dict, rng: np.random.Generator):
             diag = np.array([float(v) for v in opts["diag"].split(",")])
         except ValueError:
             raise ConfigError(f"bad diag {opts['diag']!r}")
+        if not np.isfinite(diag).all():
+            raise ConfigError(f"--diag must be finite, got {opts['diag']!r}")
         anchors = rng.normal(scale=2.0, size=(max(200, opts["per_class"]),
                                               len(diag)))
         return anchors, smoothness.QuadraticField(np.diag(diag))
     if opts["field"] != "network":
         raise ConfigError(f"unknown field {opts['field']!r}")
     if opts["data"] == "idx":
-        train = _load_idx_pair(opts["train_images"], opts["train_labels"],
-                               opts["n_classes"], "train")
+        train = _load_idx_pair(opts, "train")
     else:
-        spec = SyntheticSpec(classes=opts["classes"], per_class=opts["per_class"],
-                             dim=opts["dim"], separation=opts["separation"],
-                             noise_sigma=opts["noise_sigma"])
+        spec = SyntheticSpec(**{k: opts[k] for k in ("classes", "per_class", "dim",
+                                                     "separation", "noise_sigma")})
         train = dataio.make_synthetic(spec, np.random.default_rng(opts["seed"]))
     anchors = train.inputs.reshape(len(train.inputs), -1)
     if opts["model"]:
@@ -469,11 +468,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:
-        opts = resolve_options(_SUBCOMMANDS[args.subcommand], vars(args))
+        opts, given = resolve_options(_SUBCOMMANDS[args.subcommand], vars(args))
         if opts["seed"] < 0:   # every subcommand seeds numpy, which needs >= 0
             raise ConfigError(f"--seed must be >= 0, got {opts['seed']}")
         if opts.get("data", "synthetic") not in ("synthetic", "idx"):
             raise ConfigError(f"unknown data source {opts['data']!r}")
+        if "data" in opts and opts.get("field") != "quadratic":
+            _check_source_flags(opts, given)
         return _DISPATCH[args.subcommand](opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

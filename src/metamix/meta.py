@@ -6,14 +6,15 @@ validation batch at the simulated weights, and differentiate the validation
 loss all the way back to the policy logits. The real model then trains on
 the batch re-mixed under the updated coefficients.
 
-Training runs in numpy and builds no engine graph. The hypergradient is
-exact: an inner gradient, a validation gradient at the simulated weights
-(each one forward and one reverse pass of ``nets.loss_and_gradients``),
-and a pass that carries a parameter tangent and a lambda tangent along the
-inner gradient's tape (:func:`hypergradient`), so each loss runs one numpy
-forward; the real update is one more ``loss_and_gradients`` call. Training
-never differentiates the mix: each coefficient vector mixes the batch once,
-in numpy, for the meta loss, that pass and the real update.
+Training runs in numpy and builds no engine graph. A step's groups (labeled
+rows, and pseudo rows in SSL) stack into one batch whose rows carry their
+group's weight. The hypergradient is exact: an inner gradient, a validation
+gradient at the simulated weights (each one forward and one reverse pass of
+``nets.loss_and_gradients``), and a pass that carries a parameter tangent
+and a lambda tangent along the inner gradient's tape (:func:`hypergradient`);
+the real update is one more ``loss_and_gradients`` call. Training never
+differentiates the mix: each coefficient vector mixes the stacked batch
+once, in numpy, for the meta loss, that pass and the real update.
 :func:`simulated_step_losses` keeps the engine's double backward (through
 ``mixing.mix_batch`` and ``create_graph``) as the reference that the tests
 and ``gradcheck`` compare against and difference.
@@ -27,6 +28,7 @@ only its per-epoch relabel pass.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -131,42 +133,40 @@ class TrainingReport:
     model: ModelState
 
 
-# a group is (inputs, one-hot labels, permutation, loss weight); the policy
-# logits are sliced across groups in order
+# a group is (inputs, one-hot labels, permutation, loss weight)
 Group = tuple[np.ndarray, np.ndarray, np.ndarray, float]
 
 
-def _group_rows(groups: Sequence[Group], length: int) -> list[np.ndarray]:
-    """Each group's positions in a coefficient vector that must cover them all."""
-    rows, offset = [], 0
-    for x, *_ in groups:
-        rows.append(np.arange(offset, offset + len(x)))
-        offset += len(x)
-    if length != offset:
-        raise eng.ShapeError(f"policy length {length} vs group total {offset}")
-    return rows
+def _stack(groups: Sequence[Group], length: int):
+    """A step's groups as one batch (x, y, perm, segments) for ``length``
+    coefficients: rows concatenated, each permutation shifted onto its
+    group's rows (a block permutation), one ``(rows, weight)`` per group."""
+    xs, ys, perms, weights = zip(*groups)
+    bounds = [0, *accumulate(map(len, xs))]
+    if length != bounds[-1]:
+        raise eng.ShapeError(f"policy length {length} vs group total {bounds[-1]}")
+    return (np.concatenate(xs), np.concatenate(ys),
+            np.concatenate([perm + lo for perm, lo in zip(perms, bounds)]),
+            [(slice(lo, hi), w) for lo, hi, w in zip(bounds, bounds[1:], weights)])
 
 
-def _mix_groups(groups: Sequence[Group], lam: np.ndarray) -> list:
-    """Each group mixed within itself under its slice of ``lam``, in numpy:
-    per group (mixed inputs, mixed labels, weight). The rounding is
-    ``mixing.mix_batch``'s, bit for bit."""
-    mixed = []
-    for (x, y, perm, weight), rows in zip(groups, _group_rows(groups, len(lam))):
-        lam_x = lam[rows].reshape((len(x),) + (1,) * (x.ndim - 1))
-        lam_y = lam[rows, None]
-        mixed.append((lam_x * x + (1.0 - lam_x) * x[perm],
-                      lam_y * y + (1.0 - lam_y) * y[perm], weight))
-    return mixed
+def _mix(x, y, perm, lam: np.ndarray):
+    """Rows and labels mixed under ``lam`` with their partners, in numpy. The
+    rounding is ``mixing.mix_batch``'s, bit for bit."""
+    lam_x, lam_y = lam.reshape((len(x),) + (1,) * (x.ndim - 1)), lam[:, None]
+    return lam_x * x + (1.0 - lam_x) * x[perm], lam_y * y + (1.0 - lam_y) * y[perm]
 
 
-def _mixed_loss(model: ModelState, mixed, params) -> Tensor:
-    """Sum over groups of (weight * mean cross-entropy) on mixed rows, as an
-    engine graph: the double backward differentiates it, and it is the
-    reference for ``nets.loss_and_gradients``."""
+def _mixed_loss(model: ModelState, x, y, segments) -> Tensor:
+    """Sum over segments of (weight * mean cross-entropy) on mixed rows, as
+    an engine graph from one forward: the double backward differentiates
+    it, and it is the reference for ``nets.loss_and_gradients``."""
+    logits = nets.forward(model, x)
+    index = np.arange(logits.shape[0])
     total = None
-    for x, y, weight in mixed:
-        loss = nets.cross_entropy(nets.forward(model, x, params=params), y)
+    for rows, weight in segments:
+        loss = nets.cross_entropy(eng.gather_rows(logits, index[rows]),
+                                  eng.gather_rows(y, index[rows]))
         if weight != 1.0:
             loss = eng.scale(loss, weight)
         total = loss if total is None else eng.add(total, loss)
@@ -185,14 +185,10 @@ def simulated_step_losses(model: ModelState, groups: Sequence[Group],
     parameter leaves with no momentum (plain gradient descent).
     """
     clone = nets.clone_for_meta(model)
-    names = list(clone.params)
-    params = [clone.params[n] for n in names]
-    lam = policy.lambdas()
-    mixed = []
-    for (x, y, perm, weight), rows in zip(groups, _group_rows(groups, len(policy))):
-        batch = mixing.mix_batch(x, y, perm, eng.gather_rows(lam, rows))
-        mixed.append((batch.inputs, batch.labels, weight))
-    meta_loss = _mixed_loss(clone, mixed, clone.params)
+    names, params = list(clone.params), list(clone.params.values())
+    x, y, perm, segments = _stack(groups, len(policy))
+    mixed = mixing.mix_batch(x, y, perm, policy)
+    meta_loss = _mixed_loss(clone, mixed.inputs, mixed.labels, segments)
     grads = eng.backward(meta_loss, params, create_graph=True)
     simulated = {n: eng.sub(p, eng.scale(g, eta))
                  for n, p, g in zip(names, params, grads)}
@@ -229,29 +225,28 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
     d2 l_i / (deps dlambda_i). Two numpy gradients from
     ``nets.loss_and_gradients`` (the inner gradient, then L_val and v) and
     that pass replace a double backward, and no engine graph is built. The
-    pass runs per group along the tape of that group's inner forward, whose
-    logits and activation derivatives it reuses, so each of the two losses
-    runs one numpy forward per batch; :func:`simulated_step_losses` keeps
-    the double backward as the reference. The model is not touched.
+    groups stack into one batch, and the pass runs once along the inner
+    tape, reusing its logits and activation derivatives. The model is not
+    touched; :func:`simulated_step_losses` is the double-backward reference.
 
     ``mode`` accepts only "exact"; it remains for callers that still name it.
     """
     if mode != "exact":
         raise ValueError(f"hypergradient mode '{mode}' is not 'exact'")
     lam = policy.lambda_values()
-    mixed = _mix_groups(groups, lam)
-    meta_loss, inner, passes = nets.loss_and_gradients(model, mixed)
+    x, y, perm, segments = _stack(groups, len(lam))
+    x_mix, y_mix = _mix(x, y, perm, lam)
+    meta_loss, inner, logits, tape = nets.loss_and_gradients(model, (x_mix, y_mix, segments))
     simulated = {n: p.data - eta * inner[n] for n, p in model.params.items()}
-    val_loss, v, _ = nets.loss_and_gradients(model, [(*val_batch, 1.0)], simulated)
+    val_loss, v = nets.loss_and_gradients(model, (*val_batch, None), simulated)[:2]
 
-    # per group, the tangents along the inner pass's tape; a mixed row moves
-    # with its lambda by x - x[perm] and its label by y - y[perm]
-    d2 = []
-    for (x, y, perm, weight), (_, y_mix, _), (logits, tape) in zip(groups, mixed, passes):
-        tangents = nets.forward_tangents(tape, x - x[perm], v)
-        d2.append((-eta * weight / len(x)) * _cross_entropy_mixed_derivative(
-            logits, *tangents, y_mix, y - y[perm]))
-    grad = np.concatenate(d2) * lam * (1.0 - lam)   # dlambda/dz = lambda (1 - lambda)
+    # a mixed row moves with its lambda by x - x[perm] and its label by
+    # y - y[perm]; row i of a group of n rows and weight w scales by -eta w / n
+    tangents = nets.forward_tangents(tape, x - x[perm], v)
+    scale = np.concatenate([np.full_like(lam[rows], -eta * weight / len(lam[rows]))
+                            for rows, weight in segments])
+    grad = (scale * _cross_entropy_mixed_derivative(logits, *tangents, y_mix, y - y[perm])
+            * lam * (1.0 - lam))   # dlambda/dz = lambda (1 - lambda)
     if not np.isfinite(grad).all():
         raise NonFiniteError("hypergradient is not finite")
     return MetaGradResult(grad, meta_loss, val_loss)
@@ -292,11 +287,9 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     members = [(batch, 1.0)]
     if pseudo_batch is not None and len(pseudo_batch[0]):
         members.append((pseudo_batch, config.unsup_weight))
-    groups: list[Group] = []
-    for (x, y), weight in members:
-        perm = (np.arange(len(x)) if config.mode == "baseline"
-                else mixing.sample_pairing(len(x), rng))
-        groups.append((x, y, perm, weight))
+    groups = [(x, y, np.arange(len(x)) if config.mode == "baseline"
+               else mixing.sample_pairing(len(x), rng), weight)
+              for (x, y), weight in members]
     n = sum(len(g[0]) for g in groups)
 
     meta_loss = val_loss = hyper_norm = 0.0
@@ -313,11 +306,12 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     else:
         lam = np.ones(n)
 
-    loss, grads = nets.loss_and_gradients(model, _mix_groups(groups, lam))[:2]
+    x, y, perm, segments = _stack(groups, len(lam))
+    loss, grads = nets.loss_and_gradients(model, (*_mix(x, y, perm, lam), segments))[:2]
     nets.sgd_step(model, grads, config.optimizer, step_lr)
     if config.mode != "metamixup" and val_batch is not None:
         logits, _ = nets._forward(model, val_batch[0])
-        val_loss = float(nets._cross_entropy_head(logits, val_batch[1], 1.0)[0])
+        val_loss = float(nets._cross_entropy_head(logits, val_batch[1])[0])
     return StepStats(
         train_loss=loss, meta_loss=meta_loss, val_loss=val_loss,
         lambda_mean=float(lam.mean()), lambda_std=float(lam.std()),

@@ -9,8 +9,9 @@ layers in numpy: ``_forward`` keeps a per-layer tape of each layer's input
 walks it back from a gradient at the logits to the parameters (for
 ``loss_and_gradients``, from ``_cross_entropy_head``) or to the input, and
 ``forward_tangents`` carries two tangents along it for the second-order
-term. The engine's ``forward`` serves inference (``batched_logits``, in
-batches bounded by the widest layer's bytes) and the oracles.
+term; a loss over weighted row segments is one pass too. The engine's
+``forward`` serves inference (``batched_logits``, in near-equal chunks
+bounded by the widest layer's bytes) and the oracles.
 """
 
 from __future__ import annotations
@@ -277,49 +278,44 @@ def param_gradients(loss: Tensor, model: ModelState) -> dict[str, Tensor]:
     return dict(zip(names, grads))
 
 
-def loss_and_gradients(model: ModelState, batches,
+def loss_and_gradients(model: ModelState, batch,
                        params: Mapping[str, np.ndarray] | None = None):
-    """The sum of weight * mean cross-entropy over ``[(x, y, weight), ...]``
-    and its gradient for every parameter, in numpy; ``params`` overrides the
-    model's own parameter values.
-
-    Per batch, one ``_forward`` and a reverse pass over its tape with the
-    engine's vjp rules; batches add up in order. Returns (loss, gradients,
-    each batch's (logits, tape)), the tapes for ``forward_tangents``. Loss
-    and gradients are bit for bit those of ``eng.backward`` on the same loss
-    built from engine primitives. A non-finite loss or gradient raises
-    NonFiniteError.
-    """
-    total, grads, passes = None, {}, []
-    for x, y, weight in batches:
-        logits, tape = _forward(model, x, params)
-        loss, u = _cross_entropy_head(logits, y, weight)
-        passes.append((logits, tape))
-        total = loss if total is None else total + loss
-        for name, g in _reverse(tape, u, {}).items():
-            held = grads.get(name)
-            grads[name] = g if held is None else held + g
-    if not np.isfinite(total):
+    """The ``_cross_entropy_head`` loss of one batch ``(x, y, segments)`` and
+    its gradient for every parameter, from one ``_forward`` and one reverse
+    pass with the engine's vjp rules; ``params`` overrides the model's own
+    parameter values. Returns (loss, gradients, logits, tape), the tape for
+    ``forward_tangents``. Loss and gradients are bit for bit those of
+    ``eng.backward`` on ``meta._mixed_loss``. A non-finite loss or gradient
+    raises NonFiniteError."""
+    x, y, segments = batch
+    logits, tape = _forward(model, x, params)
+    loss, u = _cross_entropy_head(logits, y, segments)
+    grads = _reverse(tape, u, {})
+    if not np.isfinite(loss):
         raise eng.NonFiniteError("loss is not finite")
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise eng.NonFiniteError(f"gradient of '{name}' is not finite")
-    return float(total), grads, passes
+    return float(loss), grads, logits, tape
 
 
-def _cross_entropy_head(logits, y, weight: float):
-    """weight * mean cross-entropy of ``logits`` against ``y`` and its gradient
-    at the logits, by the engine's vjp rules: scale, sum, mul, log_softmax."""
+def _cross_entropy_head(logits, y, segments=None):
+    """Sum over ``segments`` ``[(row slice, weight), ...]`` (None: all rows,
+    weight 1) of weight * mean cross-entropy of those rows of ``logits`` against
+    ``y``, each reduced on its own, and its gradient at the logits, by the
+    engine's vjp rules: scale, sum, mul, log_softmax."""
     y = np.asarray(y, dtype=np.float64)
     if logits.shape != y.shape:
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {y.shape}")
     ls = eng._log_softmax(logits)
-    c = -1.0 / len(logits)
-    loss = (y * ls).sum() * c
-    if weight != 1.0:
-        loss = loss * weight
-    u = (weight * c) * y
-    return loss, u - np.exp(ls) * u.sum(axis=1, keepdims=True)
+    yls, u, total = y * ls, np.empty_like(y), 0.0
+    for rows, weight in segments or [(slice(None), 1.0)]:
+        part = yls[rows]
+        c = -1.0 / len(part)
+        loss = part.sum() * c
+        total += loss * weight if weight != 1.0 else loss
+        u[rows] = (weight * c) * y[rows]
+    return total, u - np.exp(ls) * u.sum(axis=1, keepdims=True)
 
 
 def _reverse(tape, u, grads=None):
@@ -411,7 +407,7 @@ INFERENCE_BYTES = 50 * (28 * 28) * (3 * 3 * 16) * 8
 
 
 def inference_rows(arch: Architecture) -> int:
-    """Rows per forward in ``batched_logits`` and ``smoothness.LogitField``:
+    """Most rows per forward in ``batched_logits`` and ``smoothness.LogitField``:
     INFERENCE_ROWS, or fewer where the widest layer input would pass
     INFERENCE_BYTES. A dense layer's input is its fan-in per row, a conv
     layer's its im2col columns, fan-in times the image's pixels; so an MLP
@@ -422,13 +418,20 @@ def inference_rows(arch: Architecture) -> int:
     return max(1, min(INFERENCE_ROWS, INFERENCE_BYTES // (8 * widest)))
 
 
+def inference_chunks(arch: Architecture, n: int) -> list[slice]:
+    """``n`` rows in ceil(n / ``inference_rows``) near-equal chunks: none holds
+    a lone row, which numpy multiplies by gemv, unless inference_rows < 3."""
+    k = -(-n // inference_rows(arch))
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def batched_logits(model: ModelState, x) -> np.ndarray:
-    """Logits of every row of ``x``, ``inference_rows`` rows per engine
-    forward, without recording a graph."""
+    """Logits of every row of ``x``, one engine forward per
+    ``inference_chunks`` chunk, without recording a graph."""
     x = np.asarray(x, dtype=np.float64)
-    rows = inference_rows(model.arch)
     with eng.no_grad():
-        parts = [forward(model, x[lo:lo + rows]).data for lo in range(0, len(x), rows)]
+        parts = [forward(model, x[rows]).data
+                 for rows in inference_chunks(model.arch, len(x))]
     return np.concatenate(parts) if parts else np.empty((0, model.arch.n_classes))
 
 

@@ -8,8 +8,8 @@ so early epochs only admit easy samples (``TrainConfig.threshold_at``). This
 module holds only that relabel pass: the accepted rows ride along as a second
 group of ``meta.train_step`` inside the shared epoch loop. Both groups are
 mixed within themselves; the meta loss is the labeled mean plus
-``unsup_weight`` times the pseudo mean, and the hypergradient is taken w.r.t.
-the full logit vector at once.
+``unsup_weight`` times the pseudo mean over one stacked batch (one pass per
+loss), and the hypergradient is taken w.r.t. the full logit vector at once.
 """
 
 from __future__ import annotations

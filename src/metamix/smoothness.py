@@ -71,11 +71,12 @@ class QuadraticField:
 class LogitField:
     """A network's logits as a k-channel field of the input.
 
-    ``value`` is ``nets.batched_logits``. ``grad`` runs ``inference_rows``
-    rows at a time: one ``nets._forward`` and, per channel, one reverse pass
-    to the input with a one-hot upstream at the logits, whose rows are
-    independent. Meaningful kappa estimates need smooth activations
-    (softplus, tanh, sigmoid); relu gradients are piecewise constant.
+    ``value`` is ``nets.batched_logits``. ``grad`` runs, per
+    ``nets.inference_chunks`` chunk, one ``nets._forward`` and, per channel,
+    one reverse pass to the input with a one-hot upstream at the logits,
+    whose rows are independent. Meaningful kappa estimates need smooth
+    activations (softplus, tanh, sigmoid); relu gradients are piecewise
+    constant.
     """
 
     def __init__(self, model: ModelState):
@@ -90,13 +91,13 @@ class LogitField:
 
     def grad(self, points: np.ndarray) -> np.ndarray:
         x = self._batched(points)
-        k, rows = self.model.arch.n_classes, nets.inference_rows(self.model.arch)
+        k = self.model.arch.n_classes
         grads = np.empty((k,) + x.shape)
-        for lo in range(0, len(x), rows):
-            chunk = x[lo:lo + rows]
+        for rows in nets.inference_chunks(self.model.arch, len(x)):
+            chunk = x[rows]
             _, tape = nets._forward(self.model, chunk)
             for c, pick in enumerate(np.eye(k)):
-                grads[c, lo:lo + rows] = nets._reverse(
+                grads[c, rows] = nets._reverse(
                     tape, np.broadcast_to(pick, (len(chunk), k)))
         return grads.reshape(k, len(x), -1)
 

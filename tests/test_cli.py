@@ -96,6 +96,20 @@ class TestParsing:
         assert f"unknown option '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub, lines, named", [
+        ("train", "n_classes=3\n", "--n-classes"),
+        ("ssl", "data=idx\ndim=4\n", "--dim"),
+        ("audit", "data=idx\nper_class=30\n", "--per-class"),
+    ], ids=["idx-key-synthetic", "synthetic-key-idx", "synthetic-key-idx-audit"])
+    def test_config_key_of_the_other_data_source_exits_2(self, tmp_path, capsys,
+                                                         sub, lines, named):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        out = tmp_path / "run"
+        assert run([sub, "--config", str(cfg), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["train", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -202,7 +216,14 @@ REJECTED_SETTINGS = {
     "lambda": (["--mode", "mixup-fixed", "--lambda", "1.5"], 2, "--lambda"),
     "seed": (["--seed", "-1"], 2, "--seed"),
     "limit-train": (["--limit-train", "0"], 2, "--limit-train"),
-    "limit-train-synthetic": (["--limit-train", "5"], 2, "--per-class"),
+    "limit-train-synthetic": (["--limit-train", "5"], 2, "--limit-train"),
+    "n-classes-synthetic": (["--n-classes", "3"], 2, "--n-classes"),
+    "train-images-synthetic": (["--train-images", "/nonexistent"], 2, "--train-images"),
+    "per-class-idx": (["--data", "idx", "--per-class", "5"], 2, "--per-class"),
+    "classes-idx": (["--data", "idx", "--classes", "3"], 2, "--classes"),
+    "dim-idx": (["--data", "idx", "--dim", "3"], 2, "--dim"),
+    "test-per-class-idx": (["--data", "idx", "--test-per-class", "3"], 2,
+                           "--test-per-class"),
     "arch-zero": (["--arch", "mlp:0"], 2, "--arch"),
     "data": (["--data", "bogus"], 2, "unknown data source 'bogus'"),
     "separation-nan": (["--separation", "nan"], 3, "separation"),
@@ -457,10 +478,13 @@ class TestAuditRejections:
         (3, ["--model", "{tmp}/absent.npz"]),
         (3, ["--model", "{tmp}/even-kernel.npz"]),
         (3, ["--n-pairs", "1", "--per-class", "1", "--classes", "2", "--seed", "4"]),
-        (4, ["--field", "quadratic", "--diag", "nan,1"]),
+        (2, ["--field", "quadratic", "--diag", "nan,1"]),
+        (2, ["--field", "quadratic", "--diag", "1,-inf"]),
+        (2, ["--n-classes", "3"]),
+        (2, ["--data", "idx", "--classes", "3"]),
     ], ids=["n-pairs", "safety", "safety-nan", "arch", "arch-zero", "seed",
             "data", "checkpoint", "checkpoint-even-kernel", "degenerate-pairs",
-            "diag"])
+            "diag", "diag-inf", "idx-flag-synthetic", "synthetic-flag-idx"])
     def test_exit_code_and_no_output_dir(self, tmp_path, capsys, code, reject):
         write_even_kernel_checkpoint(tmp_path / "even-kernel.npz")
         out = tmp_path / "audit"

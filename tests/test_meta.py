@@ -302,18 +302,24 @@ def test_train_step_records_no_graph(kind, mode, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["supervised", "pseudo"])
 def test_hypergradient_reuses_the_inner_tape(kind, monkeypatch):
-    """One numpy forward per loss: a forward per inner group and one for the
-    validation batch; the two-tangent pass reads the inner tapes."""
+    """One numpy forward and one reverse pass per loss, whatever the number
+    of groups: the inner batch stacks its groups, and the one two-tangent
+    pass reads the inner tape."""
     model, labeled, val, pseudo = _step_inputs(kind)
     rng = np.random.default_rng(22)
     groups = [(x, y, mixing.sample_pairing(len(x), rng), 1.0)
               for x, y in [labeled] + ([pseudo] if pseudo is not None else [])]
-    forwards, during_tangents = [], []
-    real_forward, real_tangents = nets._forward, nets.forward_tangents
+    forwards, reverses, during_tangents = [], [], []
+    real_forward, real_reverse = nets._forward, nets._reverse
+    real_tangents = nets.forward_tangents
 
     def spy_forward(*args):
-        forwards.append(args)
+        forwards.append(len(args[1]))
         return real_forward(*args)
+
+    def spy_reverse(*args):
+        reverses.append(len(args[1]))
+        return real_reverse(*args)
 
     def spy_tangents(*args):
         before = len(forwards)
@@ -322,11 +328,20 @@ def test_hypergradient_reuses_the_inner_tape(kind, monkeypatch):
         return result
 
     monkeypatch.setattr(nets, "_forward", spy_forward)
+    monkeypatch.setattr(nets, "_reverse", spy_reverse)
     monkeypatch.setattr(nets, "forward_tangents", spy_tangents)
-    policy = mixing.init_policy(sum(len(g[0]) for g in groups), rng)
-    meta.hypergradient(model, groups, policy, val, 0.1)
-    assert len(forwards) == len(groups) + 1
-    assert during_tangents == [0] * len(groups)
+    n = sum(len(g[0]) for g in groups)
+    meta.hypergradient(model, groups, mixing.init_policy(n, rng), val, 0.1)
+    assert forwards == reverses == [n, len(val[0])]
+    assert during_tangents == [0]
+
+
+def test_hypergradient_rejects_a_policy_of_the_wrong_length():
+    model, labeled, val, pseudo = _step_inputs("pseudo")
+    rng = np.random.default_rng(25)
+    groups = [(x, y, mixing.sample_pairing(len(x), rng), 1.0) for x, y in (labeled, pseudo)]
+    with pytest.raises(eng.ShapeError, match="policy length 9 vs group total 10"):
+        meta.hypergradient(model, groups, mixing.init_policy(9, rng), val, 0.1)
 
 
 def test_cnn3_step_builds_each_conv_input_columns_once(monkeypatch):
@@ -427,10 +442,11 @@ def test_numpy_loss_and_gradients_equal_the_engine_bitwise(case):
     groups = [(rng.normal(size=(n,) + arch.input_shape),
                nets.one_hot(rng.integers(0, classes, n), classes),
                mixing.sample_pairing(n, rng), w) for n, w in zip(sizes, weights)]
-    mixed = meta._mix_groups(groups, rng.uniform(size=sum(sizes)))
-    reference = meta._mixed_loss(model, mixed, model.params)
+    x, y, perm, segments = meta._stack(groups, sum(sizes))
+    x, y = meta._mix(x, y, perm, rng.uniform(size=sum(sizes)))
+    reference = meta._mixed_loss(model, x, y, segments)
     expected = nets.param_gradients(reference, model)
-    loss, grads, _ = nets.loss_and_gradients(model, mixed)
+    loss, grads = nets.loss_and_gradients(model, (x, y, segments))[:2]
     assert loss == reference.item()
     assert grads.keys() == expected.keys()
     for name, g in grads.items():
@@ -468,15 +484,17 @@ def mix_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(mix_cases())
 def test_numpy_mix_equals_mix_batch_bitwise(case):
+    """The stacked mix is each group's own ``mix_batch``, byte for byte."""
     groups, lam = case
-    offset = 0
-    for (x, y, perm, weight), (mx, my, w) in zip(groups, meta._mix_groups(groups, lam)):
-        ref = mixing.mix_batch(x, y, perm, lam[offset:offset + len(x)])
-        offset += len(x)
-        assert mx.shape == ref.inputs.shape and my.shape == ref.labels.shape
-        assert mx.tobytes() == ref.inputs.data.tobytes()
-        assert my.tobytes() == ref.labels.data.tobytes()
+    x, y, perm, segments = meta._stack(groups, len(lam))
+    mx, my = meta._mix(x, y, perm, lam)
+    for (x, y, perm, weight), (rows, w) in zip(groups, segments):
+        ref = mixing.mix_batch(x, y, perm, lam[rows])
+        assert mx[rows].shape == ref.inputs.shape and my[rows].shape == ref.labels.shape
+        assert mx[rows].tobytes() == ref.inputs.data.tobytes()
+        assert my[rows].tobytes() == ref.labels.data.tobytes()
         assert w == weight
+    assert sum(len(mx[rows]) for rows, _ in segments) == len(mx) == len(lam)
 
 
 class TestConfigValidation:

@@ -99,8 +99,21 @@ class TestForward:
 
         monkeypatch.setattr(nets, "forward", spy_forward)
         logits = nets.batched_logits(model, x)
-        assert sizes == [3, 3, 1]
+        assert sizes == [2, 2, 3]   # near-equal chunks: no lone row
+        # the 2048-wide dense head sums chunks of under 4 rows in another order
         np.testing.assert_allclose(logits, whole, rtol=1e-12)
+
+    def test_batched_logits_chunks_round_as_the_whole_batch(self, monkeypatch):
+        """10 rows at most 3 at a time split 2, 3, 2, 3, not 3, 3, 3, 1: numpy
+        would multiply a lone row by gemv, which rounds unlike the gemm of
+        the whole batch."""
+        rng = np.random.default_rng(5)
+        model = nets.build_model(nets.mlp(6, [12, 8], 3, activation="softplus"), rng)
+        x = rng.normal(size=(10, 6))
+        whole = nets.forward(model, x).data
+        monkeypatch.setattr(nets, "INFERENCE_ROWS", 3)
+        assert [len(x[rows]) for rows in nets.inference_chunks(model.arch, 10)] == [2, 3, 2, 3]
+        assert nets.batched_logits(model, x).tobytes() == whole.tobytes()
 
 
 class TestCloneForMeta:

@@ -210,15 +210,14 @@ class TestLogitField:
         model = nets.build_model(arch, np.random.default_rng(30))
         points = np.random.default_rng(31).normal(size=(10, int(np.prod(arch.input_shape))))
         got = sm.LogitField(model).grad(points)
-        rows = nets.inference_rows(arch)
-        per_chunk = np.concatenate([engine_logit_grad(model, points[lo:lo + rows])
-                                    for lo in range(0, len(points), rows)], axis=1)
+        per_chunk = np.concatenate([engine_logit_grad(model, points[rows])
+                                    for rows in nets.inference_chunks(arch, 10)], axis=1)
         whole = engine_logit_grad(model, points)
         assert got.shape == whole.shape == (3, 10, points.shape[1])
         assert got.tobytes() == per_chunk.tobytes()
-        # rows that share a chunk are the whole batch's bit for bit; numpy
-        # multiplies a lone row (the 10th of 3-row chunks) by gemv, not gemm
-        assert got[:, :9].tobytes() == whole[:, :9].tobytes()
+        # 10 rows split 2, 3, 2, 3 rather than 3, 3, 3, 1: no lone row, whose
+        # product numpy would take by gemv, so the chunks round as the whole
+        assert got.tobytes() == whole.tobytes()
 
     def test_cnn3_grad_runs_inference_rows_per_forward(self, monkeypatch):
         model = nets.build_model(nets.cnn3(classes=3), np.random.default_rng(32))
@@ -232,7 +231,8 @@ class TestLogitField:
         monkeypatch.setattr(nets, "_forward", spy_forward)
         points = np.random.default_rng(33).uniform(size=(2 * rows + 1, 28 * 28))
         assert sm.LogitField(model).grad(points).shape == (3, 2 * rows + 1, 28 * 28)
-        assert seen == [rows, rows, 1]
+        # 2 * rows + 1 points in three near-equal chunks, none of one row
+        assert seen == [33, 34, 34] and rows == 50
 
     def test_grad_makes_no_engine_graph_or_backward(self, monkeypatch):
         backward_calls, graph_nodes = [], []
