@@ -146,9 +146,11 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config_file(path) -> dict[str, str]:
     raw = {}
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}")
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -280,29 +282,43 @@ def _train_config(opts: dict, splits: Splits) -> TrainConfig:
             lambda m: "--" + _FIELD_FLAGS.get(m[1], m[1]).replace("_", "-"), str(exc)))
 
 
-def _out_dir(opts: dict, subcommand: str) -> Path:
+def _open_out(opts: dict, subcommand: str) -> Path:
+    """Create --out (default runs/<subcommand>) and echo the resolved options
+    into its config.json."""
     out = Path(opts["out"] or f"runs/{subcommand}")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.json").write_text(json.dumps(
+            {"subcommand": subcommand, **opts}, indent=2, sort_keys=True,
+            default=str) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: {exc}")
     return out
 
 
-def _echo_config(out: Path, opts: dict, subcommand: str) -> None:
-    echo = {"subcommand": subcommand, **opts}
-    (out / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True,
-                                                default=str) + "\n")
-
-
-def _run_trainer(trainer, *args):
-    """Run a trainer, or its up-front checks; its rejections of the config
-    against the data (a batch larger than the training set) are config
-    errors."""
-    try:
-        return trainer(*args)
+def cmd_train(opts: dict) -> int:
+    """`train`, and `ssl`: the same run on a labeled split of the training
+    set, plus the relabel pass over the rest of it."""
+    t0 = time.perf_counter()
+    subcommand = "ssl" if "labeled_per_class" in opts else "train"
+    splits = _load_splits(opts)
+    if subcommand == "ssl":
+        try:
+            labeled, unlabeled = dataio.split_labeled_pool(
+                splits.train, opts["labeled_per_class"], seed=opts["seed"])
+        except DataError as exc:
+            raise ConfigError(str(exc))
+        splits = replace(splits, train=labeled)
+    config = _train_config(opts, splits)
+    try:   # a batch larger than the training set
+        meta.check_run(splits.train, config)
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-
-def _write_run(out: Path, report, t0: float) -> None:
+    out = _open_out(opts, subcommand)
+    if subcommand == "ssl":
+        report = semi.train_ssl(splits, unlabeled, config)
+    else:
+        report = meta.train_supervised(splits, config)
     with open(out / "metrics.jsonl", "w") as fh:
         write_records(report.records, fh)
     nets.save_model(report.model, out / "model.npz")
@@ -316,40 +332,9 @@ def _write_run(out: Path, report, t0: float) -> None:
         "total_wall_seconds": time.perf_counter() - t0,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-
-
-def cmd_train(opts: dict) -> int:
-    t0 = time.perf_counter()
-    splits = _load_splits(opts)
-    config = _train_config(opts, splits)
-    _run_trainer(meta.check_run, splits.train, config)
-    out = _out_dir(opts, "train")
-    _echo_config(out, opts, "train")
-    report = _run_trainer(meta.train_supervised, splits, config)
-    _write_run(out, report, t0)
-    print(f"final test error {report.final_test_error:.4f} "
-          f"({len(report.records)} epochs) -> {out}")
-    return EXIT_OK
-
-
-def cmd_ssl(opts: dict) -> int:
-    t0 = time.perf_counter()
-    splits = _load_splits(opts)
-    try:
-        labeled, unlabeled = dataio.split_labeled_pool(
-            splits.train, opts["labeled_per_class"], seed=opts["seed"])
-    except DataError as exc:
-        raise ConfigError(str(exc))
-    config = _train_config(opts, splits)
-    _run_trainer(meta.check_run, labeled, config)
-    out = _out_dir(opts, "ssl")
-    _echo_config(out, opts, "ssl")
-    report = _run_trainer(semi.train_ssl, replace(splits, train=labeled), unlabeled,
-                          config)
-    _write_run(out, report, t0)
-    last = report.records[-1]
-    print(f"final test error {report.final_test_error:.4f}, "
-          f"{last.accepted_count} pseudo labels in use -> {out}")
+    detail = (f", {last.accepted_count} pseudo labels in use" if subcommand == "ssl"
+              else f" ({len(report.records)} epochs)")
+    print(f"final test error {report.final_test_error:.4f}{detail} -> {out}")
     return EXIT_OK
 
 
@@ -410,8 +395,7 @@ def cmd_audit(opts: dict) -> int:
     kappa = opts["safety"] * estimate.kappa
     report = smoothness.audit_gap_bound(
         field, kappa, sampler(opts["n_pairs"], np.random.default_rng(opts["seed"] + 2)))
-    out = _out_dir(opts, "audit")
-    _echo_config(out, opts, "audit")
+    out = _open_out(opts, "audit")
     payload = {"estimate": asdict(estimate), "safety": opts["safety"],
                "audited_kappa": kappa, "worst_channel": report.channel,
                **report.summary()}
@@ -457,7 +441,7 @@ def cmd_gradcheck(opts: dict) -> int:
     return EXIT_OK if passed else EXIT_NUMERIC
 
 
-_DISPATCH = {"train": cmd_train, "ssl": cmd_ssl, "audit": cmd_audit,
+_DISPATCH = {"train": cmd_train, "ssl": cmd_train, "audit": cmd_audit,
              "gradcheck": cmd_gradcheck}
 
 

@@ -107,6 +107,8 @@ def mix_batch(inputs, labels, permutation: np.ndarray, lam) -> MixedBatch:
     lam_x = eng.reshape(lam_vec, (batch,) + (1,) * (x.ndim - 1))
     lam_y = eng.reshape(lam_vec, (batch,) + (1,) * (y.ndim - 1))
 
-    mixed_x = eng.add(eng.mul(lam_x, x), eng.mul(1.0 - lam_x, eng.gather_rows(x, perm)))
-    mixed_y = eng.add(eng.mul(lam_y, y), eng.mul(1.0 - lam_y, eng.gather_rows(y, perm)))
+    mixed_x = eng.add(eng.mul(lam_x, x), eng.mul(eng.add_scalar(eng.neg(lam_x), 1.0),
+                                                 eng.gather_rows(x, perm)))
+    mixed_y = eng.add(eng.mul(lam_y, y), eng.mul(eng.add_scalar(eng.neg(lam_y), 1.0),
+                                                 eng.gather_rows(y, perm)))
     return MixedBatch(inputs=mixed_x, labels=mixed_y)

@@ -469,15 +469,23 @@ def _arch_to_json(arch: Architecture) -> str:
     return json.dumps({"input_shape": list(arch.input_shape), "layers": layers})
 
 
+def _size(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"size {value!r} is not an integer")
+    return value
+
+
 def _arch_from_json(text: str) -> Architecture:
+    """The architecture a checkpoint stores; every size must be an integer."""
     spec = json.loads(text)
     layers = []
     for entry in spec["layers"]:
         if entry["kind"] == "conv":
-            layers.append(Conv(entry["kernel"], entry["channels"], entry["activation"]))
+            layers.append(Conv(_size(entry["kernel"]), _size(entry["channels"]),
+                               entry["activation"]))
         else:
-            layers.append(Dense(entry["width"], entry["activation"]))
-    return Architecture(tuple(spec["input_shape"]), tuple(layers))
+            layers.append(Dense(_size(entry["width"]), entry["activation"]))
+    return Architecture(tuple(map(_size, spec["input_shape"])), tuple(layers))
 
 
 def save_model(model: ModelState, path) -> None:

@@ -113,6 +113,16 @@ class TestParsing:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run(["train", "--config", str(tmp_path / "absent.cfg")]) == 2
 
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfee\x00p\x00o\x00c\x00h\x00s\x00=\x002\x00")
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cfg) in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_cli_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nepochs=7\nseed=3\nper_class=30\n"
@@ -253,6 +263,22 @@ def test_rejected_optimizer_setting_exits_2(tmp_path, capsys, sub, reject, code,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under-file"])
+@pytest.mark.parametrize("sub", ["train", "ssl", "audit"])
+def test_out_that_names_a_file_exits_2(tmp_path, capsys, sub, where):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken if where == "file" else taken / "run"
+    extra = ["--n-pairs", "50", "--per-class", "20"] if sub == "audit" else ["--epochs", "1"]
+    assert run([sub, "--out", str(out), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --out ")
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert taken.read_text() == "not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 class TestSslRun:
     def test_artifacts_and_threshold_fields(self, tmp_path):
         out = tmp_path / "ssl"
@@ -368,6 +394,27 @@ class TestIdxRuns:
         assert losses["flip"] != losses["none"]
 
 
+def test_corrupt_flips_idx_training_labels_only(idx_args):
+    args = vars(cli.build_parser().parse_args(["train", *idx_args]))
+    opts, _ = cli.resolve_options(cli._TRAIN_OPTS, args)
+
+    def splits(corrupt, seed):
+        return cli._load_splits({**opts, "corrupt": corrupt, "seed": seed})
+
+    clean, dirty = splits(0.0, 1), splits(0.25, 1)
+    np.testing.assert_array_equal(dirty.train.inputs, clean.train.inputs)
+    flipped = dirty.train.labels != clean.train.labels
+    assert flipped.sum() == round(0.25 * len(clean.train)) == 8
+    np.testing.assert_array_equal(dirty.train.true_labels, clean.train.labels)
+    for name in ("meta_val", "test"):
+        np.testing.assert_array_equal(getattr(dirty, name).labels,
+                                      getattr(clean, name).labels)
+    np.testing.assert_array_equal(splits(0.25, 1).train.labels, dirty.train.labels)
+    other = splits(0.25, 2).train   # another seed flips other rows
+    assert (other.labels != other.true_labels).sum() == 8
+    assert not np.array_equal(other.labels != other.true_labels, flipped)
+
+
 @pytest.mark.parametrize("damage", ["truncated", "corrupted"])
 @pytest.mark.parametrize("sub", ["train", "audit"])
 def test_damaged_gzip_idx_is_a_data_error(tmp_path, capsys, sub, damage):
@@ -442,6 +489,20 @@ class TestHostileCheckpoints:
         np.savez(path, **{**checkpoint, "p:layer0.w": w})
         assert self.audit(tmp_path, path) == 3
         self.expect_data_error(capsys, str(path), "p:layer0.w", "non-finite")
+
+    @pytest.mark.parametrize("where", ["width", "input_shape"])
+    def test_non_integer_size(self, tmp_path, capsys, checkpoint, where):
+        spec = json.loads(str(checkpoint["__arch__"]))
+        if where == "width":
+            spec["layers"][-1]["width"] = 2.0
+        else:
+            spec["input_shape"] = [5.0]
+        path = tmp_path / "x.npz"
+        np.savez(path, **{**checkpoint, "__arch__": np.array(json.dumps(spec))})
+        assert self.audit(tmp_path, path) == 3
+        err = self.expect_data_error(capsys, str(path), "__arch__", "not an integer")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "audit").exists()
 
     def test_input_size_mismatch(self, tmp_path, capsys, checkpoint):
         path = tmp_path / "x.npz"

@@ -77,6 +77,37 @@ class TestCorruption:
         assert out.labels.min() >= 0 and out.labels.max() < 3
 
 
+def shifted(image, dy, dx):
+    """image[r + dy, c + dx] at (r, c), zero where that falls outside."""
+    out = np.zeros_like(image)
+    h, w = image.shape[:2]
+    for r in range(h):
+        for c in range(w):
+            if 0 <= r + dy < h and 0 <= c + dx < w:
+                out[r, c] = image[r + dy, c + dx]
+    return out
+
+
+class TestAugment:
+    @pytest.mark.parametrize("shape", [(24, 5, 6), (24, 5, 6, 2)], ids=["nhw", "nhwc"])
+    def test_flip_translate_rows_are_flipped_shifted_inputs(self, shape):
+        # inputs in [0.5, 1) so the zero fill cannot pass for a pixel
+        x = np.random.default_rng(0).uniform(0.5, 1.0, size=shape)
+        out = dio.augment_batch(x, "flip-translate", np.random.default_rng(3))
+        assert out.shape == x.shape
+        moves = set()
+        for row, image in zip(out, x):
+            hits = [(flip, dy, dx) for flip in (False, True)
+                    for dy in range(-2, 3) for dx in range(-2, 3)
+                    if np.array_equal(row, shifted(image[:, ::-1] if flip else image,
+                                                   dy, dx))]
+            assert hits, "a row is not a flipped or shifted input"
+            moves.add(hits[0])
+        assert len(moves) > 5   # the rows draw their own flip and shift
+        np.testing.assert_array_equal(
+            out, dio.augment_batch(x, "flip-translate", np.random.default_rng(3)))
+
+
 class TestSplits:
     def test_meta_val_disjoint_and_balanced(self):
         spec = SyntheticSpec(classes=3, per_class=50, dim=4)
