@@ -27,12 +27,17 @@ channel is reported: channel 0 at seeds 0 and 1, channels 1 and 2 at seed 3.
 One line audits a softplus conv net on 8x8x1 points the same way, from
 ``CONV_PAIRS`` pairs at 1.2 times its estimate, which pins the conv input
 gradient of the audit. One line audits a quadratic at its estimated constant.
+
+The last line holds the sha256 of the ``nets.save_model`` bytes of three
+freshly built nets (``CHECKPOINT_NETS``), so a change to the checkpoint format
+shows up in the diff.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -58,6 +63,12 @@ AUDIT_SEEDS = (0, 1, 3)
 AUDIT_PAIRS = 2_000
 AUDIT_FACTORS = (0.3, 1.2)
 CONV_PAIRS = 1_000
+# name -> architecture, each built from seed 0 for the checkpoint line
+CHECKPOINT_NETS = {
+    "cnn3": nets.cnn3((8, 8), 1, 3),
+    "mlp-softplus": nets.mlp(10, [32], 2, activation="softplus"),
+    "conv-linear": nets.Architecture((8, 8, 1), (nets.Conv(3, 4, None), nets.Dense(3))),
+}
 
 
 def digest_records(records) -> str:
@@ -149,6 +160,15 @@ def quadratic_fingerprint() -> str:
             f"audit={digest(est.kappa, rep.rows, rep.worst_pair)}")
 
 
+def checkpoint_fingerprint() -> str:
+    line = "checkpoint"
+    for name, arch in CHECKPOINT_NETS.items():
+        buf = io.BytesIO()
+        nets.save_model(nets.build_model(arch, np.random.default_rng(0)), buf)
+        line += f" {name}={hashlib.sha256(buf.getvalue()).hexdigest()}"
+    return line
+
+
 def main() -> None:
     for name, modes in CASES.items():
         for seed in SEEDS:
@@ -161,6 +181,7 @@ def main() -> None:
         print(audit_fingerprint(seed), flush=True)
     print(conv_audit_fingerprint(), flush=True)
     print(quadratic_fingerprint(), flush=True)
+    print(checkpoint_fingerprint(), flush=True)
 
 
 if __name__ == "__main__":

@@ -311,7 +311,7 @@ def cmd_train(opts: dict) -> int:
         splits = replace(splits, train=labeled)
     config = _train_config(opts, splits)
     try:   # a batch larger than the training set
-        meta.check_run(splits.train, config)
+        meta.check_run(splits, config)
     except ValueError as exc:
         raise ConfigError(str(exc))
     out = _open_out(opts, subcommand)
@@ -354,6 +354,8 @@ def _audit_field(opts: dict, rng: np.random.Generator):
         raise ConfigError(f"unknown field {opts['field']!r}")
     if opts["data"] == "idx":
         train = _load_idx_pair(opts, "train")
+        if not len(train):
+            raise DataError(f"{opts['train_images']}: holds no images to audit")
     else:
         spec = SyntheticSpec(**{k: opts[k] for k in ("classes", "per_class", "dim",
                                                      "separation", "noise_sigma")})

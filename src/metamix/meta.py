@@ -36,7 +36,7 @@ import numpy as np
 
 from . import engine as eng
 from . import mixing, nets
-from .data import AUGMENT_MODES, Dataset, Splits, augment_batch
+from .data import AUGMENT_MODES, DataError, Splits, augment_batch
 from .engine import NonFiniteError, Tensor
 from .mixing import InterpolationPolicy
 from .nets import Architecture, ModelState, OptimizerConfig
@@ -104,17 +104,12 @@ class StepStats:
     train_loss: float
     meta_loss: float
     val_loss: float
-    lambda_mean: float
-    lambda_std: float
-    lambda_min: float
-    lambda_max: float
     hypergrad_norm: float
     lambda_values: np.ndarray
     accepted: int                  # pseudo rows in the step
 
     def __post_init__(self):
-        for name in ("train_loss", "meta_loss", "val_loss", "lambda_mean",
-                     "lambda_std", "lambda_min", "lambda_max", "hypergrad_norm"):
+        for name in ("train_loss", "meta_loss", "val_loss", "hypergrad_norm"):
             if not np.isfinite(getattr(self, name)):
                 raise NonFiniteError(f"StepStats.{name} is not finite")
 
@@ -312,11 +307,9 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     if config.mode != "metamixup" and val_batch is not None:
         logits, _ = nets._forward(model, val_batch[0])
         val_loss = float(nets._cross_entropy_head(logits, val_batch[1])[0])
-    return StepStats(
-        train_loss=loss, meta_loss=meta_loss, val_loss=val_loss,
-        lambda_mean=float(lam.mean()), lambda_std=float(lam.std()),
-        lambda_min=float(lam.min()), lambda_max=float(lam.max()),
-        hypergrad_norm=hyper_norm, lambda_values=lam, accepted=n - len(batch[0]))
+    return StepStats(train_loss=loss, meta_loss=meta_loss, val_loss=val_loss,
+                     hypergrad_norm=hyper_norm, lambda_values=lam,
+                     accepted=n - len(batch[0]))
 
 
 def shape_for(arch: Architecture, x: np.ndarray) -> np.ndarray:
@@ -345,14 +338,22 @@ def train_supervised(splits: Splits, config: TrainConfig) -> TrainingReport:
     return _fit(splits, config)
 
 
-def check_run(train: Dataset, config: TrainConfig) -> Architecture:
-    """The net a run of ``config`` on ``train`` builds, once the checks that
+def check_run(splits: Splits, config: TrainConfig) -> Architecture:
+    """The net a run of ``config`` on ``splits`` builds, once the checks that
     reject the pair before anything is built have passed: a batch larger
-    than the training rows (ValueError), an arch whose classes or input
-    shape do not match the data (ShapeError)."""
+    than the training rows (ValueError), meta-validation or test rows of
+    another shape than the training rows (DataError), an arch whose classes
+    or input shape do not match the data (ShapeError)."""
+    train = splits.train
     if config.batch_size > len(train):
         raise ValueError(f"batch_size {config.batch_size} exceeds the {len(train)} "
                          "training rows, so no step would run")
+    for name in ("meta_val", "test"):
+        other = getattr(splits, name)
+        if len(other) and other.inputs.shape[1:] != train.inputs.shape[1:]:
+            raise DataError(f"{name} rows of {other.provenance} have shape "
+                            f"{other.inputs.shape[1:]}, the training rows "
+                            f"{train.inputs.shape[1:]}")
     arch = config.arch if config.arch is not None else default_arch(train)
     if arch.n_classes != train.n_classes:
         raise eng.ShapeError(f"arch has {arch.n_classes} classes, "
@@ -376,10 +377,11 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
     shifted before an MLP flattens them. Per epoch the RNG draws the labeled
     order, then the accepted order (only when rows were accepted); per step:
     validation indices, labeled augmentation, pseudo augmentation, then the
-    draws of :func:`train_step`.
+    draws of :func:`train_step`. An epoch's record averages its steps' losses
+    and reads its lambda statistics from every coefficient the epoch drew.
     """
     train, meta_val, test = splits.train, splits.meta_val, splits.test
-    arch = check_run(train, config)
+    arch = check_run(splits, config)
     classes = train.n_classes
     rng = np.random.default_rng(config.seed)
     model = nets.build_model(arch, rng)
@@ -414,29 +416,16 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
                           pool_y[u_idx])
             stats.append(train_step(model, (bx, y_onehot[idx]), val_batch,
                                     config, rng, lr, pseudo))
-        records.append(epoch_record(epoch, stats, model, test_x,
-                                    test.labels if len(test) else None, t0,
-                                    threshold, accepted, pseudo_accuracy))
+        lam = np.concatenate([s.lambda_values for s in stats])
+        records.append(EpochRecord(
+            epoch=epoch,
+            train_loss=float(np.mean([s.train_loss for s in stats])),
+            meta_loss=float(np.mean([s.meta_loss for s in stats])),
+            val_loss=float(np.mean([s.val_loss for s in stats])),
+            test_error=nets.error_rate(model, test_x, test.labels) if len(test) else -1.0,
+            lambda_mean=float(lam.mean()), lambda_std=float(lam.std()),
+            lambda_hist=lambda_histogram(lam), threshold=threshold,
+            accepted_count=accepted, pseudo_accuracy=pseudo_accuracy,
+            wall_seconds=time.perf_counter() - t0))
     return TrainingReport(records=records, final_test_error=records[-1].test_error,
                           model=model)
-
-
-def epoch_record(epoch: int, stats: Sequence[StepStats], model: ModelState,
-                 test_x, test_labels, t0: float, threshold: float,
-                 accepted: int, pseudo_accuracy: float) -> EpochRecord:
-    lam_all = np.concatenate([s.lambda_values for s in stats])
-    test_error = (nets.error_rate(model, test_x, test_labels)
-                  if test_x is not None else -1.0)
-    return EpochRecord(
-        epoch=epoch,
-        train_loss=float(np.mean([s.train_loss for s in stats])),
-        meta_loss=float(np.mean([s.meta_loss for s in stats])),
-        val_loss=float(np.mean([s.val_loss for s in stats])),
-        test_error=test_error,
-        lambda_mean=float(lam_all.mean()),
-        lambda_std=float(lam_all.std()),
-        lambda_hist=lambda_histogram(lam_all),
-        threshold=threshold,
-        accepted_count=accepted,
-        pseudo_accuracy=pseudo_accuracy,
-        wall_seconds=time.perf_counter() - t0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -457,15 +457,13 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
 # checkpoints
 
 
+# a checkpoint layer is {"kind": its kind, then its type's fields in order}
+LAYER_KINDS = {"conv": Conv, "dense": Dense}
+
+
 def _arch_to_json(arch: Architecture) -> str:
-    layers = []
-    for layer in arch.layers:
-        if isinstance(layer, Conv):
-            layers.append({"kind": "conv", "kernel": layer.kernel,
-                           "channels": layer.channels, "activation": layer.activation})
-        else:
-            layers.append({"kind": "dense", "width": layer.width,
-                           "activation": layer.activation})
+    kinds = {cls: kind for kind, cls in LAYER_KINDS.items()}
+    layers = [{"kind": kinds[type(layer)], **asdict(layer)} for layer in arch.layers]
     return json.dumps({"input_shape": list(arch.input_shape), "layers": layers})
 
 
@@ -475,17 +473,25 @@ def _size(value) -> int:
     return value
 
 
+def _layer_from_json(entry) -> Dense | Conv:
+    """A layer of a known kind with exactly its type's fields; every int
+    field must be an integer."""
+    kind = entry["kind"]
+    if kind not in LAYER_KINDS:
+        raise ValueError(f"unknown layer kind {kind!r}, not one of {sorted(LAYER_KINDS)}")
+    types = {f.name: f.type for f in fields(LAYER_KINDS[kind])}
+    if set(entry) != {"kind", *types}:
+        raise ValueError(f"a {kind} layer has the keys {sorted(types)} besides 'kind', "
+                         f"got {sorted(set(entry) - {'kind'})}")
+    return LAYER_KINDS[kind](**{name: _size(entry[name]) if t == "int" else entry[name]
+                                for name, t in types.items()})
+
+
 def _arch_from_json(text: str) -> Architecture:
-    """The architecture a checkpoint stores; every size must be an integer."""
+    """The architecture a checkpoint stores."""
     spec = json.loads(text)
-    layers = []
-    for entry in spec["layers"]:
-        if entry["kind"] == "conv":
-            layers.append(Conv(_size(entry["kernel"]), _size(entry["channels"]),
-                               entry["activation"]))
-        else:
-            layers.append(Dense(_size(entry["width"]), entry["activation"]))
-    return Architecture(tuple(map(_size, spec["input_shape"])), tuple(layers))
+    return Architecture(tuple(map(_size, spec["input_shape"])),
+                        tuple(map(_layer_from_json, spec["layers"])))
 
 
 def save_model(model: ModelState, path) -> None:

@@ -441,6 +441,35 @@ def test_damaged_gzip_idx_is_a_data_error(tmp_path, capsys, sub, damage):
     assert not out.exists()
 
 
+def expect_one_data_error(capsys, *named):
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and len(err.splitlines()) == 1, err
+    for text in named:
+        assert text in err, (text, err)
+
+
+@pytest.mark.parametrize("sub, extra", [
+    ("train", []), ("train", ["--arch", "cnn3"]), ("ssl", ["--labeled-per-class", "8"]),
+], ids=["train", "train-cnn3", "ssl"])
+def test_test_images_of_another_size_exit_3(tmp_path, capsys, sub, extra):
+    """8x8 training and 6x6 test images are rejected before --out exists."""
+    rng = np.random.default_rng(2)
+    labels = np.arange(40) % 2
+    for side in (8, 6):
+        data.save_idx(data.Dataset(rng.uniform(size=(40, side, side)), labels, 2),
+                      tmp_path / f"img{side}", tmp_path / "lab")
+    out = tmp_path / "out"
+    assert run([sub, "--out", str(out), "--data", "idx", "--n-classes", "2",
+                "--train-images", str(tmp_path / "img8"),
+                "--train-labels", str(tmp_path / "lab"),
+                "--test-images", str(tmp_path / "img6"),
+                "--test-labels", str(tmp_path / "lab"),
+                "--epochs", "1", "--batch-size", "8", "--meta-val-per-class", "4",
+                *extra]) == 3
+    expect_one_data_error(capsys, str(tmp_path / "img6"), "(6, 6)", "(8, 8)")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory):
     """Arrays of a checkpoint trained at dim 5."""
@@ -504,6 +533,27 @@ class TestHostileCheckpoints:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "audit").exists()
 
+    @pytest.mark.parametrize("change, named", [
+        ("kind", "unknown layer kind 'pool'"),
+        ("extra", "got ['activation', 'stride', 'width']"),
+        ("missing", "got ['width']"),
+    ], ids=["unknown-kind", "extra-key", "missing-key"])
+    def test_malformed_layer(self, tmp_path, capsys, checkpoint, change, named):
+        spec = json.loads(str(checkpoint["__arch__"]))
+        layer = spec["layers"][0]
+        if change == "kind":
+            layer["kind"] = "pool"
+        elif change == "extra":
+            layer["stride"] = 1
+        else:
+            del layer["activation"]
+        path = tmp_path / "x.npz"
+        np.savez(path, **{**checkpoint, "__arch__": np.array(json.dumps(spec))})
+        assert self.audit(tmp_path, path) == 3
+        err = self.expect_data_error(capsys, str(path), "__arch__", named)
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "audit").exists()
+
     def test_input_size_mismatch(self, tmp_path, capsys, checkpoint):
         path = tmp_path / "x.npz"
         np.savez(path, **checkpoint)
@@ -523,6 +573,21 @@ def write_even_kernel_checkpoint(path):
                                                  "layers": layers})),
              **{f"{kind}:{name}": np.full(shape, 0.1)
                 for kind in ("p", "m") for name, shape in shapes.items()})
+
+
+@pytest.mark.parametrize("extra", [[], ["--arch", "cnn3"], ["--model", "{tmp}/x.npz"]],
+                         ids=["default", "cnn3", "model"])
+def test_empty_idx_audit_is_a_data_error(tmp_path, capsys, checkpoint, extra):
+    np.savez(tmp_path / "x.npz", **checkpoint)
+    data.save_idx(data.Dataset(np.empty((0, 6, 6)), np.empty(0, dtype=np.int64), 2),
+                  tmp_path / "img", tmp_path / "lab")
+    out = tmp_path / "out"
+    assert run(["audit", "--out", str(out), "--data", "idx", "--n-classes", "2",
+                "--train-images", str(tmp_path / "img"),
+                "--train-labels", str(tmp_path / "lab"),
+                *(arg.format(tmp=tmp_path) for arg in extra)]) == 3
+    expect_one_data_error(capsys, str(tmp_path / "img"), "no images")
+    assert not out.exists()
 
 
 class TestAuditRejections:

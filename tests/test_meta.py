@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -216,7 +217,8 @@ class TestTrainStep:
         cfg = run_config(epochs=1, batch_size=8)
         stats = meta.train_step(model, batch, val, cfg,
                                 np.random.default_rng(12), lr=0.1)
-        assert 0.0 < stats.lambda_min <= stats.lambda_mean <= stats.lambda_max < 1.0
+        lam = stats.lambda_values
+        assert 0.0 < lam.min() <= lam.mean() <= lam.max() < 1.0
         assert stats.hypergrad_norm >= 0.0
         assert stats.lambda_values.shape == (8,)
 
@@ -230,11 +232,12 @@ class TestTrainStep:
             cfg = run_config(mode=mode, epochs=1, batch_size=6, fixed_lambda=0.5)
             stats = meta.train_step(model, (x, y), None, cfg,
                                     np.random.default_rng(15), lr=0.1)
-            assert stats.lambda_std == 0.0  # shared coefficient
+            lam = stats.lambda_values
+            assert lam.std() == 0.0  # shared coefficient
             if mode == "mixup-fixed":
-                assert stats.lambda_mean == 0.5
+                assert lam.mean() == 0.5
             if mode == "baseline":
-                assert stats.lambda_mean == 1.0
+                assert lam.mean() == 1.0
 
 
 def _step_inputs(kind):
@@ -581,6 +584,20 @@ class TestTrainSupervised:
         # small_splits keeps 50 training rows
         with pytest.raises(ValueError, match="batch_size 51 exceeds the 50 training rows"):
             meta.train_supervised(small_splits(), run_config(epochs=1, batch_size=51))
+
+    @pytest.mark.parametrize("split", ["meta_val", "test"])
+    def test_rows_of_another_shape_rejected_before_model(self, monkeypatch, split):
+        def never(*args, **kwargs):
+            raise AssertionError("built a model for a run whose rows disagree")
+
+        monkeypatch.setattr(nets, "build_model", never)
+        splits = small_splits()
+        other = getattr(splits, split)
+        narrow = dataclasses.replace(other, inputs=other.inputs[:, :4])
+        with pytest.raises(DataError, match=rf"{split} rows .* shape \(4,\), "
+                                            r"the training rows \(5,\)"):
+            meta.train_supervised(dataclasses.replace(splits, **{split: narrow}),
+                                  run_config(epochs=1, batch_size=10))
 
     def test_batch_of_the_whole_training_set_takes_a_step(self):
         report = meta.train_supervised(small_splits(), run_config(epochs=1, batch_size=50))
