@@ -11,6 +11,13 @@ after it:
     python3 scripts/fingerprint.py > after.txt    # on the new tree
     diff before.txt after.txt
 
+A change that may move results by rounding only (a kernel that computes the
+same function through other floating-point operations) cannot keep every
+line. Report it by the lines that moved, named by their labels, and, for
+each digest on them, the largest relative change of the values behind it
+(records, parameters, kappa and audit ratios), computed by calling the same
+functions on both trees; every other line must stay the same.
+
 Run it from the repository root. metamix is imported from ``src/`` and the
 setups (data, config, architecture) from ``perfbench/workloads.py``, which is
 only read. Every mode in ``CASES`` runs at each seed in ``SEEDS`` (20 lines),

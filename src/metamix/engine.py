@@ -239,20 +239,35 @@ def sigmoid(a) -> Tensor:
                    lambda y, u, needs: (mul(u, mul(y, add_scalar(neg(y), 1.0))),))
 
 
-def _sigmoid_values(z: np.ndarray) -> np.ndarray:
-    # split by sign to avoid exp overflow on large |z|
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _exp_neg_abs(z: np.ndarray) -> np.ndarray:
+    """The one exp behind softplus and sigmoid: it lies in [0, 1], so it
+    cannot overflow and needs no split by sign. The engine's rules and the
+    numpy derivative tables (``nets``) share it and the two functions below,
+    so both compute the same bits."""
+    return np.exp(-np.abs(z))
+
+
+def _sigmoid_values(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, from
+    ``e = _exp_neg_abs(z)``: the same exp and division per sign as a split
+    of the array by sign, so the same bits wherever z is not NaN."""
+    if e is None:
+        e = _exp_neg_abs(z)
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _softplus_values(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """log(1 + exp(z)) as max(z, 0) + log1p(e), ``e = _exp_neg_abs(z)``:
+    within 2 ulp of ``np.logaddexp(0, z)``, and several times faster, since
+    numpy vectorizes exp and log1p but runs logaddexp as a scalar loop."""
+    if e is None:
+        e = _exp_neg_abs(z)
+    return np.maximum(z, 0.0) + np.log1p(e)
 
 
 def softplus(a) -> Tensor:
     a = as_tensor(a)
-    out = np.logaddexp(0.0, a.data)
+    out = _softplus_values(a.data)
 
     def vjp(y, u, needs):
         return (mul(u, sigmoid(a)),)

@@ -63,8 +63,9 @@ def _sigmoid_derivatives(a):
 
 
 def _softplus_derivatives(a):
-    s = eng._sigmoid_values(a)
-    return np.logaddexp(0.0, a), s, s * (1.0 - s)
+    e = eng._exp_neg_abs(a)
+    s = eng._sigmoid_values(a, e)
+    return eng._softplus_values(a, e), s, s * (1.0 - s)
 
 
 def _relu_derivatives(a):
@@ -74,7 +75,9 @@ def _relu_derivatives(a):
 
 # (f, f', f'') of each activation on numpy arrays, for the numpy training
 # passes (f and f' match the engine's forward and vjp bit for bit); None
-# stands for an f'' that is zero everywhere
+# stands for an f'' that is zero everywhere. Softplus and sigmoid take the
+# engine's own kernel, and softplus computes its one exp(-|z|) once for
+# both f and f'
 ACTIVATION_DERIVATIVES = {
     "tanh": _tanh_derivatives,
     "relu": _relu_derivatives,

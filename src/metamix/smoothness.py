@@ -170,16 +170,26 @@ def kappa_from_pairs(field: ScalarField, x: np.ndarray,
                      x_prime: np.ndarray) -> KappaEstimate:
     """max ||grad f(x) - grad f(x')|| / ||x - x'|| over the given pairs, per
     channel. A lower bound of the true constant; degenerate pairs (x = x')
-    are skipped."""
+    are skipped. A kept distance or gradient difference that is not finite
+    (the norm of points past about 1e154 overflows) raises NonFiniteError:
+    dividing by it would report a constant of 0 or NaN."""
     x, x_prime = _as_pair_batch(x, x_prime)
-    dist = np.linalg.norm(x - x_prime, axis=1)
-    keep = dist > 0
+    # overflow is reported below as an error, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.linalg.norm(x - x_prime, axis=1)
+    keep = dist != 0
     if not keep.any():
         raise ValueError("all pairs are degenerate (x == x')")
     d = dist[keep]
+    if not np.isfinite(d).all():
+        raise NonFiniteError("kappa estimate: a pair distance is not finite")
     m, dim = len(d), x.shape[1]
-    diff = np.linalg.norm(field.grad(x[keep]).reshape(-1, m, dim)
-                          - field.grad(x_prime[keep]).reshape(-1, m, dim), axis=2)
+    gx = field.grad(x[keep]).reshape(-1, m, dim)
+    gp = field.grad(x_prime[keep]).reshape(-1, m, dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.linalg.norm(gx - gp, axis=2)
+    if not np.isfinite(diff).all():
+        raise NonFiniteError("kappa estimate: a gradient difference is not finite")
     per_channel = tuple(float(c.max()) for c in diff / d)
     return KappaEstimate(
         kappa=max(per_channel), n_pairs=m,
@@ -234,6 +244,8 @@ def audit_gap_bound(field: ScalarField, kappa: float, pairs,
     caller can append adversarial pairs such as eigendirections. A pair
     violates at lam when gap > bound * (1 + 1e-9) + 1e-12.
     """
+    if not np.isfinite(kappa):
+        raise NonFiniteError(f"audit: kappa must be finite, got {kappa}")
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
     x, x_prime = _as_pair_batch(*pairs)

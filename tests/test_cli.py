@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -620,6 +621,20 @@ class TestAuditRejections:
         prefix = {2: "config error:", 3: "data error:", 4: "numeric failure:"}[code]
         assert capsys.readouterr().err.startswith(prefix)
         assert not out.exists()
+
+
+def test_overflowing_pair_distances_fail_at_the_estimate(tmp_path, capsys):
+    # noise of 1e200 overflows every pair distance; the estimate used to
+    # report kappa 0 after two RuntimeWarnings and the audit step then failed
+    out = tmp_path / "audit"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["audit", "--out", str(out), "--noise-sigma", "1e200",
+                    "--n-pairs", "10"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("numeric failure: kappa estimate") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestAuditRun:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from metamix import engine as eng
 from metamix.engine import (
@@ -69,6 +70,64 @@ class TestForwardValues:
         big = Tensor(np.full(3, 1e308))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             eng.add(big, big)
+
+
+def sign_split_sigmoid(z):
+    """The sigmoid that ``eng._sigmoid_values`` replaced, kept as its
+    bit-exact reference: the array split by sign, each half with its own
+    exp and division."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 745.2, -745.2, 1e4, -1e4,
+                     1e308, -1e308, np.inf, -np.inf, np.nan])
+float_arrays = hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40),
+                          elements=st.floats(width=64))
+
+
+class TestActivationKernel:
+    """Softplus and sigmoid from one exp(-|z|) (``eng._exp_neg_abs``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_arrays)
+    def test_sigmoid_is_the_sign_split_bit_for_bit(self, z):
+        # NaN stays NaN; only its sign bit, which nothing reads, may differ
+        for points in (z, EXTREMES):
+            ours, reference = eng._sigmoid_values(points), sign_split_sigmoid(points)
+            nan = np.isnan(reference)
+            assert np.array_equal(np.isnan(ours), nan)
+            assert ours[~nan].tobytes() == reference[~nan].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_arrays)
+    def test_softplus_within_two_ulp_of_logaddexp(self, z):
+        for points in (z.ravel(), EXTREMES):
+            ours = eng._softplus_values(points)
+            with np.errstate(invalid="ignore", over="ignore"):   # NaN in, near-max out
+                reference = np.logaddexp(0.0, points)
+                finite = np.isfinite(reference)
+                ulp = np.spacing(reference[finite])
+            assert np.all(np.abs(ours[finite] - reference[finite]) <= 2 * ulp)
+            assert np.array_equal(ours[~finite], reference[~finite], equal_nan=True)
+
+    def test_softplus_non_finite_inputs(self):
+        out = eng._softplus_values(np.array([np.inf, -np.inf, np.nan]))
+        assert out[0] == np.inf and out[1] == 0.0 and np.isnan(out[2])
+
+    @settings(max_examples=50, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_no_floating_point_error_on_finite_inputs(self, z):
+        points = np.concatenate([z.ravel(), EXTREMES[np.isfinite(EXTREMES)]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            eng._sigmoid_values(points)
+            eng._softplus_values(points)
 
 
 class TestBackward:

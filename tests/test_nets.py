@@ -116,6 +116,34 @@ class TestForward:
         assert nets.batched_logits(model, x).tobytes() == whole.tobytes()
 
 
+# zeros of both signs, the ends of exp's range and saturation on either
+# side, then a dense stretch between
+SATURATION_GRID = np.concatenate([
+    [-1e4, -745.0, -30.0, -0.0, 0.0, 30.0, 745.0, 1e4], np.linspace(-40.0, 40.0, 801)])
+
+
+class TestActivationDerivatives:
+    @pytest.mark.parametrize("name", ["softplus", "sigmoid"])
+    def test_f_and_f1_are_the_engines_forward_and_vjp(self, name):
+        f, d1, _ = nets.ACTIVATION_DERIVATIVES[name](SATURATION_GRID)
+        t = Tensor(SATURATION_GRID, requires_grad=True)
+        y = nets.ACTIVATIONS[name](t)
+        (g,) = eng.backward(eng.sum_reduce(y), [t])
+        assert f.tobytes() == y.data.tobytes()
+        assert d1.tobytes() == g.data.tobytes()
+
+    @pytest.mark.parametrize("name", ["softplus", "sigmoid"])
+    def test_f2_is_the_derivative_of_f1(self, name):
+        z, h = np.linspace(-20.0, 20.0, 161), 1e-4
+        table = nets.ACTIVATION_DERIVATIVES[name]
+        _, d1, d2 = table(z)
+        central = (table(z + h)[1] - table(z - h)[1]) / (2 * h)
+        # f' is rounded to eps * max|f'| absolutely, which the difference
+        # divides by 2h; past that the two agree within 1e-6 relative
+        np.testing.assert_allclose(
+            d2, central, rtol=1e-6, atol=2 * np.finfo(float).eps * np.abs(d1).max() / h)
+
+
 class TestCloneForMeta:
     def test_clone_is_detached_copy(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,27 @@ class TestKappaEstimate:
         assert est.n_pairs == 1
         with pytest.raises(ValueError):
             sm.kappa_from_pairs(field, x, x)
+
+    @pytest.mark.parametrize("field, scale, names", [
+        (sm.LogitField(softplus_net(seed=3, in_dim=6)), 1e200, "pair distance"),
+        (quad([1.0, 3.0, 0.5, 2.0, 1.0, 1.0]), 1e160, "pair distance"),
+        (quad([1e300, 1.0, 1.0, 1.0, 1.0, 1.0]), 1.0, "gradient difference"),
+    ], ids=["softplus-1e200", "quadratic-1e160", "gradient-overflow"])
+    def test_non_finite_distance_or_gradient_difference_raises(self, field, scale, names):
+        # at scale 1e200 a net used to report kappa 0 with distance_max inf,
+        # and a quadratic at 1e160 kappa nan
+        rng = np.random.default_rng(11)
+        pool = scale * rng.normal(size=(40, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match=names):
+                sm.kappa_from_pairs(field, *sm.sample_pairs(pool, 30, rng))
+
+    def test_nan_pair_is_not_skipped_as_degenerate(self):
+        x = np.zeros((2, 2))
+        xp = np.array([[1.0, 0.0], [np.nan, 0.0]])
+        with pytest.raises(NonFiniteError, match="pair distance"):
+            sm.kappa_from_pairs(quad([1.0, 2.0]), x, xp)
 
     def test_distance_stats(self):
         field = quad([1.0, 1.0])
@@ -366,6 +389,15 @@ class TestAudit:
     def test_audit_rejects_negative_kappa(self):
         with pytest.raises(ValueError):
             sm.audit_gap_bound(quad([1.0]), -1.0, (np.ones((1, 1)), np.zeros((1, 1))))
+
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_audit_rejects_non_finite_kappa(self, kappa):
+        class Unread:   # the kappa is rejected before the field is evaluated
+            def value(self, points):
+                raise AssertionError("field evaluated")
+
+        with pytest.raises(NonFiniteError, match="kappa"):
+            sm.audit_gap_bound(Unread(), kappa, (np.ones((1, 1)), np.zeros((1, 1))))
 
     def test_nonfinite_evaluation_raises(self):
         class Exploding:
