@@ -35,18 +35,37 @@ One line audits a softplus conv net on 8x8x1 points the same way, from
 ``CONV_PAIRS`` pairs at 1.2 times its estimate, which pins the conv input
 gradient of the audit. One line audits a quadratic at its estimated constant.
 
-The last line holds the sha256 of the ``nets.save_model`` bytes of three
+Then one line holds the sha256 of the ``nets.save_model`` bytes of three
 freshly built nets (``CHECKPOINT_NETS``), so a change to the checkpoint format
 shows up in the diff.
+
+The last lines run ``metamix`` command lines (``CLI_RUNS``) in-process, each in
+a fresh temporary directory that is also the working directory, so the paths
+a run prints and echoes are the same on every run. Each line holds the sha256
+of the run's stdout and of what it writes into ``--out``: ``config.json``,
+``metrics.jsonl`` without ``wall_seconds``, ``model.npz``, ``audit.json`` and
+``pairs.csv``, where the run writes them. To check that a change to the
+command line keeps valid runs as they were, copy this script into a checkout
+of the parent commit, run it there, and diff its output against the output
+here:
+
+    git archive PARENT | tar -x -C /tmp/parent
+    cp scripts/fingerprint.py /tmp/parent/scripts/
+    (cd /tmp/parent && python3 scripts/fingerprint.py) > before.txt
+    python3 scripts/fingerprint.py > after.txt
+    diff before.txt after.txt
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import io
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,7 +73,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from metamix import meta, nets, semi, smoothness  # noqa: E402
+from metamix import cli, meta, nets, semi, smoothness  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 CASES = {
@@ -75,6 +94,24 @@ CHECKPOINT_NETS = {
     "cnn3": nets.cnn3((8, 8), 1, 3),
     "mlp-softplus": nets.mlp(10, [32], 2, activation="softplus"),
     "conv-linear": nets.Architecture((8, 8, 1), (nets.Conv(3, 4, None), nets.Dense(3))),
+}
+
+SMALL = ["--epochs", "2", "--per-class", "30", "--dim", "5", "--batch-size", "10",
+         "--meta-val-per-class", "5"]
+# label -> (argv after the program name, run.cfg text or None); --out is out/
+CLI_RUNS = {
+    "train": (["train", "--seed", "5", *SMALL], None),
+    "ssl": (["ssl", "--per-class", "40", "--dim", "5", "--epochs", "2",
+             "--batch-size", "10", "--meta-val-per-class", "5",
+             "--labeled-per-class", "8", "--sigma0", "0.6", "--seed", "4"], None),
+    "train-config": (["train", "--config", "run.cfg", "--epochs", "2"],
+                     "mode=mixup-beta\ncosine=true\nseed=3\nper_class=30\ndim=5\n"
+                     "batch_size=10\nmeta_val_per_class=5\n"),
+    "audit-network": (["audit", "--per-class", "30", "--dim", "5", "--n-pairs", "300",
+                       "--seed", "3"], None),
+    "audit-quadratic": (["audit", "--field", "quadratic", "--diag", "1,3",
+                         "--n-pairs", "400", "--seed", "1"], None),
+    "gradcheck": (["gradcheck", "--seed", "0"], None),
 }
 
 
@@ -176,6 +213,44 @@ def checkpoint_fingerprint() -> str:
     return line
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_fingerprint(label: str) -> str:
+    argv, config = CLI_RUNS[label]
+    if argv[0] != "gradcheck":
+        argv = [*argv, "--out", "out"]
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            if config is not None:
+                Path("run.cfg").write_text(config)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main(argv)
+            if code != 0:
+                raise SystemExit(f"metamix {' '.join(argv)} exited {code}")
+            line = f"cli {label} stdout={sha256(stdout.getvalue().encode())}"
+            out = Path("out")
+            for name in ("config.json", "metrics.jsonl", "model.npz", "audit.json",
+                         "pairs.csv"):
+                if not (out / name).exists():
+                    continue
+                if name == "metrics.jsonl":
+                    records = [json.loads(row) for row in
+                               (out / name).read_text().splitlines()]
+                    for rec in records:
+                        del rec["wall_seconds"]
+                    line += f" {name}={digest(records)}"
+                else:
+                    line += f" {name}={sha256((out / name).read_bytes())}"
+        finally:
+            os.chdir(home)
+    return line
+
+
 def main() -> None:
     for name, modes in CASES.items():
         for seed in SEEDS:
@@ -189,6 +264,8 @@ def main() -> None:
     print(conv_audit_fingerprint(), flush=True)
     print(quadratic_fingerprint(), flush=True)
     print(checkpoint_fingerprint(), flush=True)
+    for label in CLI_RUNS:
+        print(cli_fingerprint(label), flush=True)
 
 
 if __name__ == "__main__":

@@ -1,20 +1,29 @@
 """Command line front end: train / ssl / audit / gradcheck.
 
 Runs are configured by a flat key=value file plus command line overrides
-(overrides win). Every training run writes three artifacts into --out:
-config.json (the fully resolved option set), metrics.jsonl (one record per
-epoch), summary.json. Exit codes: 0 success, 2 bad configuration, 3 data
-problem, 4 non-finite numerics.
+(overrides win). Every training run writes config.json (the fully resolved
+option set), metrics.jsonl (one record per epoch), summary.json and
+model.npz into --out. An option's converter in the option tables checks its
+range, for flags and --config entries alike, before any command runs.
+
+Exit codes: 0 success. 2 the options are wrong: a value out of its range,
+options that contradict each other (a data flag for the other source, --dim
+below --classes, --sigma-floor above --sigma0), or a count the rows cannot
+supply (batch size, labeled or meta-validation rows per class, a pair sample
+that is all x = x'). 3 a file is wrong: an IDX file or checkpoint cannot be
+read, is malformed, or disagrees with another file, the checkpoint or
+--n-classes. 4 non-finite numerics.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
+import math
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from contextlib import contextmanager
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,89 +44,113 @@ class ConfigError(Exception):
     pass
 
 
-def _bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+def _ranged(range_text: str, parse, holds):
+    """An option's converter: parse(text) if it holds, else a ValueError.
+    Free-form options (--out, --arch, --model, IDX paths) never raise one."""
+    def convert(text: str):
+        value = parse(text)
+        if not holds(value):
+            raise ValueError(text)
+        return value
+    convert.range = range_text
+    return convert
 
 
-def _opt_int(text: str):
-    return None if text.strip().lower() == "none" else int(text)
+def _in(interval: str, kind=float, none: bool = False):
+    """Numbers of kind in interval ("[1, inf)", "(0, 1]", ...), and "none" as
+    None if none is set. NaN fails every comparison, so no interval holds it."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return _ranged(f"{interval} or none" if none else interval,
+                   lambda t: None if none and t.strip().lower() == "none" else kind(t),
+                   lambda v: v is None or ((lo <= v if interval[0] == "[" else lo < v)
+                                           and (v <= hi if interval[-1] == "]" else v < hi)))
+
+
+def _choice(*names: str):
+    return _ranged("{" + ", ".join(names) + "}", str, names.__contains__)
 
 
 def _opt_str(text: str):
     return None if text.strip().lower() == "none" else text
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_bool = _ranged("{" + ", ".join(_BOOLS) + "}", lambda t: _BOOLS.get(t.strip().lower()),
+                lambda v: v is not None)
+_finite_list = _ranged("(-inf, inf), comma-separated", str,   # echoed as typed
+                       lambda text: all(math.isfinite(float(v)) for v in text.split(",")))
+_COUNT, _SEED = _in("[1, inf)", int), _in("[0, inf)", int)
+_COUNT_OR_NONE = _in("[1, inf)", int, none=True)
+_SPEC_KEYS = ("classes", "per_class", "dim", "separation", "noise_sigma")
+
 # name -> (converter, default, help); names double as config file keys
 _DATA_OPTS = {
-    "data": (str, "synthetic", "dataset source: synthetic | idx"),
-    "classes": (int, 2, "synthetic: number of classes"),
-    "per_class": (int, 250, "synthetic: training samples per class"),
-    "dim": (int, 10, "synthetic: input dimension"),
-    "separation": (float, 4.0, "synthetic: distance between class means"),
-    "noise_sigma": (float, 1.0, "synthetic: sample noise scale"),
-    "corrupt": (float, 0.0, "fraction of training labels flipped"),
-    "test_per_class": (_opt_int, None, "synthetic: test samples per class"),
-    "meta_val_per_class": (int, 10, "meta-validation samples per class"),
+    "data": (_choice("synthetic", "idx"), "synthetic", "dataset source: synthetic | idx"),
+    "classes": (_in("[2, inf)", int), 2, "synthetic: number of classes"),
+    "per_class": (_COUNT, 250, "synthetic: training samples per class"),
+    "dim": (_COUNT, 10, "synthetic: input dimension"),
+    "separation": (_in("[0, inf)"), 4.0, "synthetic: distance between class means"),
+    "noise_sigma": (_in("(0, inf)"), 1.0, "synthetic: sample noise scale"),
+    "corrupt": (_in("[0, 1]"), 0.0, "fraction of training labels flipped"),
+    "test_per_class": (_COUNT_OR_NONE, None, "synthetic: test samples per class"),
+    "meta_val_per_class": (_COUNT, 10, "meta-validation samples per class"),
     "train_images": (_opt_str, None, "idx: training images file"),
     "train_labels": (_opt_str, None, "idx: training labels file"),
     "test_images": (_opt_str, None, "idx: test images file"),
     "test_labels": (_opt_str, None, "idx: test labels file"),
-    "n_classes": (int, 10, "idx: number of classes"),
-    "limit_train": (_opt_int, None, "idx: cap on training samples after loading"),
+    "n_classes": (_in("[2, inf)", int), 10, "idx: number of classes"),
+    "limit_train": (_COUNT_OR_NONE, None, "idx: cap on training samples after loading"),
 }
 
 _TRAIN_OPTS = {
     "out": (str, None, "output directory (default runs/<subcommand>)"),
-    "mode": (str, "metamixup",
+    "mode": (_choice(*meta.MODES), "metamixup",
              "metamixup | mixup-beta | mixup-fixed | baseline"),
-    "seed": (int, 0, "run seed"),
-    "epochs": (int, 10, "training epochs"),
-    "batch_size": (int, 64, "training and validation batch size"),
-    "lr": (float, 0.1, "learning rate"),
-    "momentum": (float, 0.9, "SGD momentum"),
-    "weight_decay": (float, 1e-4, "L2 coefficient folded into the gradient"),
+    "seed": (_SEED, 0, "run seed"),
+    "epochs": (_COUNT, 10, "training epochs"),
+    "batch_size": (_in("[2, inf)", int), 64, "training and validation batch size"),
+    "lr": (_in("(0, inf)"), 0.1, "learning rate"),
+    "momentum": (_in("[0, 1)"), 0.9, "SGD momentum"),
+    "weight_decay": (_in("[0, inf)"), 1e-4, "L2 coefficient folded into the gradient"),
     "cosine": (_bool, False, "cosine-anneal the learning rate"),
-    "policy_step_size": (float, 5.0, "step on the interpolation logits"),
-    "lambda": (float, 0.5, "mixup-fixed coefficient"),
-    "beta_alpha": (float, 1.0, "mixup-beta Beta(a, a) parameter"),
-    "augment": (str, "none", "batch augmentation: none | flip | flip-translate"),
+    "policy_step_size": (_in("[0, inf)"), 5.0, "step on the interpolation logits"),
+    "lambda": (_in("[0, 1]"), 0.5, "mixup-fixed coefficient"),
+    "beta_alpha": (_in("(0, inf)"), 1.0, "mixup-beta Beta(a, a) parameter"),
+    "augment": (_choice(*dataio.AUGMENT_MODES), "none",
+                "batch augmentation: none | flip | flip-translate"),
     "arch": (_opt_str, None, "model: mlp | mlp:H1,H2 | cnn3 (default sized from data)"),
     **_DATA_OPTS,
 }
 
 _SSL_OPTS = {
     **_TRAIN_OPTS,
-    "batch_size": (int, 8, "training and validation batch size"),
-    "labeled_per_class": (int, 25, "labeled samples kept per class"),
-    "unsup_weight": (float, 1.0, "weight on the pseudo-label loss"),
-    "sigma0": (float, 0.95, "initial confidence threshold"),
-    "sigma_decrement": (float, 0.05, "threshold drop per period"),
-    "sigma_period": (int, 30, "epochs between threshold drops"),
-    "sigma_floor": (float, 0.5, "lowest threshold"),
+    "batch_size": (_TRAIN_OPTS["batch_size"][0], 8, "training and validation batch size"),
+    "labeled_per_class": (_COUNT, 25, "labeled samples kept per class"),
+    "unsup_weight": (_in("[0, inf)"), 1.0, "weight on the pseudo-label loss"),
+    "sigma0": (_in("(0, 1]"), 0.95, "initial confidence threshold"),
+    "sigma_decrement": (_in("[0, inf)"), 0.05, "threshold drop per period"),
+    "sigma_period": (_COUNT, 30, "epochs between threshold drops"),
+    "sigma_floor": (_in("(0, 1]"), 0.5, "lowest threshold"),
 }
 
 _AUDIT_OPTS = {
     "out": (str, None, "output directory"),
-    "seed": (int, 0, "sampling seed"),
-    "field": (str, "network", "audited field: network | quadratic"),
-    "diag": (str, "1,3", "quadratic: diagonal of A"),
+    "seed": (_SEED, 0, "sampling seed"),
+    "field": (_choice("network", "quadratic"), "network",
+              "audited field: network | quadratic"),
+    "diag": (_finite_list, "1,3", "quadratic: diagonal of A"),
     "model": (_opt_str, None, "network: checkpoint to audit (default fresh init)"),
     "arch": (_opt_str, None, "network: architecture when no checkpoint given"),
-    "n_pairs": (int, 10_000, "pairs for estimation and a fresh audit"),
-    "safety": (float, 1.2, "multiplier on the estimated constant"),
-    **{k: _DATA_OPTS[k] for k in ("data", "classes", "per_class", "dim",
-                                  "separation", "noise_sigma", "train_images",
-                                  "train_labels", "n_classes")},
+    "n_pairs": (_COUNT, 10_000, "pairs for estimation and a fresh audit"),
+    "safety": (_in("[0, inf)"), 1.2, "multiplier on the estimated constant"),
+    **{k: _DATA_OPTS[k] for k in ("data", *_SPEC_KEYS, "train_images", "train_labels",
+                                  "n_classes")},
 }
 
 _GRADCHECK_OPTS = {
-    "seed": (int, 0, "problem seed"),
-    "tolerance": (float, 1e-4, "max relative error allowed"),
+    "seed": (_SEED, 0, "problem seed"),
+    "tolerance": (_in("[0, inf)"), 1e-4, "max relative error allowed"),
 }
 
 _SUBCOMMANDS = {
@@ -126,6 +159,10 @@ _SUBCOMMANDS = {
     "audit": _AUDIT_OPTS,
     "gradcheck": _GRADCHECK_OPTS,
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", default=None,
                          help="key=value file; command line flags override it")
         for key, (_, default, help_text) in table.items():
-            sub.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                             default=None, metavar="V",
+            sub.add_argument(_flag(key), dest=key, default=None, metavar="V",
                              help=f"{help_text} (default {default})")
     return parser
 
@@ -178,8 +214,8 @@ def resolve_options(table: dict, args: dict) -> tuple[dict, set]:
                 convert = table[key][0]
                 try:
                     value = convert(value)
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key}: {exc}")
+                except ValueError:
+                    raise ConfigError(f"{_flag(key)} must be in {convert.range}, got {value}")
             resolved[key] = value
     return resolved, {key for layer in layers for key in layer}
 
@@ -189,7 +225,7 @@ def _check_source_flags(opts: dict, given: set) -> None:
     for key, (_, _, help_text) in _DATA_OPTS.items():
         source = help_text.split(":")[0]
         if key in given and source in ("synthetic", "idx") and source != opts["data"]:
-            raise ConfigError(f"--{key.replace('_', '-')} applies to --data {source}; "
+            raise ConfigError(f"{_flag(key)} applies to --data {source}; "
                               f"this run reads --data {opts['data']}")
 
 
@@ -226,39 +262,38 @@ def _load_idx_pair(opts: dict, what: str) -> Dataset:
         raise DataError(f"cannot read {what} set: {exc}")
 
 
+@contextmanager
+def _options_fault(error, *flags: str):
+    """error, raised in the block, as a config error that names flags. Synthetic
+    rows and every split are functions of the options: a DataError there is one."""
+    try:
+        yield
+    except error as exc:
+        raise ConfigError(f"{', '.join(flags)}: {exc}")
+
+
+def _synthetic_spec(opts: dict) -> SyntheticSpec:
+    with _options_fault(DataError, "--dim", "--classes"):
+        return SyntheticSpec(**{k: opts[k] for k in _SPEC_KEYS})
+
+
 def _load_splits(opts: dict) -> Splits:
-    limit = opts["limit_train"]
-    if limit is not None and limit < 1:
-        raise ConfigError(f"--limit-train must be >= 1, got {limit}")
-    if opts["meta_val_per_class"] < 1:
-        raise DataError("--meta-val-per-class must be >= 1, "
-                        f"got {opts['meta_val_per_class']}")
     if opts["data"] == "synthetic":
-        test_per_class = opts["test_per_class"]
-        if test_per_class is not None and test_per_class < 1:
-            raise DataError(f"--test-per-class must be >= 1, got {test_per_class}")
-        spec = SyntheticSpec(**{k: opts[k] for k in ("classes", "per_class", "dim",
-                                                     "separation", "noise_sigma")})
-        return dataio.standard_splits(spec, seed=opts["seed"], corrupt=opts["corrupt"],
-                                      meta_val_per_class=opts["meta_val_per_class"],
-                                      test_per_class=test_per_class)
+        spec = _synthetic_spec(opts)
+        with _options_fault(DataError, "--meta-val-per-class"):
+            return dataio.standard_splits(spec, seed=opts["seed"], corrupt=opts["corrupt"],
+                                          meta_val_per_class=opts["meta_val_per_class"],
+                                          test_per_class=opts["test_per_class"])
     train, test = _load_idx_pair(opts, "train"), _load_idx_pair(opts, "test")
-    if limit is not None:
-        train = train.subset(np.arange(min(limit, len(train))))
-    train, meta_val = dataio.split_meta_validation(
-        train, SplitSpec(opts["meta_val_per_class"], seed=opts["seed"]))
+    if opts["limit_train"] is not None:
+        train = train.subset(np.arange(min(opts["limit_train"], len(train))))
+    with _options_fault(DataError, "--meta-val-per-class"):
+        train, meta_val = dataio.split_meta_validation(
+            train, SplitSpec(opts["meta_val_per_class"], seed=opts["seed"]))
     if opts["corrupt"] != 0:
         train = dataio.corrupt_labels(train, opts["corrupt"],
                                       np.random.default_rng(opts["seed"] + 1))
     return Splits(train=train, meta_val=meta_val, test=test)
-
-
-# config fields set by a flag of another name; every other field's flag is
-# its own name
-_FIELD_FLAGS = {"learning_rate": "lr", "fixed_lambda": "lambda",
-                "cosine_anneal": "cosine", "horizon": "epochs"}
-_FIELD_NAMES = re.compile(r"\b(%s)\b" % "|".join(
-    f.name for cls in (TrainConfig, OptimizerConfig) for f in fields(cls)))
 
 
 def _train_config(opts: dict, splits: Splits) -> TrainConfig:
@@ -272,14 +307,11 @@ def _train_config(opts: dict, splits: Splits) -> TrainConfig:
     if "sigma0" in opts:
         kwargs.update({k: opts[k] for k in ("unsup_weight", "sigma0", "sigma_decrement",
                                             "sigma_period", "sigma_floor")})
-    try:
+    with _options_fault(ValueError, "--sigma-floor", "--sigma0"):   # floor above sigma0
         return TrainConfig(**kwargs, optimizer=OptimizerConfig(
             learning_rate=opts["lr"], momentum=opts["momentum"],
             weight_decay=opts["weight_decay"], cosine_anneal=opts["cosine"],
             horizon=opts["epochs"]))
-    except ValueError as exc:   # name the flags, not the fields
-        raise ConfigError(_FIELD_NAMES.sub(
-            lambda m: "--" + _FIELD_FLAGS.get(m[1], m[1]).replace("_", "-"), str(exc)))
 
 
 def _open_out(opts: dict, subcommand: str) -> Path:
@@ -303,17 +335,13 @@ def cmd_train(opts: dict) -> int:
     subcommand = "ssl" if "labeled_per_class" in opts else "train"
     splits = _load_splits(opts)
     if subcommand == "ssl":
-        try:
+        with _options_fault(DataError, "--labeled-per-class"):
             labeled, unlabeled = dataio.split_labeled_pool(
                 splits.train, opts["labeled_per_class"], seed=opts["seed"])
-        except DataError as exc:
-            raise ConfigError(str(exc))
         splits = replace(splits, train=labeled)
     config = _train_config(opts, splits)
-    try:   # a batch larger than the training set
+    with _options_fault(ValueError, "--batch-size"):   # more than the training rows
         meta.check_run(splits, config)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     out = _open_out(opts, subcommand)
     if subcommand == "ssl":
         report = semi.train_ssl(splits, unlabeled, config)
@@ -341,25 +369,15 @@ def cmd_train(opts: dict) -> int:
 def _audit_field(opts: dict, rng: np.random.Generator):
     """Returns (anchors, field): a quadratic or a network's logits."""
     if opts["field"] == "quadratic":
-        try:
-            diag = np.array([float(v) for v in opts["diag"].split(",")])
-        except ValueError:
-            raise ConfigError(f"bad diag {opts['diag']!r}")
-        if not np.isfinite(diag).all():
-            raise ConfigError(f"--diag must be finite, got {opts['diag']!r}")
-        anchors = rng.normal(scale=2.0, size=(max(200, opts["per_class"]),
-                                              len(diag)))
+        diag = np.array([float(v) for v in opts["diag"].split(",")])
+        anchors = rng.normal(scale=2.0, size=(max(200, opts["per_class"]), len(diag)))
         return anchors, smoothness.QuadraticField(np.diag(diag))
-    if opts["field"] != "network":
-        raise ConfigError(f"unknown field {opts['field']!r}")
     if opts["data"] == "idx":
         train = _load_idx_pair(opts, "train")
         if not len(train):
             raise DataError(f"{opts['train_images']}: holds no images to audit")
     else:
-        spec = SyntheticSpec(**{k: opts[k] for k in ("classes", "per_class", "dim",
-                                                     "separation", "noise_sigma")})
-        train = dataio.make_synthetic(spec, np.random.default_rng(opts["seed"]))
+        train = dataio.make_synthetic(_synthetic_spec(opts), np.random.default_rng(opts["seed"]))
     anchors = train.inputs.reshape(len(train.inputs), -1)
     if opts["model"]:
         model = nets.load_model(opts["model"])
@@ -381,19 +399,12 @@ def _audit_field(opts: dict, rng: np.random.Generator):
 
 
 def cmd_audit(opts: dict) -> int:
-    if opts["n_pairs"] < 1:
-        raise ConfigError(f"--n-pairs must be >= 1, got {opts['n_pairs']}")
-    if not 0.0 <= opts["safety"] < np.inf:
-        raise ConfigError(f"--safety must be finite and >= 0, got {opts['safety']}")
     rng = np.random.default_rng(opts["seed"])
     anchors, field = _audit_field(opts, rng)
     sampler = lambda n, r: smoothness.sample_pairs(anchors, n, r)
-    try:
+    with _options_fault(ValueError, "--n-pairs"):   # a sample of x == x' pairs only
         estimate = smoothness.estimate_kappa(
             field, sampler, opts["n_pairs"], np.random.default_rng(opts["seed"] + 1))
-    except ValueError as exc:   # only a sample of x == x' pairs raises it
-        raise DataError(f"--n-pairs {opts['n_pairs']}: {exc}; sample more pairs "
-                        f"or from more data rows")
     kappa = opts["safety"] * estimate.kappa
     report = smoothness.audit_gap_bound(
         field, kappa, sampler(opts["n_pairs"], np.random.default_rng(opts["seed"] + 2)))
@@ -415,9 +426,6 @@ def cmd_gradcheck(opts: dict) -> int:
     """The hypergradient against central differences of the same validation
     loss, taken as a function of the policy logits, and against its double
     backward through the simulated step."""
-    if not 0.0 <= opts["tolerance"] < np.inf:
-        raise ConfigError(f"--tolerance must be finite and >= 0, "
-                          f"got {opts['tolerance']}")
     rng = np.random.default_rng(opts["seed"])
     model = nets.build_model(nets.mlp(4, [8], 3), rng)
     x = rng.normal(size=(8, 4))
@@ -448,17 +456,12 @@ _DISPATCH = {"train": cmd_train, "ssl": cmd_train, "audit": cmd_audit,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:
         opts, given = resolve_options(_SUBCOMMANDS[args.subcommand], vars(args))
-        if opts["seed"] < 0:   # every subcommand seeds numpy, which needs >= 0
-            raise ConfigError(f"--seed must be >= 0, got {opts['seed']}")
-        if opts.get("data", "synthetic") not in ("synthetic", "idx"):
-            raise ConfigError(f"unknown data source {opts['data']!r}")
         if "data" in opts and opts.get("field") != "quadratic":
             _check_source_flags(opts, given)
         return _DISPATCH[args.subcommand](opts)

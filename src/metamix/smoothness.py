@@ -250,7 +250,11 @@ def audit_gap_bound(field: ScalarField, kappa: float, pairs,
         raise ValueError("kappa must be non-negative")
     x, x_prime = _as_pair_batch(*pairs)
     n = len(x)
-    dist = np.linalg.norm(x - x_prime, axis=1)
+    # overflow is reported below as an error, before the field is evaluated
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.linalg.norm(x - x_prime, axis=1)
+    if not np.isfinite(dist).all():
+        raise NonFiniteError("audit: a pair distance is not finite")
     fx, fp = field.value(x).reshape(n, -1), field.value(x_prime).reshape(n, -1)
 
     # one (lam, pair) row per table row; gaps keep a column per channel

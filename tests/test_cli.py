@@ -1,14 +1,20 @@
+import contextlib
 import dataclasses
 import gzip
+import io
 import json
+import math
 import re
 import shlex
+import string
 import struct
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metamix import cli, data, meta, nets
 from metamix.reporting import FIELD_ORDER, read_records
@@ -211,8 +217,8 @@ class TestTrainRun:
         assert "numeric" in capsys.readouterr().err
 
 
-# id -> (flags, exit code, text the message holds): config errors name the
-# flag the user typed; data settings exit 3
+# id -> (flags, exit code, text the message holds): each message names the
+# flag the user typed
 REJECTED_SETTINGS = {
     "lr": (["--lr", "0"], 2, "--lr"),
     "momentum": (["--momentum", "1.5"], 2, "--momentum"),
@@ -236,16 +242,17 @@ REJECTED_SETTINGS = {
     "test-per-class-idx": (["--data", "idx", "--test-per-class", "3"], 2,
                            "--test-per-class"),
     "arch-zero": (["--arch", "mlp:0"], 2, "--arch"),
-    "data": (["--data", "bogus"], 2, "unknown data source 'bogus'"),
-    "separation-nan": (["--separation", "nan"], 3, "separation"),
-    "corrupt-nan": (["--corrupt", "nan"], 3, "corrupt"),
-    "test-per-class": (["--test-per-class", "-1"], 3, "--test-per-class must be >= 1"),
-    "meta-val-per-class": (["--meta-val-per-class", "0"], 3,
-                           "--meta-val-per-class must be >= 1"),
-    "per-class": (["--per-class", "0"], 3, "per_class must be >= 1, got 0"),
-    "noise-sigma": (["--noise-sigma", "0"], 3, "noise_sigma must be > 0, got 0.0"),
-    "separation-negative": (["--separation", "-1"], 3,
-                            "separation must be >= 0, got -1.0"),
+    "data": (["--data", "bogus"], 2, "--data"),
+    "separation-nan": (["--separation", "nan"], 2, "--separation"),
+    "corrupt-nan": (["--corrupt", "nan"], 2, "--corrupt"),
+    "test-per-class": (["--test-per-class", "-1"], 2, "--test-per-class"),
+    "meta-val-per-class": (["--meta-val-per-class", "0"], 2, "--meta-val-per-class"),
+    "per-class": (["--per-class", "0"], 2, "--per-class"),
+    "noise-sigma": (["--noise-sigma", "0"], 2, "--noise-sigma"),
+    "separation-negative": (["--separation", "-1"], 2, "--separation"),
+    "meta-val-per-class-over": (["--per-class", "20", "--meta-val-per-class", "21"], 2,
+                                "--meta-val-per-class"),
+    "dim-below-classes": (["--dim", "2", "--classes", "3"], 2, "--classes"),
 }
 
 
@@ -254,13 +261,137 @@ REJECTED_SETTINGS = {
       for name, (reject, code, named) in REJECTED_SETTINGS.items()
       for sub in ("train", "ssl")),
     pytest.param("ssl", ["--unsup-weight", "nan"], 2, "--unsup-weight",
-                 id="unsup-weight-nan-ssl")])
+                 id="unsup-weight-nan-ssl"),
+    pytest.param("ssl", ["--sigma-floor", "0.9", "--sigma0", "0.8"], 2, "--sigma-floor",
+                 id="sigma-floor-above-sigma0-ssl")])
 def test_rejected_optimizer_setting_exits_2(tmp_path, capsys, sub, reject, code, named):
+    """Every rejected setting, not only the optimizer's, with its exit code."""
     out = tmp_path / "run"
     assert run([sub, "--out", str(out), *reject]) == code
     err = capsys.readouterr().err
     assert err.startswith({2: "config error:", 3: "data error:"}[code])
-    assert named in err
+    assert named in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+# every option's range, written out here rather than read from the option
+# tables: a number kind and an interval, or the set of accepted words
+RANGES = {
+    "data": {"synthetic", "idx"},
+    "classes": (int, "[2, inf)"),
+    "per_class": (int, "[1, inf)"),
+    "dim": (int, "[1, inf)"),
+    "separation": (float, "[0, inf)"),
+    "noise_sigma": (float, "(0, inf)"),
+    "corrupt": (float, "[0, 1]"),
+    "test_per_class": (int, "[1, inf)"),
+    "meta_val_per_class": (int, "[1, inf)"),
+    "n_classes": (int, "[2, inf)"),
+    "limit_train": (int, "[1, inf)"),
+    "mode": {"metamixup", "mixup-beta", "mixup-fixed", "baseline"},
+    "seed": (int, "[0, inf)"),
+    "epochs": (int, "[1, inf)"),
+    "batch_size": (int, "[2, inf)"),
+    "lr": (float, "(0, inf)"),
+    "momentum": (float, "[0, 1)"),
+    "weight_decay": (float, "[0, inf)"),
+    "cosine": {"1", "true", "yes", "on", "0", "false", "no", "off"},
+    "policy_step_size": (float, "[0, inf)"),
+    "lambda": (float, "[0, 1]"),
+    "beta_alpha": (float, "(0, inf)"),
+    "augment": {"none", "flip", "flip-translate"},
+    "labeled_per_class": (int, "[1, inf)"),
+    "unsup_weight": (float, "[0, inf)"),
+    "sigma0": (float, "(0, 1]"),
+    "sigma_decrement": (float, "[0, inf)"),
+    "sigma_period": (int, "[1, inf)"),
+    "sigma_floor": (float, "(0, 1]"),
+    "field": {"network", "quadratic"},
+    "diag": "comma-separated finite numbers",
+    "n_pairs": (int, "[1, inf)"),
+    "safety": (float, "[0, inf)"),
+    "tolerance": (float, "[0, inf)"),
+}
+FREE_FORM = {"out", "arch", "model", "train_images", "train_labels", "test_images",
+             "test_labels"}
+NOT_NUMBERS = st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "two",
+                               "", "1e", "0x10"])
+WORDS = st.text(string.ascii_letters + string.digits + "-_.,+", max_size=12)
+
+
+def outside(option: str):
+    """Text for a value outside the option's range: NaN, +-inf, a non-number,
+    a bound +- 1, the next float past a closed bound, or any number past a
+    bound."""
+    spec = RANGES[option]
+    if isinstance(spec, set):
+        return WORDS.filter(lambda word: word.lower() not in spec)
+    if isinstance(spec, str):   # --diag: one entry is not finite, or not a number
+        entries = st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                           max_size=2)
+        return st.tuples(entries, NOT_NUMBERS).map(lambda p: ",".join([*p[0], p[1]]))
+    kind, interval = spec
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    closed_lo, closed_hi = interval[0] == "[", interval[-1] == "]"
+    if kind is int:
+        edges = [str(int(lo) - 1), f"{lo + 0.5}"]
+        past = st.integers(max_value=int(lo) - 1).map(str)
+    else:
+        edges = [repr(lo - 1), repr(math.nextafter(lo, -math.inf) if closed_lo else lo)]
+        past = st.floats(max_value=lo, exclude_max=closed_lo)
+        if math.isfinite(hi):
+            edges += [repr(hi + 1), repr(math.nextafter(hi, math.inf) if closed_hi else hi)]
+            past |= st.floats(min_value=hi, exclude_min=closed_hi)
+        past = past.map(repr)
+    return NOT_NUMBERS | st.sampled_from(edges) | past
+
+
+RANGED = [(sub, key) for sub, table in cli._SUBCOMMANDS.items()
+          for key in table if key not in FREE_FORM]
+
+
+@pytest.mark.parametrize("sub, option", RANGED, ids=[f"{s}-{k}" for s, k in RANGED])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_value_outside_its_range_exits_2(sub, option, data):
+    """A drawn value outside an option's range, as a flag or a --config entry,
+    is one config error line that names the flag, and creates no --out."""
+    value = data.draw(outside(option), label="value")
+    via_config = data.draw(st.booleans(), label="via_config")
+    flag = "--" + option.replace("_", "-")
+    with tempfile.TemporaryDirectory() as tmp:
+        out, cfg = Path(tmp) / "run", Path(tmp) / "run.cfg"
+        cfg.write_text(f"{option}={value}\n")
+        argv = [sub, f"--config={cfg}" if via_config else f"{flag}={value}"]
+        if sub != "gradcheck":
+            argv.append(f"--out={out}")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        assert code == 2, (argv, stderr.getvalue())
+        assert stderr.getvalue().startswith(f"config error: {flag} must be in ")
+        assert len(stderr.getvalue().splitlines()) == 1
+        assert stdout.getvalue() == ""
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
+def test_every_option_but_the_free_form_ones_has_a_range(sub):
+    """Every default passes its own converter, and every option but the
+    free-form ones has a range, also written out in RANGES."""
+    for key, (convert, default, _) in cli._SUBCOMMANDS[sub].items():
+        converted = convert(str(default))
+        assert key in FREE_FORM or converted == default, key
+        assert hasattr(convert, "range") == (key not in FREE_FORM), key
+        assert key in FREE_FORM or key in RANGES, key
+
+
+def test_degenerate_pair_sample_names_n_pairs(tmp_path, capsys):
+    out = tmp_path / "audit"
+    assert run(["audit", "--out", str(out), "--n-pairs", "1", "--per-class", "1",
+                "--seed", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --n-pairs") and len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -604,7 +735,7 @@ class TestAuditRejections:
         (2, ["--data", "bogus"]),
         (3, ["--model", "{tmp}/absent.npz"]),
         (3, ["--model", "{tmp}/even-kernel.npz"]),
-        (3, ["--n-pairs", "1", "--per-class", "1", "--classes", "2", "--seed", "4"]),
+        (2, ["--n-pairs", "1", "--per-class", "1", "--classes", "2", "--seed", "4"]),
         (2, ["--field", "quadratic", "--diag", "nan,1"]),
         (2, ["--field", "quadratic", "--diag", "1,-inf"]),
         (2, ["--n-classes", "3"]),

@@ -390,6 +390,25 @@ class TestAudit:
         with pytest.raises(ValueError):
             sm.audit_gap_bound(quad([1.0]), -1.0, (np.ones((1, 1)), np.zeros((1, 1))))
 
+    def test_audit_rejects_overflowing_pair_distances_before_evaluating(self):
+        # pairs at 1e160 used to print RuntimeWarnings from the field's values
+        # and the gaps before the audit raised
+        class Counted:
+            field, calls = sm.QuadraticField(np.eye(2)), 0
+
+            def value(self, points):
+                self.calls += 1
+                return self.field.value(points)
+
+        rng = np.random.default_rng(12)
+        pool = 1e160 * rng.choice([-1.0, 1.0], size=(40, 2))
+        field = Counted()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match="pair distance"):
+                sm.audit_gap_bound(field, 1.0, sm.sample_pairs(pool, 30, rng))
+        assert field.calls == 0
+
     @pytest.mark.parametrize("kappa", [np.nan, np.inf])
     def test_audit_rejects_non_finite_kappa(self, kappa):
         class Unread:   # the kappa is rejected before the field is evaluated
