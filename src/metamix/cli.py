@@ -179,6 +179,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: list[str]) -> list[str]:
+    """Each ``--flag value`` pair as ``--flag=value``. Every flag but --help
+    takes one value, and argparse would read a value that starts with "-"
+    and is not a plain decimal (``--diag -1,2``, ``--lr -inf``) as a flag."""
+    tokens, joined = iter(argv), []
+    for token in tokens:
+        if token.startswith("--") and "=" not in token and token != "--help":
+            value = next(tokens, None)
+            token = token if value is None else f"{token}={value}"
+        joined.append(token)
+    return joined
+
+
 def parse_config_file(path) -> dict[str, str]:
     raw = {}
     try:
@@ -457,7 +470,8 @@ _DISPATCH = {"train": cmd_train, "ssl": cmd_train, "audit": cmd_audit,
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return int(exc.code or 0)
     try:

@@ -425,12 +425,24 @@ def _check_kernel(shape) -> int:
     return kh
 
 
+# most bytes of im2col columns per block of images in the conv kernels, about
+# the L2 cache of one core: a block's columns are built, read by one GEMM and
+# dropped, so no kernel holds the columns of a whole batch but the weight
+# gradient's
+CONV_BLOCK_BYTES = 2 << 20
+
+
+def _block_images(per_image: int) -> int:
+    """Images per block: as many as CONV_BLOCK_BYTES holds of their float64
+    columns, ``per_image`` values each, and at least one."""
+    return max(1, CONV_BLOCK_BYTES // (8 * per_image))
+
+
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """[n,h,w,c] -> [n*h*w, k*k*c] patches under same padding, (kh,kw,c) order.
 
-    The columns feed the forward GEMM and the weight gradient's; the numpy
-    training pass keeps each conv layer's columns on its tape and builds them
-    once per forward. The input gradient needs none (``_conv_input_grad``)."""
+    The forward kernel builds them one block of images at a time; the weight
+    gradient builds them for its whole batch once and drops them."""
     pad = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
@@ -440,45 +452,62 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return _conv_from_columns(_im2col(x, w.shape[0]), w, x.shape)
-
-
-def _conv_from_columns(cols: np.ndarray, w: np.ndarray, shape) -> np.ndarray:
-    """The conv output [n,h,w,cout] from the ``_im2col`` columns of an input
-    of shape [n,h,w,cin]."""
+    """The conv output [n,h,w,cout] of x [n,h,w,cin]: per block of images,
+    one GEMM of the block's ``_im2col`` columns, written into the output.
+    A batch that one block holds takes the whole-batch GEMM's bits. Past a
+    block, BLAS may round a row by where it falls in its GEMM (a micro-kernel's
+    leftover rows, a small-matrix or gemv path for few output channels);
+    cnn3's shapes keep the whole-batch bits (``tests/test_engine.py``)."""
     k, _, cin, cout = w.shape
-    return (cols @ w.reshape(k * k * cin, cout)).reshape(shape[:3] + (cout,))
+    n, h, wd, _ = x.shape
+    out = np.empty((n, h, wd, cout))
+    flat = w.reshape(k * k * cin, cout)
+    step = _block_images(h * wd * k * k * cin)
+    for i in range(0, n, step):
+        np.matmul(_im2col(x[i:i + step], k), flat,
+                  out=out[i:i + step].reshape(-1, cout))
+    return out
 
 
 def _conv_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Correlate the output gradient g [n,h,w,cout] with the spatially
-    flipped, channel-swapped kernel, as k*k shifted GEMMs and no columns.
+    flipped, channel-swapped kernel, as k*k shifted GEMMs and no columns,
+    one block of images at a time.
 
-    With g zero-padded and flattened to rows, row r of the result (indexed
-    over the padded grid) takes tap (p, q) from row r + p*W + q, W the
-    padded width, so each tap is one contiguous slice of rows times a
+    With a block of g zero-padded and flattened to rows, row r of the result
+    (indexed over the padded grid) takes tap (p, q) from row r + p*W + q, W
+    the padded width, so each tap is one contiguous slice of rows times a
     [cout, cin] slice of the flipped kernel. Rows whose taps wrap past an
     image's edge fall in the padding, which the crop to the valid h x w
-    window drops."""
+    window drops, so each image's result reads its own rows only; its bits
+    follow the block as the forward's do."""
     k, _, cin, cout = w.shape
     n, h, wd, _ = g.shape
     pad = (k - 1) // 2
     width = wd + 2 * pad
-    flat = np.pad(g, ((0, 0), (pad, pad), (pad, pad), (0, 0))).reshape(-1, cout)
-    m = len(flat) - (k - 1) * (width + 1)   # the last valid row is row m - 1
     flip = w[::-1, ::-1]
-    out = np.zeros((len(flat), cin))
-    acc = out[:m]
-    for p in range(k):
-        for q in range(k):
-            s = p * width + q
-            acc += flat[s:s + m] @ flip[p, q].T
-    return out.reshape(n, h + 2 * pad, width, cin)[:, :h, :wd].copy()
+    out = np.empty((n, h, wd, cin))
+    step = _block_images(h * wd * k * k * cout)   # the columns it does not build
+    for i in range(0, n, step):
+        block = g[i:i + step]
+        flat = np.pad(block, ((0, 0), (pad, pad), (pad, pad), (0, 0))).reshape(-1, cout)
+        m = len(flat) - (k - 1) * (width + 1)   # the last valid row is row m - 1
+        grid = np.zeros((len(flat), cin))
+        acc = grid[:m]
+        for p in range(k):
+            for q in range(k):
+                s = p * width + q
+                acc += flat[s:s + m] @ flip[p, q].T
+        out[i:i + step] = grid.reshape(len(block), h + 2 * pad, width, cin)[:, :h, :wd]
+    return out
 
 
-def _conv_weight_grad(cols: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
-    """The kernel gradient [k,k,cin,cout] from the input's ``_im2col``
-    columns and the output gradient g [n,h,w,cout]."""
+def _conv_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """The kernel gradient [k,k,cin,cout] from the conv input x [n,h,w,cin]
+    and the output gradient g [n,h,w,cout]: one GEMM over the whole batch's
+    ``_im2col`` columns, which are dropped on return. Blocks would sum the
+    rows in another order and move the gradient's bits."""
+    cols = _im2col(x, k)
     cout = g.shape[3]
     return (cols.T @ g.reshape(len(cols), cout)).reshape(k, k, -1, cout)
 
@@ -526,7 +555,7 @@ def conv2d_weight_grad(x, g, kernel: int) -> Tensor:
     if x.ndim != 4 or g.ndim != 4 or x.shape[:3] != g.shape[:3]:
         raise ShapeError(f"conv2d_weight_grad: shapes {x.shape} and {g.shape}")
     k = _check_kernel((int(kernel), int(kernel), x.shape[3], g.shape[3]))
-    out = _conv_weight_grad(_im2col(x.data, k), g.data, k)
+    out = _conv_weight_grad(x.data, g.data, k)
 
     def vjp(y, u, needs):
         gx = conv2d_input_grad(g, u) if needs[0] else None

@@ -5,7 +5,9 @@ mapping so a simulated update (new parameter tensors, same architecture) can
 be evaluated without touching the real model. That is the hook the one-step
 meta gradient hangs off. Training and the audit's logit gradients walk the
 layers in numpy: ``_forward`` keeps a per-layer tape of each layer's input
-(a conv layer's as the im2col columns its forward GEMM read), ``_reverse``
+(a conv layer's as its [n, h, w, cin] images, never their im2col columns;
+the engine's conv kernels build those per block of images, and the weight
+gradient once per reverse pass, and drop them), ``_reverse``
 walks it back from a gradient at the logits to the parameters (for
 ``loss_and_gradients``, from ``_cross_entropy_head``) or to the input, and
 ``forward_tangents`` carries two tangents along it for the second-order
@@ -206,8 +208,9 @@ def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = Non
     passes read: per layer (layer, its input as the layer sees it, weight,
     the input's pre-flatten shape, f', f''); ``params`` overrides the model's
     own parameter values. A dense layer sees its input flattened to rows, a
-    conv layer as the ``_im2col`` columns that its forward GEMM reads, so the
-    weight gradient and the tangent pass reuse them. f' is None on a layer
+    conv layer as its [n, h, w, cin] images, from which the weight gradient
+    and the tangent pass build columns again, block by block or once, and
+    drop them. f' is None on a layer
     without activation, f'' on one where it is zero. The values follow the
     engine's formulas bit for bit, and no graph is recorded."""
     p = {n: t.data for n, t in model.params.items()} if params is None else params
@@ -220,8 +223,7 @@ def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = Non
         w, b = p[f"layer{i}.w"], p[f"layer{i}.b"]
         shape = h.shape
         if isinstance(layer, Conv):
-            h = eng._im2col(h, layer.kernel)
-            a = eng._conv_from_columns(h, w, shape) + b
+            a = eng._conv_forward(h, w) + b
         else:
             h = h.reshape(len(h), -1)
             a = h @ w + b
@@ -238,15 +240,16 @@ def forward_tangents(tape, dx, direction: Mapping[str, np.ndarray]):
     pass that ``tape`` (a ``_forward`` tape) recorded at theta and x, with
     theta moved to theta + eps * direction and x to x + t * dx. Each layer
     carries these three parts (hyper-dual numbers) and reads its input,
-    weight, f' and f'' from the tape (a conv layer its input's columns); the
-    primal pass is not run again."""
+    weight, f' and f'' from the tape; a conv layer convolves its input with
+    the direction's kernel again (``eng._conv_forward``). The primal pass is
+    not run again."""
     h_l = np.asarray(dx, dtype=np.float64)
     h_e = h_el = None   # the input does not move with eps
     for i, (layer, h, w, shape, d1, d2) in enumerate(tape):
         vw, vb = direction[f"layer{i}.w"], direction[f"layer{i}.b"]
-        if isinstance(layer, Conv):   # h holds the input's columns
+        if isinstance(layer, Conv):
             product, rows = eng._conv_forward, shape
-            a_e = eng._conv_from_columns(h, vw, shape) + vb
+            a_e = eng._conv_forward(h, vw) + vb
         else:
             product, rows = np.matmul, h.shape
             a_e = h @ vw + vb
@@ -328,7 +331,7 @@ def _reverse(tape, u, grads=None):
     for i, (layer, h, w, shape, d1, _) in reversed(list(enumerate(tape))):
         if d1 is not None:
             u = u * d1
-        conv = isinstance(layer, Conv)   # h holds a conv input's columns
+        conv = isinstance(layer, Conv)
         if grads is not None:
             grads[f"layer{i}.b"] = u.sum(axis=tuple(range(u.ndim - 1)))
             grads[f"layer{i}.w"] = (eng._conv_weight_grad(h, u, layer.kernel) if conv
@@ -405,7 +408,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 INFERENCE_ROWS = 512   # most rows per forward in batched_logits and the audit
 # most bytes of the widest layer input per forward in batched_logits and the
-# audit: the im2col columns of one 50-row cnn3 batch of 28x28 images
+# audit, a conv layer's counted as its im2col columns: those of one 50-row
+# cnn3 batch of 28x28 images. The conv kernels build no more than a block of
+# them at once, but a chunk bound moves the bits of a wide dense layer
 INFERENCE_BYTES = 50 * (28 * 28) * (3 * 3 * 16) * 8
 
 

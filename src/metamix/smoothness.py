@@ -51,7 +51,7 @@ class QuadraticField:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"matrix must be square, got {matrix.shape}")
         self.matrix = matrix
-        self.sym = 0.5 * (matrix + matrix.T)
+        self.sym = 0.5 * matrix + 0.5 * matrix.T   # matrix + matrix.T overflows past 9e307
         self.linear = (np.zeros(len(matrix)) if linear is None
                        else np.asarray(linear, dtype=np.float64))
 
@@ -171,8 +171,9 @@ def kappa_from_pairs(field: ScalarField, x: np.ndarray,
     """max ||grad f(x) - grad f(x')|| / ||x - x'|| over the given pairs, per
     channel. A lower bound of the true constant; degenerate pairs (x = x')
     are skipped. A kept distance or gradient difference that is not finite
-    (the norm of points past about 1e154 overflows) raises NonFiniteError:
-    dividing by it would report a constant of 0 or NaN."""
+    (the norm of points past about 1e154 overflows, and so may a gradient)
+    raises NonFiniteError, without a RuntimeWarning: dividing by it would
+    report a constant of 0 or NaN."""
     x, x_prime = _as_pair_batch(x, x_prime)
     # overflow is reported below as an error, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -184,9 +185,9 @@ def kappa_from_pairs(field: ScalarField, x: np.ndarray,
     if not np.isfinite(d).all():
         raise NonFiniteError("kappa estimate: a pair distance is not finite")
     m, dim = len(d), x.shape[1]
-    gx = field.grad(x[keep]).reshape(-1, m, dim)
-    gp = field.grad(x_prime[keep]).reshape(-1, m, dim)
     with np.errstate(over="ignore", invalid="ignore"):
+        gx = field.grad(x[keep]).reshape(-1, m, dim)
+        gp = field.grad(x_prime[keep]).reshape(-1, m, dim)
         diff = np.linalg.norm(gx - gp, axis=2)
     if not np.isfinite(diff).all():
         raise NonFiniteError("kappa estimate: a gradient difference is not finite")

@@ -354,15 +354,17 @@ RANGED = [(sub, key) for sub, table in cli._SUBCOMMANDS.items()
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_value_outside_its_range_exits_2(sub, option, data):
-    """A drawn value outside an option's range, as a flag or a --config entry,
-    is one config error line that names the flag, and creates no --out."""
+    """A drawn value outside an option's range, as a --config entry or a flag
+    value (--flag=value, or the next token, whatever it starts with), is one
+    config error line that names the flag, and creates no --out."""
     value = data.draw(outside(option), label="value")
-    via_config = data.draw(st.booleans(), label="via_config")
     flag = "--" + option.replace("_", "-")
     with tempfile.TemporaryDirectory() as tmp:
         out, cfg = Path(tmp) / "run", Path(tmp) / "run.cfg"
         cfg.write_text(f"{option}={value}\n")
-        argv = [sub, f"--config={cfg}" if via_config else f"{flag}={value}"]
+        form = data.draw(st.sampled_from(["config", "joined", "separate"]), label="form")
+        argv = [sub, *{"config": [f"--config={cfg}"], "joined": [f"{flag}={value}"],
+                       "separate": [flag, value]}[form]]
         if sub != "gradcheck":
             argv.append(f"--out={out}")
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -373,6 +375,28 @@ def test_value_outside_its_range_exits_2(sub, option, data):
         assert len(stderr.getvalue().splitlines()) == 1
         assert stdout.getvalue() == ""
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["train", "--separation", "-1e5"], "--separation"),
+    (["train", "--lr", "-inf"], "--lr"),
+])
+def test_flag_value_that_starts_with_a_dash_is_range_checked(tmp_path, capsys, argv, flag):
+    assert run([*argv, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag} must be in ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
+def test_diag_value_that_starts_with_a_dash_audits_the_quadratic(tmp_path):
+    out = tmp_path / "audit"
+    assert run(["audit", "--out", str(out), "--field", "quadratic", "--diag", "-1,2",
+                "--n-pairs", "100", "--seed", "1"]) == 0
+    payload = json.loads((out / "config.json").read_text())
+    assert payload["diag"] == "-1,2"
+    estimate = json.loads((out / "audit.json").read_text())["estimate"]
+    assert 1.5 < estimate["kappa"] <= 2.0 + 1e-9   # |eigenvalues| 1 and 2
 
 
 @pytest.mark.parametrize("sub", list(cli._SUBCOMMANDS))
@@ -765,6 +789,20 @@ def test_overflowing_pair_distances_fail_at_the_estimate(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("numeric failure: kappa estimate") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_quadratic_of_huge_entries_fails_at_the_estimate(tmp_path, capsys):
+    # kappa is 1e308, but gradients at points of norm ~2 times it overflow;
+    # building the field and taking the gradients used to warn first
+    out = tmp_path / "audit"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["audit", "--out", str(out), "--field", "quadratic",
+                    "--diag", "1e308,1e308", "--n-pairs", "50"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "numeric failure: kappa estimate: a gradient difference is not finite\n"
     assert not out.exists()
 
 

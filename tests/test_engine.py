@@ -507,6 +507,88 @@ class TestConvValues:
             eng.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 3, 3, 1))))
 
 
+def _whole_batch_forward(x, w):
+    """The forward conv as one im2col GEMM over every image at once."""
+    k, _, cin, cout = w.shape
+    cols = eng._im2col(x, k)
+    return (cols @ w.reshape(k * k * cin, cout)).reshape(x.shape[:3] + (cout,))
+
+
+def _whole_batch_input_grad(g, w):
+    """The input gradient as one shifted-GEMM pass over the padded rows of
+    every image at once."""
+    k, _, cin, cout = w.shape
+    n, h, wd, _ = g.shape
+    pad = (k - 1) // 2
+    width = wd + 2 * pad
+    flat = np.pad(g, ((0, 0), (pad, pad), (pad, pad), (0, 0))).reshape(-1, cout)
+    m = len(flat) - (k - 1) * (width + 1)
+    flip = w[::-1, ::-1]
+    out = np.zeros((len(flat), cin))
+    acc = out[:m]
+    for p in range(k):
+        for q in range(k):
+            s = p * width + q
+            acc += flat[s:s + m] @ flip[p, q].T
+    return out.reshape(n, h + 2 * pad, width, cin)[:, :h, :wd]
+
+
+_BLOCKED_KERNELS = {
+    "forward": (eng._conv_forward, _whole_batch_forward),
+    "input_grad": (eng._conv_input_grad, _whole_batch_input_grad),
+}
+
+
+class TestBlockedConvKernels:
+    """The conv kernels build columns one block of images at a time. A batch
+    that one block holds runs the whole-batch GEMMs themselves. Past a block
+    bound OpenBLAS may round a row unlike the whole-batch GEMM (a leftover
+    row of its micro-kernel, a small-matrix or gemv path), so the grid holds
+    such batches within 1e-14 of their largest entry, and cnn3's training
+    shapes bit for bit."""
+
+    @pytest.mark.parametrize("kernel", ["forward", "input_grad"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("cin", [1, 3, 16])
+    @pytest.mark.parametrize("cout", [1, 3, 16])
+    def test_blocks_match_the_whole_batch(self, kernel, k, cin, cout, monkeypatch):
+        h, w = 5, 7   # 35 rows per image: blocks do not start on a multiple of 4
+        weight = np.random.default_rng(k * 100 + cin * 10 + cout).normal(
+            size=(k, k, cin, cout))
+        # a block holds the columns of a correlation over the channels the
+        # kernel reads: cin for the forward, cout for the input gradient
+        blocked, reference = _BLOCKED_KERNELS[kernel]
+        channels = cin if kernel == "forward" else cout
+        per_image = h * w * k * k * channels
+        # three images per block, under a bound that is not a whole image
+        monkeypatch.setattr(eng, "CONV_BLOCK_BYTES", 8 * per_image * 7 // 2)
+        block = eng._block_images(per_image)
+        assert block == 3
+        rng = np.random.default_rng(13)
+        for n in (1, block - 1, block, block + 1, 2 * block + 1):
+            data = rng.normal(size=(n, h, w, channels))
+            got, want = blocked(data, weight), reference(data, weight)
+            assert got.shape == want.shape
+            if n <= block:
+                assert np.array_equal(got, want), n
+            else:
+                assert eng.max_relative_error(got, want, floor=0.0) <= 1e-14, n
+
+    # a cnn3 step on 28x28 images: each layer's forward, the tangent pass's
+    # products with [w | vw] and layer 1's input gradient
+    @pytest.mark.parametrize("kernel,cin,cout", [
+        ("forward", 1, 16), ("forward", 16, 32), ("forward", 1, 32),
+        ("forward", 16, 64), ("input_grad", 16, 32)])
+    def test_cnn3_training_shapes_keep_their_bits(self, kernel, cin, cout):
+        blocked, reference = _BLOCKED_KERNELS[kernel]
+        channels = cin if kernel == "forward" else cout
+        block = eng._block_images(28 * 28 * 9 * channels)
+        rng = np.random.default_rng(14)
+        weight = rng.normal(size=(3, 3, cin, cout))
+        data = rng.normal(size=(2 * block + 1, 28, 28, channels))
+        assert np.array_equal(blocked(data, weight), reference(data, weight))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 4))
 def test_broadcast_sum_roundtrip(n, m):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,31 +348,72 @@ def test_hypergradient_rejects_a_policy_of_the_wrong_length():
         meta.hypergradient(model, groups, mixing.init_policy(9, rng), val, 0.1)
 
 
-def test_cnn3_step_builds_each_conv_input_columns_once(monkeypatch):
-    """A conv layer's im2col columns ride on the tape: per cnn3 metamixup
-    step, one build per conv layer in each of the three forwards (inner,
-    validation, real update), one per layer for the lambda tangent and one
-    for layer 1's moved tangents: 9. The reverse passes build none."""
+def test_cnn3_step_tapes_conv_inputs_and_builds_columns_per_block(monkeypatch):
+    """A conv layer's tape entry is its [n, h, w, cin] input. Per cnn3
+    metamixup step, every im2col build outside the weight gradient covers at
+    most one block of images, and the weight gradient builds its whole
+    batch's columns once per conv layer in each of the three reverse passes
+    (inner, validation, real update): 2 x 3 = 6."""
     model, labeled, val, _ = _step_inputs("cnn3")
-    builds, in_reverse = [], []
-    real_im2col, real_reverse = eng._im2col, nets._reverse
+    # two images of layer 1's columns per block, so a 6-row batch spans three
+    monkeypatch.setattr(eng, "CONV_BLOCK_BYTES", 2 * 8 * (8 * 8 * 9 * 16))
+    outside, inside, weight_grad_depth, tapes = [], [], [], []
+    real_im2col, real_weight_grad = eng._im2col, eng._conv_weight_grad
+    real_forward = nets._forward
 
     def spy_im2col(x, k):
-        builds.append(len(x))
+        (inside if weight_grad_depth else outside).append(x.shape + (k,))
         return real_im2col(x, k)
 
-    def spy_reverse(*args):
-        before = len(builds)
-        result = real_reverse(*args)
-        in_reverse.append(len(builds) - before)
-        return result
+    def spy_weight_grad(x, g, k):
+        weight_grad_depth.append(1)
+        try:
+            return real_weight_grad(x, g, k)
+        finally:
+            weight_grad_depth.pop()
+
+    def spy_forward(model, x, params=None):
+        logits, tape = real_forward(model, x, params)
+        tapes.append((np.asarray(x), tape))
+        return logits, tape
 
     monkeypatch.setattr(eng, "_im2col", spy_im2col)
-    monkeypatch.setattr(nets, "_reverse", spy_reverse)
+    monkeypatch.setattr(eng, "_conv_weight_grad", spy_weight_grad)
+    monkeypatch.setattr(nets, "_forward", spy_forward)
     meta.train_step(model, labeled, val, run_config(mode="metamixup", batch_size=6),
                     np.random.default_rng(23), lr=0.1)
-    assert len(builds) == 9
-    assert in_reverse == [0, 0, 0]
+    assert len(tapes) == 3
+    for x, tape in tapes:
+        convs = [(h, w) for layer, h, w, *_ in tape if isinstance(layer, nets.Conv)]
+        assert [h.shape for h, _ in convs] == [(len(x), 8, 8, w.shape[2]) for _, w in convs]
+        assert np.array_equal(convs[0][0], x)
+    assert outside and all(n <= eng._block_images(h * w * k * k * c)
+                           for n, h, w, c, k in outside)
+    # each reverse pass walks layer 1, then layer 0, over its forward's rows
+    assert len(inside) == 6
+    assert [(n, c) for n, _, _, c, _ in inside] == [(len(x), c) for x, _ in tapes
+                                                    for c in (16, 1)]
+
+
+def test_cnn3_step_peak_memory_stays_under_its_bound():
+    """One cnn3 metamixup step at batch 50 on 28x28 images, under tracemalloc.
+    With whole-batch im2col columns on the tape it peaked at 246 MB; with
+    columns built per block of images, 128 MB. The bound sits between."""
+    rng = np.random.default_rng(26)
+    model = nets.build_model(nets.cnn3((28, 28), 1, 10), rng)
+
+    def batch():
+        return rng.normal(size=(50, 28, 28, 1)), nets.one_hot(rng.integers(0, 10, 50), 10)
+
+    labeled, val = batch(), batch()
+    tracemalloc.start()
+    try:
+        meta.train_step(model, labeled, val, run_config(mode="metamixup", batch_size=50),
+                        np.random.default_rng(27), lr=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160e6, f"traced peak {peak / 1e6:.0f} MB"
 
 
 def _im2col_input_grad(g, w):

@@ -100,6 +100,12 @@ class TestKappaEstimate:
         field = sm.QuadraticField(np.array([[0.0, 2.0], [0.0, 0.0]]))
         assert field.kappa == pytest.approx(1.0, abs=1e-12)  # sym part [[0,1],[1,0]]
 
+    def test_symmetric_part_of_huge_entries_does_not_overflow(self):
+        # 1e308 + 1e308 overflows; half of each side does not
+        with np.errstate(over="raise"):
+            field = sm.QuadraticField(np.diag([1e308, 1e308]))
+            assert field.kappa == 1e308
+
     def test_affine_estimate_zero(self):
         field = AffineField([2.0, -1.0])
         x = np.random.default_rng(4).normal(size=(50, 2))
