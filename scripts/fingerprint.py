@@ -44,10 +44,12 @@ a fresh temporary directory that is also the working directory, so the paths
 a run prints and echoes are the same on every run. Each line holds the sha256
 of the run's stdout and of what it writes into ``--out``: ``config.json``,
 ``metrics.jsonl`` without ``wall_seconds``, ``model.npz``, ``audit.json`` and
-``pairs.csv``, where the run writes them. To check that a change to the
-command line keeps valid runs as they were, copy this script into a checkout
-of the parent commit, run it there, and diff its output against the output
-here:
+``pairs.csv``, where the run writes them. A last line holds the sha256 of
+each subcommand's ``--help`` text (``HELP_SUBCOMMANDS``), formatted at
+``HELP_COLUMNS`` columns, so a change to a flag's help, default or name shows
+up too. To check that a change to the command line keeps valid runs as they
+were, copy this script into a checkout of the parent commit, run it there,
+and diff its output against the output here:
 
     git archive PARENT | tar -x -C /tmp/parent
     cp scripts/fingerprint.py /tmp/parent/scripts/
@@ -113,6 +115,8 @@ CLI_RUNS = {
                          "--n-pairs", "400", "--seed", "1"], None),
     "gradcheck": (["gradcheck", "--seed", "0"], None),
 }
+HELP_SUBCOMMANDS = ("train", "ssl", "audit", "gradcheck")
+HELP_COLUMNS = "100"
 
 
 def digest_records(records) -> str:
@@ -251,6 +255,26 @@ def cli_fingerprint(label: str) -> str:
     return line
 
 
+def help_fingerprint() -> str:
+    """argparse wraps help text to $COLUMNS, so it is fixed while it runs."""
+    line, columns = "cli-help", os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = HELP_COLUMNS
+    try:
+        for sub in HELP_SUBCOMMANDS:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main([sub, "--help"])
+            if code != 0:
+                raise SystemExit(f"metamix {sub} --help exited {code}")
+            line += f" {sub}={sha256(stdout.getvalue().encode())}"
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
+    return line
+
+
 def main() -> None:
     for name, modes in CASES.items():
         for seed in SEEDS:
@@ -266,6 +290,7 @@ def main() -> None:
     print(checkpoint_fingerprint(), flush=True)
     for label in CLI_RUNS:
         print(cli_fingerprint(label), flush=True)
+    print(help_fingerprint(), flush=True)
 
 
 if __name__ == "__main__":

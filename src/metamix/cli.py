@@ -4,7 +4,10 @@ Runs are configured by a flat key=value file plus command line overrides
 (overrides win). Every training run writes config.json (the fully resolved
 option set), metrics.jsonl (one record per epoch), summary.json and
 model.npz into --out. An option's converter in the option tables checks its
-range, for flags and --config entries alike, before any command runs.
+range, for flags and --config entries alike, before any command runs. An option
+for a field of TrainConfig, OptimizerConfig or SyntheticSpec takes its range and
+default from the field (data.setting), whose class gives library callers the
+same message, naming the field.
 
 Exit codes: 0 success. 2 the options are wrong: a value out of its range,
 options that contradict each other (a data flag for the other source, --dim
@@ -56,42 +59,49 @@ def _ranged(range_text: str, parse, holds):
     return convert
 
 
-def _in(interval: str, kind=float, none: bool = False):
-    """Numbers of kind in interval ("[1, inf)", "(0, 1]", ...), and "none" as
-    None if none is set. NaN fails every comparison, so no interval holds it."""
-    lo, hi = (float(end) for end in interval[1:-1].split(","))
-    return _ranged(f"{interval} or none" if none else interval,
+def _in(allowed, kind=float, none: bool = False):
+    """Values of kind that data.values_in(allowed) holds; "none" as None if none."""
+    test = dataio.values_in(allowed)
+    return _ranged(f"{test.range} or none" if none else test.range,
                    lambda t: None if none and t.strip().lower() == "none" else kind(t),
-                   lambda v: v is None or ((lo <= v if interval[0] == "[" else lo < v)
-                                           and (v <= hi if interval[-1] == "]" else v < hi)))
+                   lambda v: v is None or test(v))
 
 
-def _choice(*names: str):
-    return _ranged("{" + ", ".join(names) + "}", str, names.__contains__)
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _setting(owner, name: str, help_text: str):
+    """The option that sets owner's field name: the field's default, and a converter
+    that parses the default's type and checks the field's values (a bool's: _BOOLS)."""
+    spec = owner.__dataclass_fields__[name]
+    test = spec.metadata.get("values")
+    convert = (_ranged(test.range, type(spec.default), test) if test else
+               _ranged("{" + ", ".join(_BOOLS) + "}", lambda t: _BOOLS.get(t.strip().lower()),
+                       lambda v: v is not None))
+    convert.field = name
+    return convert, spec.default, help_text
 
 
 def _opt_str(text: str):
     return None if text.strip().lower() == "none" else text
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-_bool = _ranged("{" + ", ".join(_BOOLS) + "}", lambda t: _BOOLS.get(t.strip().lower()),
-                lambda v: v is not None)
 _finite_list = _ranged("(-inf, inf), comma-separated", str,   # echoed as typed
                        lambda text: all(math.isfinite(float(v)) for v in text.split(",")))
 _COUNT, _SEED = _in("[1, inf)", int), _in("[0, inf)", int)
 _COUNT_OR_NONE = _in("[1, inf)", int, none=True)
-_SPEC_KEYS = ("classes", "per_class", "dim", "separation", "noise_sigma")
 
-# name -> (converter, default, help); names double as config file keys
+# name -> (converter, default, help); names double as config file keys. An option
+# for a field of TrainConfig, OptimizerConfig or SyntheticSpec reads the field.
 _DATA_OPTS = {
-    "data": (_choice("synthetic", "idx"), "synthetic", "dataset source: synthetic | idx"),
-    "classes": (_in("[2, inf)", int), 2, "synthetic: number of classes"),
-    "per_class": (_COUNT, 250, "synthetic: training samples per class"),
-    "dim": (_COUNT, 10, "synthetic: input dimension"),
-    "separation": (_in("[0, inf)"), 4.0, "synthetic: distance between class means"),
-    "noise_sigma": (_in("(0, inf)"), 1.0, "synthetic: sample noise scale"),
+    "data": (_in(("synthetic", "idx"), str), "synthetic", "dataset source: synthetic | idx"),
+    "classes": _setting(SyntheticSpec, "classes", "synthetic: number of classes"),
+    "per_class": _setting(SyntheticSpec, "per_class", "synthetic: training samples per class"),
+    "dim": _setting(SyntheticSpec, "dim", "synthetic: input dimension"),
+    "separation": _setting(SyntheticSpec, "separation",
+                           "synthetic: distance between class means"),
+    "noise_sigma": _setting(SyntheticSpec, "noise_sigma", "synthetic: sample noise scale"),
     "corrupt": (_in("[0, 1]"), 0.0, "fraction of training labels flipped"),
     "test_per_class": (_COUNT_OR_NONE, None, "synthetic: test samples per class"),
     "meta_val_per_class": (_COUNT, 10, "meta-validation samples per class"),
@@ -105,47 +115,49 @@ _DATA_OPTS = {
 
 _TRAIN_OPTS = {
     "out": (str, None, "output directory (default runs/<subcommand>)"),
-    "mode": (_choice(*meta.MODES), "metamixup",
-             "metamixup | mixup-beta | mixup-fixed | baseline"),
-    "seed": (_SEED, 0, "run seed"),
-    "epochs": (_COUNT, 10, "training epochs"),
-    "batch_size": (_in("[2, inf)", int), 64, "training and validation batch size"),
-    "lr": (_in("(0, inf)"), 0.1, "learning rate"),
-    "momentum": (_in("[0, 1)"), 0.9, "SGD momentum"),
-    "weight_decay": (_in("[0, inf)"), 1e-4, "L2 coefficient folded into the gradient"),
-    "cosine": (_bool, False, "cosine-anneal the learning rate"),
-    "policy_step_size": (_in("[0, inf)"), 5.0, "step on the interpolation logits"),
-    "lambda": (_in("[0, 1]"), 0.5, "mixup-fixed coefficient"),
-    "beta_alpha": (_in("(0, inf)"), 1.0, "mixup-beta Beta(a, a) parameter"),
-    "augment": (_choice(*dataio.AUGMENT_MODES), "none",
-                "batch augmentation: none | flip | flip-translate"),
+    "mode": _setting(TrainConfig, "mode", "metamixup | mixup-beta | mixup-fixed | baseline"),
+    "seed": _setting(TrainConfig, "seed", "run seed"),
+    "epochs": _setting(TrainConfig, "epochs", "training epochs"),
+    "batch_size": _setting(TrainConfig, "batch_size", "training and validation batch size"),
+    "lr": _setting(OptimizerConfig, "learning_rate", "learning rate"),
+    "momentum": _setting(OptimizerConfig, "momentum", "SGD momentum"),
+    "weight_decay": _setting(OptimizerConfig, "weight_decay",
+                             "L2 coefficient folded into the gradient"),
+    "cosine": _setting(OptimizerConfig, "cosine_anneal", "cosine-anneal the learning rate"),
+    "policy_step_size": _setting(TrainConfig, "policy_step_size",
+                                 "step on the interpolation logits"),
+    "lambda": _setting(TrainConfig, "fixed_lambda", "mixup-fixed coefficient"),
+    "beta_alpha": _setting(TrainConfig, "beta_alpha", "mixup-beta Beta(a, a) parameter"),
+    "augment": _setting(TrainConfig, "augment",
+                        "batch augmentation: none | flip | flip-translate"),
     "arch": (_opt_str, None, "model: mlp | mlp:H1,H2 | cnn3 (default sized from data)"),
     **_DATA_OPTS,
 }
 
 _SSL_OPTS = {
     **_TRAIN_OPTS,
+    # smaller than TrainConfig's batch: an SSL run trains on the labeled split
     "batch_size": (_TRAIN_OPTS["batch_size"][0], 8, "training and validation batch size"),
     "labeled_per_class": (_COUNT, 25, "labeled samples kept per class"),
-    "unsup_weight": (_in("[0, inf)"), 1.0, "weight on the pseudo-label loss"),
-    "sigma0": (_in("(0, 1]"), 0.95, "initial confidence threshold"),
-    "sigma_decrement": (_in("[0, inf)"), 0.05, "threshold drop per period"),
-    "sigma_period": (_COUNT, 30, "epochs between threshold drops"),
-    "sigma_floor": (_in("(0, 1]"), 0.5, "lowest threshold"),
+    "unsup_weight": _setting(TrainConfig, "unsup_weight", "weight on the pseudo-label loss"),
+    "sigma0": _setting(TrainConfig, "sigma0", "initial confidence threshold"),
+    "sigma_decrement": _setting(TrainConfig, "sigma_decrement", "threshold drop per period"),
+    "sigma_period": _setting(TrainConfig, "sigma_period", "epochs between threshold drops"),
+    "sigma_floor": _setting(TrainConfig, "sigma_floor", "lowest threshold"),
 }
 
 _AUDIT_OPTS = {
     "out": (str, None, "output directory"),
     "seed": (_SEED, 0, "sampling seed"),
-    "field": (_choice("network", "quadratic"), "network",
+    "field": (_in(("network", "quadratic"), str), "network",
               "audited field: network | quadratic"),
     "diag": (_finite_list, "1,3", "quadratic: diagonal of A"),
     "model": (_opt_str, None, "network: checkpoint to audit (default fresh init)"),
     "arch": (_opt_str, None, "network: architecture when no checkpoint given"),
     "n_pairs": (_COUNT, 10_000, "pairs for estimation and a fresh audit"),
     "safety": (_in("[0, inf)"), 1.2, "multiplier on the estimated constant"),
-    **{k: _DATA_OPTS[k] for k in ("data", *_SPEC_KEYS, "train_images", "train_labels",
-                                  "n_classes")},
+    **{k: opt for k, opt in _DATA_OPTS.items() if hasattr(opt[0], "field")   # SyntheticSpec
+       or k in ("data", "train_images", "train_labels", "n_classes")},
 }
 
 _GRADCHECK_OPTS = {
@@ -285,9 +297,16 @@ def _options_fault(error, *flags: str):
         raise ConfigError(f"{', '.join(flags)}: {exc}")
 
 
+def _build(owner, table: dict, opts: dict, **derived):
+    """owner from the options of table that set its fields, and derived."""
+    return owner(**{convert.field: opts[key] for key, (convert, _, _) in table.items()
+                    if getattr(convert, "field", None) in owner.__dataclass_fields__},
+                 **derived)
+
+
 def _synthetic_spec(opts: dict) -> SyntheticSpec:
     with _options_fault(DataError, "--dim", "--classes"):
-        return SyntheticSpec(**{k: opts[k] for k in _SPEC_KEYS})
+        return _build(SyntheticSpec, _DATA_OPTS, opts)
 
 
 def _load_splits(opts: dict) -> Splits:
@@ -309,22 +328,12 @@ def _load_splits(opts: dict) -> Splits:
     return Splits(train=train, meta_val=meta_val, test=test)
 
 
-def _train_config(opts: dict, splits: Splits) -> TrainConfig:
+def _train_config(opts: dict, table: dict, splits: Splits) -> TrainConfig:
     arch = _parse_arch(opts["arch"], splits.train.inputs.shape[1:],
                        splits.train.n_classes)
-    kwargs = dict(
-        epochs=opts["epochs"], batch_size=opts["batch_size"],
-        policy_step_size=opts["policy_step_size"], mode=opts["mode"],
-        beta_alpha=opts["beta_alpha"], fixed_lambda=opts["lambda"],
-        augment=opts["augment"], seed=opts["seed"], arch=arch)
-    if "sigma0" in opts:
-        kwargs.update({k: opts[k] for k in ("unsup_weight", "sigma0", "sigma_decrement",
-                                            "sigma_period", "sigma_floor")})
+    optimizer = _build(OptimizerConfig, table, opts, horizon=opts["epochs"])
     with _options_fault(ValueError, "--sigma-floor", "--sigma0"):   # floor above sigma0
-        return TrainConfig(**kwargs, optimizer=OptimizerConfig(
-            learning_rate=opts["lr"], momentum=opts["momentum"],
-            weight_decay=opts["weight_decay"], cosine_anneal=opts["cosine"],
-            horizon=opts["epochs"]))
+        return _build(TrainConfig, table, opts, arch=arch, optimizer=optimizer)
 
 
 def _open_out(opts: dict, subcommand: str) -> Path:
@@ -352,7 +361,7 @@ def cmd_train(opts: dict) -> int:
             labeled, unlabeled = dataio.split_labeled_pool(
                 splits.train, opts["labeled_per_class"], seed=opts["seed"])
         splits = replace(splits, train=labeled)
-    config = _train_config(opts, splits)
+    config = _train_config(opts, _SUBCOMMANDS[subcommand], splits)
     with _options_fault(ValueError, "--batch-size"):   # more than the training rows
         meta.check_run(splits, config)
     out = _open_out(opts, subcommand)

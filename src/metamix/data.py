@@ -1,4 +1,5 @@
-"""Datasets: IDX file I/O, synthetic generators, label corruption, splits.
+"""Datasets: IDX file I/O, synthetic generators, label corruption, splits;
+and the settings that config dataclasses declare with their allowed values.
 
 IDX is the classic big-endian binary layout (magic 2051 for image tensors,
 2049 for label vectors). Values load as float64 scaled to [0, 1]; labels as
@@ -12,7 +13,7 @@ import gzip
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,36 @@ _READ_CHUNK = 1 << 20
 
 class DataError(Exception):
     """Malformed files, impossible splits, bad generator specs."""
+
+
+def values_in(allowed):
+    """A test for one setting's values, whose ``range`` is its text: an
+    interval such as "[2, inf)" or "(0, 1]" (NaN lies in none), or a tuple of
+    the accepted words."""
+    if isinstance(allowed, tuple):
+        test = lambda v: v in allowed
+        test.range = "{" + ", ".join(allowed) + "}"
+        return test
+    lo, hi = (float(end) for end in allowed[1:-1].split(","))
+    test = lambda v: ((lo <= v if allowed[0] == "[" else lo < v)
+                      and (v <= hi if allowed[-1] == "]" else v < hi))
+    test.range = allowed
+    return test
+
+
+def setting(default, allowed):
+    """A config dataclass field holding its default and the values it may take
+    (:func:`values_in`), for ``check_settings`` and the command line alike."""
+    return field(default=default, metadata={"values": values_in(allowed)})
+
+
+def check_settings(config, error=ValueError) -> None:
+    """Raise error for the first setting of config whose value lies outside
+    its declared values, as ``<field> must be in <range>, got <value>``."""
+    for f in fields(config):
+        test, value = f.metadata.get("values"), getattr(config, f.name)
+        if test is not None and not test(value):
+            raise error(f"{f.name} must be in {test.range}, got {value}")
 
 
 @dataclass
@@ -128,14 +159,14 @@ def save_idx(dataset: Dataset, images_path, labels_path) -> None:
         x = x[:, :, None]
     if x.ndim != 3:
         raise DataError(f"save_idx: need [n, h, w] or [n, d] inputs, got shape {x.shape}")
+    labels = dataset.labels
+    if labels.size and labels.max() > 255:
+        raise DataError(f"save_idx: label {labels.max()} exceeds the u8 range")
     quantized = np.clip(np.round(x * 255.0), 0, 255).astype(np.uint8)
     n, rows, cols = quantized.shape
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">llll", IMAGE_MAGIC, n, rows, cols))
         fh.write(quantized.tobytes())
-    labels = dataset.labels
-    if labels.size and labels.max() > 255:
-        raise DataError("save_idx: labels exceed u8 range")
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">ll", LABEL_MAGIC, n))
         fh.write(labels.astype(np.uint8).tobytes())
@@ -147,34 +178,22 @@ def save_idx(dataset: Dataset, images_path, labels_path) -> None:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    classes: int = 2
-    per_class: int = 250
-    dim: int = 10
-    separation: float = 4.0   # distance between any two class means
-    noise_sigma: float = 1.0
+    classes: int = setting(2, "[2, inf)")
+    per_class: int = setting(250, "[1, inf)")
+    dim: int = setting(10, "[1, inf)")
+    separation: float = setting(4.0, "[0, inf)")   # distance between any two class means
+    noise_sigma: float = setting(1.0, "(0, inf)")
     class_sigmas: tuple[float, ...] | None = None  # per-class noise overrides
     unit_box: bool = False    # squash into [0, 1] for IDX-compatible data
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise DataError(f"need >= 2 classes, got {self.classes}")
+        check_settings(self, DataError)
         if self.dim < self.classes:
             raise DataError(f"dim {self.dim} < classes {self.classes}; "
                             "means are placed on distinct axes")
-        if not np.isfinite([self.separation, self.noise_sigma,
-                            *(self.class_sigmas or ())]).all():
-            raise DataError("separation, noise_sigma and class_sigmas must be finite")
-        if self.per_class < 1:
-            raise DataError(f"per_class must be >= 1, got {self.per_class}")
-        if self.noise_sigma <= 0:
-            raise DataError(f"noise_sigma must be > 0, got {self.noise_sigma}")
-        if self.separation < 0:
-            raise DataError(f"separation must be >= 0, got {self.separation}")
-        if self.class_sigmas is not None:
-            if len(self.class_sigmas) != self.classes:
-                raise DataError(f"class_sigmas needs {self.classes} entries")
-            if any(s <= 0 for s in self.class_sigmas):
-                raise DataError("class_sigmas must be positive")
+        if self.class_sigmas is not None and (len(self.class_sigmas) != self.classes or not
+                                              all(0 < s < np.inf for s in self.class_sigmas)):
+            raise DataError(f"class_sigmas needs {self.classes} positive finite entries")
 
     def sigma_of(self, label: int) -> float:
         return (self.noise_sigma if self.class_sigmas is None

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import engine as eng
 from . import mixing, nets
-from .data import AUGMENT_MODES, DataError, Splits, augment_batch
+from .data import AUGMENT_MODES, DataError, Splits, augment_batch, check_settings, setting
 from .engine import NonFiniteError, Tensor
 from .mixing import InterpolationPolicy
 from .nets import Architecture, ModelState, OptimizerConfig
@@ -47,51 +47,27 @@ MODES = ("metamixup", "mixup-beta", "mixup-fixed", "baseline")
 
 @dataclass
 class TrainConfig:
-    epochs: int = 10
-    batch_size: int = 64                 # training and validation rows per step
-    policy_step_size: float = 5.0        # gradient step on the logits
-    mode: str = "metamixup"
-    beta_alpha: float = 1.0              # mixup-beta shared draw
-    fixed_lambda: float = 0.5            # mixup-fixed coefficient
-    unsup_weight: float = 1.0            # weight on the pseudo-label loss term
-    augment: str = "none"
-    seed: int = 0
+    epochs: int = setting(10, "[1, inf)")
+    batch_size: int = setting(64, "[2, inf)")       # training and validation rows per step
+    policy_step_size: float = setting(5.0, "[0, inf)")   # step on the logits; 0: plain mixup
+    mode: str = setting("metamixup", MODES)
+    beta_alpha: float = setting(1.0, "(0, inf)")    # mixup-beta shared draw
+    fixed_lambda: float = setting(0.5, "[0, 1]")    # mixup-fixed coefficient
+    unsup_weight: float = setting(1.0, "[0, inf)")  # weight on the pseudo-label loss term
+    augment: str = setting("none", AUGMENT_MODES)
+    seed: int = setting(0, "[0, inf)")
     arch: Architecture | None = None     # None -> small tanh MLP sized from data
     optimizer: OptimizerConfig = dc_field(default_factory=OptimizerConfig)
     # pseudo-label thresholding (used by the semi-supervised trainer)
-    sigma0: float = 0.95
-    sigma_decrement: float = 0.05        # 0 freezes the threshold at sigma0
-    sigma_period: int = 30
-    sigma_floor: float = 0.5
+    sigma0: float = setting(0.95, "(0, 1]")
+    sigma_decrement: float = setting(0.05, "[0, inf)")   # 0 freezes the threshold at sigma0
+    sigma_period: int = setting(30, "[1, inf)")
+    sigma_floor: float = setting(0.5, "(0, 1]")
 
     def __post_init__(self):
-        for name in ("policy_step_size", "beta_alpha", "fixed_lambda", "unsup_weight",
-                     "sigma0", "sigma_decrement", "sigma_floor"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # 0 is legal and reduces the step to vanilla random-lambda mixing
-        if self.policy_step_size < 0:
-            raise ValueError(f"policy_step_size must be >= 0, got {self.policy_step_size}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode '{self.mode}' not in {MODES}")
-        if self.beta_alpha <= 0:
-            raise ValueError(f"beta_alpha must be positive, got {self.beta_alpha}")
-        if not 0.0 <= self.fixed_lambda <= 1.0:
-            raise ValueError(f"fixed_lambda must be in [0, 1], got {self.fixed_lambda}")
-        if self.unsup_weight < 0:
-            raise ValueError(f"unsup_weight must be >= 0, got {self.unsup_weight}")
-        if self.augment not in AUGMENT_MODES:
-            raise ValueError(f"augment '{self.augment}' not in {AUGMENT_MODES}")
-        if not 0.0 < self.sigma_floor <= self.sigma0 <= 1.0:
-            raise ValueError("need 0 < sigma_floor <= sigma0 <= 1")
-        if self.sigma_decrement < 0 or self.sigma_period < 1:
-            raise ValueError("sigma_decrement >= 0 and sigma_period >= 1 required")
+        check_settings(self)
+        if self.sigma_floor > self.sigma0:
+            raise ValueError(f"sigma_floor {self.sigma_floor} exceeds sigma0 {self.sigma0}")
 
     def threshold_at(self, epoch: int) -> float:
         """The pseudo-label threshold, stepped down every sigma_period epochs."""
@@ -341,13 +317,16 @@ def train_supervised(splits: Splits, config: TrainConfig) -> TrainingReport:
 def check_run(splits: Splits, config: TrainConfig) -> Architecture:
     """The net a run of ``config`` on ``splits`` builds, once the checks that
     reject the pair before anything is built have passed: a batch larger
-    than the training rows (ValueError), meta-validation or test rows of
+    than the training rows or an empty meta-validation split, from which
+    every step draws (ValueError), meta-validation or test rows of
     another shape than the training rows (DataError), an arch whose classes
     or input shape do not match the data (ShapeError)."""
     train = splits.train
     if config.batch_size > len(train):
         raise ValueError(f"batch_size {config.batch_size} exceeds the {len(train)} "
                          "training rows, so no step would run")
+    if not len(splits.meta_val):
+        raise ValueError("the meta_val split holds no rows to draw validation batches from")
     for name in ("meta_val", "test"):
         other = getattr(splits, name)
         if len(other) and other.inputs.shape[1:] != train.inputs.shape[1:]:

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import engine as eng
-from .data import DataError
+from .data import DataError, check_settings, setting
 from .engine import ShapeError, Tensor
 
 
@@ -344,22 +344,14 @@ def _reverse(tape, u, grads=None):
 
 @dataclass
 class OptimizerConfig:
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
+    learning_rate: float = setting(0.1, "(0, inf)")
+    momentum: float = setting(0.9, "[0, 1)")
+    weight_decay: float = setting(1e-4, "[0, inf)")
     cosine_anneal: bool = False
     horizon: int = 0  # annealing length in epochs; required when cosine_anneal
 
     def __post_init__(self):
-        for name in ("learning_rate", "momentum", "weight_decay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        check_settings(self)
         if self.cosine_anneal and self.horizon < 1:
             raise ValueError(f"cosine_anneal requires a positive horizon, got {self.horizon}")
 

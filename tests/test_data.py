@@ -204,6 +204,12 @@ class TestIdx:
         assert back.inputs.shape == (12, 7, 1)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    def test_label_past_u8_writes_neither_file(self, tmp_path):
+        ds = Dataset(np.zeros((3, 2, 2)), [0, 300, 1], 301)
+        with pytest.raises(DataError, match="label 300 exceeds the u8 range"):
+            dio.save_idx(ds, tmp_path / "img", tmp_path / "lab")
+        assert not (tmp_path / "img").exists() and not (tmp_path / "lab").exists()
+
     def test_bad_magic_detected(self, tmp_path):
         p = tmp_path / "img"
         p.write_bytes(struct.pack(">llll", 1234, 1, 2, 2) + b"\x00" * 4)

@@ -542,6 +542,88 @@ def test_numpy_mix_equals_mix_batch_bitwise(case):
     assert sum(len(mx[rows]) for rows, _ in segments) == len(mx) == len(lam)
 
 
+# every ranged setting of the three config classes, written out here rather
+# than read from the fields: a number kind and an interval, or the set of
+# accepted words
+SETTING_RANGES = {
+    TrainConfig: {
+        "epochs": (int, "[1, inf)"),
+        "batch_size": (int, "[2, inf)"),
+        "policy_step_size": (float, "[0, inf)"),
+        "mode": {"metamixup", "mixup-beta", "mixup-fixed", "baseline"},
+        "beta_alpha": (float, "(0, inf)"),
+        "fixed_lambda": (float, "[0, 1]"),
+        "unsup_weight": (float, "[0, inf)"),
+        "augment": {"none", "flip", "flip-translate"},
+        "seed": (int, "[0, inf)"),
+        "sigma0": (float, "(0, 1]"),
+        "sigma_decrement": (float, "[0, inf)"),
+        "sigma_period": (int, "[1, inf)"),
+        "sigma_floor": (float, "(0, 1]"),
+    },
+    OptimizerConfig: {
+        "learning_rate": (float, "(0, inf)"),
+        "momentum": (float, "[0, 1)"),
+        "weight_decay": (float, "[0, inf)"),
+    },
+    SyntheticSpec: {
+        "classes": (int, "[2, inf)"),
+        "per_class": (int, "[1, inf)"),
+        "dim": (int, "[1, inf)"),
+        "separation": (float, "[0, inf)"),
+        "noise_sigma": (float, "(0, inf)"),
+    },
+}
+SETTINGS = [(owner, name) for owner, ranges in SETTING_RANGES.items() for name in ranges]
+SETTING_IDS = [f"{owner.__name__}-{name}" for owner, name in SETTINGS]
+
+
+def interval_ends(interval):
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return lo, hi, interval[0] == "[", interval[-1] == "]"
+
+
+def outside_values(spec):
+    """NaN, +-inf, a word outside a choice, and for an interval each finite
+    bound +- 1 and the next value past it (the bound itself when open)."""
+    if isinstance(spec, set):
+        return ["cutmix", "", "None", next(iter(spec)).upper()]
+    kind, interval = spec
+    lo, hi, closed_lo, closed_hi = interval_ends(interval)
+    bad = [float("nan"), float("inf"), float("-inf")]
+    for end, closed, out in ((lo, closed_lo, -1), (hi, closed_hi, 1)):
+        if np.isfinite(end):
+            past = (end + out if kind is int else np.nextafter(end, out * np.inf)) \
+                if closed else end
+            bad += [kind(end + out), kind(past)]
+    return bad
+
+
+def inside_values(spec):
+    """The default's neighbours at each bound: a closed bound itself, or the
+    next value inside an open one; every word of a choice."""
+    if isinstance(spec, set):
+        return sorted(spec)
+    kind, interval = spec
+    lo, hi, closed_lo, closed_hi = interval_ends(interval)
+    step = (lambda end, way: end + way) if kind is int else np.nextafter
+    good = [kind(lo if closed_lo else step(lo, np.inf))]
+    if np.isfinite(hi):
+        good.append(kind(hi if closed_hi else step(hi, -np.inf)))
+    return good
+
+
+def build_setting(owner, name, value):
+    """owner with name set to value; the other fields keep clear of the
+    cross-field checks (sigma_floor <= sigma0, dim >= classes)."""
+    if owner is TrainConfig:
+        base = dict(sigma0=1.0, sigma_floor=float(np.nextafter(0.0, 1.0)))
+        return run_config(**{**base, name: value})
+    if owner is SyntheticSpec:
+        return SyntheticSpec(**{"dim": 1000, name: value})
+    return owner(**{name: value})
+
+
 class TestConfigValidation:
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -567,6 +649,34 @@ class TestConfigValidation:
                      dict(class_sigmas=(1.0, float("nan")))):
             with pytest.raises(DataError):
                 SyntheticSpec(**spec)
+
+    @pytest.mark.parametrize("owner, name", SETTINGS, ids=SETTING_IDS)
+    def test_value_outside_a_setting_range_names_the_field(self, owner, name):
+        error = DataError if owner is SyntheticSpec else ValueError
+        for bad in outside_values(SETTING_RANGES[owner][name]):
+            with pytest.raises(error, match=rf"^{name} must be in "):
+                build_setting(owner, name, bad)
+
+    @pytest.mark.parametrize("owner, name", SETTINGS, ids=SETTING_IDS)
+    def test_value_at_a_setting_bound_is_accepted(self, owner, name):
+        for good in inside_values(SETTING_RANGES[owner][name]):
+            if (owner, name, good) == (SyntheticSpec, "dim", 1):
+                # below the least classes, 2: the cross-field check rejects it
+                with pytest.raises(DataError, match="dim 1 < classes 2"):
+                    build_setting(owner, name, good)
+                continue
+            assert getattr(build_setting(owner, name, good), name) == good
+
+    def test_cross_field_checks_stay(self):
+        with pytest.raises(ValueError, match="sigma_floor 0.9 exceeds sigma0 0.8"):
+            run_config(sigma0=0.8, sigma_floor=0.9)
+        with pytest.raises(ValueError, match="horizon"):
+            OptimizerConfig(cosine_anneal=True)
+        with pytest.raises(DataError, match="dim 2 < classes 3"):
+            SyntheticSpec(classes=3, dim=2)
+        for sigmas in ((1.0,), (1.0, 0.0), (1.0, float("inf"))):
+            with pytest.raises(DataError, match="class_sigmas"):
+                SyntheticSpec(class_sigmas=sigmas)
 
     def test_alpha_zero_allowed(self):
         assert run_config(policy_step_size=0.0).policy_step_size == 0.0
@@ -626,6 +736,17 @@ class TestTrainSupervised:
         # small_splits keeps 50 training rows
         with pytest.raises(ValueError, match="batch_size 51 exceeds the 50 training rows"):
             meta.train_supervised(small_splits(), run_config(epochs=1, batch_size=51))
+
+    @pytest.mark.parametrize("mode", ["metamixup", "baseline"])
+    def test_empty_meta_validation_split_rejected_before_model(self, monkeypatch, mode):
+        def never(*args, **kwargs):
+            raise AssertionError("built a model for a run with no validation rows")
+
+        monkeypatch.setattr(nets, "build_model", never)
+        splits = small_splits()
+        empty = dataclasses.replace(splits, meta_val=splits.meta_val.subset(np.arange(0)))
+        with pytest.raises(ValueError, match="the meta_val split holds no rows"):
+            meta.train_supervised(empty, run_config(epochs=1, batch_size=10, mode=mode))
 
     @pytest.mark.parametrize("split", ["meta_val", "test"])
     def test_rows_of_another_shape_rejected_before_model(self, monkeypatch, split):
