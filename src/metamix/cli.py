@@ -338,7 +338,9 @@ def _train_config(opts: dict, table: dict, splits: Splits) -> TrainConfig:
 
 def _open_out(opts: dict, subcommand: str) -> Path:
     """Create --out (default runs/<subcommand>) and echo the resolved options
-    into its config.json."""
+    into its config.json. An empty --out is a config error."""
+    if opts["out"] == "":
+        raise ConfigError("--out must name a directory, got an empty path")
     out = Path(opts["out"] or f"runs/{subcommand}")
     try:
         out.mkdir(parents=True, exist_ok=True)

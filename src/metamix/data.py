@@ -78,7 +78,10 @@ class Dataset:
         return len(self.labels)
 
     def subset(self, idx) -> "Dataset":
+        """The rows that ``idx`` picks: integer indices or a boolean mask."""
         idx = np.asarray(idx)
+        if not idx.size:   # np.asarray([]) is float64, which cannot index
+            idx = idx.astype(np.intp)
         true = None if self.true_labels is None else self.true_labels[idx]
         return Dataset(self.inputs[idx], self.labels[idx], self.n_classes,
                        self.provenance, true)

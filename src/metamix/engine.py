@@ -427,8 +427,7 @@ def _check_kernel(shape) -> int:
 
 # most bytes of im2col columns per block of images in the conv kernels, about
 # the L2 cache of one core: a block's columns are built, read by one GEMM and
-# dropped, so no kernel holds the columns of a whole batch but the weight
-# gradient's
+# dropped, so no kernel holds the columns of a whole batch
 CONV_BLOCK_BYTES = 2 << 20
 
 
@@ -441,8 +440,8 @@ def _block_images(per_image: int) -> int:
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """[n,h,w,c] -> [n*h*w, k*k*c] patches under same padding, (kh,kw,c) order.
 
-    The forward kernel builds them one block of images at a time; the weight
-    gradient builds them for its whole batch once and drops them."""
+    The forward kernel and the weight gradient build them one block of images
+    at a time and drop them after the block's GEMM."""
     pad = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
@@ -504,12 +503,17 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _conv_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     """The kernel gradient [k,k,cin,cout] from the conv input x [n,h,w,cin]
-    and the output gradient g [n,h,w,cout]: one GEMM over the whole batch's
-    ``_im2col`` columns, which are dropped on return. Blocks would sum the
-    rows in another order and move the gradient's bits."""
-    cols = _im2col(x, k)
-    cout = g.shape[3]
-    return (cols.T @ g.reshape(len(cols), cout)).reshape(k, k, -1, cout)
+    and the output gradient g [n,h,w,cout]: per block of images, the GEMM of
+    the block's ``_im2col`` columns with its rows of g, summed over blocks
+    into one [k*k*cin, cout] array. A batch that one block holds takes the
+    whole-batch GEMM's bits; past a block, the sum over rows runs block by
+    block, in another order, within 1e-14 (``tests/test_engine.py``)."""
+    cin, cout = x.shape[3], g.shape[3]
+    step = _block_images(x.shape[1] * x.shape[2] * k * k * cin)
+    out = _im2col(x[:step], k).T @ g[:step].reshape(-1, cout)
+    for i in range(step, len(x), step):
+        out += _im2col(x[i:i + step], k).T @ g[i:i + step].reshape(-1, cout)
+    return out.reshape(k, k, cin, cout)
 
 
 def conv2d(x, w) -> Tensor:

@@ -6,12 +6,13 @@ be evaluated without touching the real model. That is the hook the one-step
 meta gradient hangs off. Training and the audit's logit gradients walk the
 layers in numpy: ``_forward`` keeps a per-layer tape of each layer's input
 (a conv layer's as its [n, h, w, cin] images, never their im2col columns;
-the engine's conv kernels build those per block of images, and the weight
-gradient once per reverse pass, and drop them), ``_reverse``
-walks it back from a gradient at the logits to the parameters (for
-``loss_and_gradients``, from ``_cross_entropy_head``) or to the input, and
-``forward_tangents`` carries two tangents along it for the second-order
-term; a loss over weighted row segments is one pass too. The engine's
+the engine's conv kernels build those per block of images and drop them)
+and of f' (a relu's as a bool mask), ``_reverse`` walks it back from a
+gradient at the logits to the parameters (for ``loss_and_gradients``, from
+``_cross_entropy_head``) or to the input, and ``forward_tangents`` carries
+two tangents along it for the second-order term, in place; a loss over
+weighted row segments is one pass too. No pass holds a whole batch's
+columns. The engine's
 ``forward`` serves inference (``batched_logits``, in near-equal chunks
 bounded by the widest layer's bytes) and the oracles.
 """
@@ -71,8 +72,10 @@ def _softplus_derivatives(a):
 
 
 def _relu_derivatives(a):
-    # the engine's mask, so both take the subgradient 0 at a == 0; f'' = 0
-    return np.maximum(a, 0.0), (a > 0).astype(np.float64), None
+    # f' is the engine's mask as bools, an eighth of its bytes on the tape: a
+    # float array times it takes the bits of the engine's float64 mask, and
+    # both take the subgradient 0 at a == 0; f'' = 0
+    return np.maximum(a, 0.0), a > 0, None
 
 
 # (f, f', f'') of each activation on numpy arrays, for the numpy training
@@ -209,10 +212,11 @@ def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = Non
     the input's pre-flatten shape, f', f''); ``params`` overrides the model's
     own parameter values. A dense layer sees its input flattened to rows, a
     conv layer as its [n, h, w, cin] images, from which the weight gradient
-    and the tangent pass build columns again, block by block or once, and
-    drop them. f' is None on a layer
-    without activation, f'' on one where it is zero. The values follow the
-    engine's formulas bit for bit, and no graph is recorded."""
+    and the tangent pass build columns again, block by block, and drop them.
+    f' is None on a layer without activation, and a bool mask on a relu
+    layer, which a float array times it gives the bits of the engine's
+    float64 mask; f'' is None on a layer where it is zero. The values follow
+    the engine's formulas bit for bit, and no graph is recorded."""
     p = {n: t.data for n, t in model.params.items()} if params is None else params
     h = np.asarray(x, dtype=np.float64)
     if h.shape[1:] != model.arch.input_shape:
@@ -223,10 +227,11 @@ def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = Non
         w, b = p[f"layer{i}.w"], p[f"layer{i}.b"]
         shape = h.shape
         if isinstance(layer, Conv):
-            a = eng._conv_forward(h, w) + b
+            a = eng._conv_forward(h, w)
         else:
             h = h.reshape(len(h), -1)
-            a = h @ w + b
+            a = h @ w
+        a += b   # in place: no second array the size of the layer's output
         d1 = d2 = None
         if layer.activation is not None:
             a, d1, d2 = ACTIVATION_DERIVATIVES[layer.activation](a)
@@ -242,30 +247,37 @@ def forward_tangents(tape, dx, direction: Mapping[str, np.ndarray]):
     carries these three parts (hyper-dual numbers) and reads its input,
     weight, f' and f'' from the tape; a conv layer convolves its input with
     the direction's kernel again (``eng._conv_forward``). The primal pass is
-    not run again."""
+    not run again. A part's products with the weight and the direction's
+    kernel are added in place, f' and f'' act in place, and each incoming
+    part is dropped after its last product, so no concatenation of parts or
+    weights is built."""
     h_l = np.asarray(dx, dtype=np.float64)
     h_e = h_el = None   # the input does not move with eps
     for i, (layer, h, w, shape, d1, d2) in enumerate(tape):
         vw, vb = direction[f"layer{i}.w"], direction[f"layer{i}.b"]
         if isinstance(layer, Conv):
             product, rows = eng._conv_forward, shape
-            a_e = eng._conv_forward(h, vw) + vb
         else:
             product, rows = np.matmul, h.shape
-            a_e = h @ vw + vb
-        cout = w.shape[-1]
-        # h_l against [w | vw] gives h_l w and h_l vw at once
-        both = product(h_l.reshape(rows), np.concatenate([w, vw], axis=-1))
-        a_l, a_el = both[..., :cout], both[..., cout:]
+        a_e = product(h, vw)
+        a_e += vb
         if h_e is not None:
-            moved = product(np.concatenate([h_e.reshape(rows),
-                                            h_el.reshape(rows)]), w)
-            a_e, a_el = a_e + moved[:rows[0]], a_el + moved[rows[0]:]
-        h_e, h_l, h_el = a_e, a_l, a_el
+            a_e += product(h_e.reshape(rows), w)
+            h_e = None
+        h_l = h_l.reshape(rows)
+        a_el = product(h_l, vw)
+        if h_el is not None:
+            a_el += product(h_el.reshape(rows), w)
+            h_el = None
+        a_l = product(h_l, w)
+        h_l = None
         if d1 is not None:
-            h_e, h_l, h_el = d1 * a_e, d1 * a_l, d1 * a_el
-        if d2 is not None:
-            h_el += d2 * a_e * a_l
+            a_el *= d1
+            if d2 is not None:
+                a_el += d2 * a_e * a_l
+            a_e *= d1
+            a_l *= d1
+        h_e, h_l, h_el = a_e, a_l, a_el
     return h_e, h_l, h_el
 
 

@@ -435,6 +435,21 @@ def test_out_that_names_a_file_exits_2(tmp_path, capsys, sub, where):
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("sub", ["train", "ssl", "audit"])
+def test_empty_out_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, sub, form):
+    """An empty --out is a config error, not the default runs/<subcommand>."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("out=\n")
+    extra = ["--n-pairs", "50", "--per-class", "20"] if sub == "audit" else ["--epochs", "1"]
+    given = ["--out", ""] if form == "flag" else ["--config", "run.cfg"]
+    assert run([sub, *given, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --out must name a directory, got an empty path\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 class TestSslRun:
     def test_artifacts_and_threshold_fields(self, tmp_path):
         out = tmp_path / "ssl"

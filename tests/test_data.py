@@ -134,6 +134,17 @@ class TestSplits:
         assert unlabeled.true_labels is not None
         assert unlabeled.true_labels.max() == 1
 
+    @pytest.mark.parametrize("pick", [[], [2, 0], [True, False, True, False], np.arange(0)])
+    def test_subset_takes_indices_or_a_mask(self, pick):
+        ds = Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], 2,
+                     true_labels=np.array([1, 1, 0, 0]))
+        rows = np.flatnonzero(pick) if np.asarray(pick).dtype == bool else pick
+        part = ds.subset(pick)
+        assert part.inputs.shape == (len(rows), 2) and part.inputs.dtype == np.float64
+        np.testing.assert_array_equal(part.inputs, ds.inputs[rows])
+        np.testing.assert_array_equal(part.labels, ds.labels[rows])
+        np.testing.assert_array_equal(part.true_labels, ds.true_labels[rows])
+
     def test_split_determinism(self):
         spec = SyntheticSpec(classes=2, per_class=30, dim=3)
         ds = dio.make_synthetic(spec, np.random.default_rng(12))

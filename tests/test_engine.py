@@ -533,60 +533,88 @@ def _whole_batch_input_grad(g, w):
     return out.reshape(n, h + 2 * pad, width, cin)[:, :h, :wd]
 
 
+def _whole_batch_weight_grad(x, g, k):
+    """The weight gradient as one GEMM of every image's im2col columns."""
+    cols = eng._im2col(x, k)
+    cout = g.shape[3]
+    return (cols.T @ g.reshape(len(cols), cout)).reshape(k, k, x.shape[3], cout)
+
+
 _BLOCKED_KERNELS = {
     "forward": (eng._conv_forward, _whole_batch_forward),
     "input_grad": (eng._conv_input_grad, _whole_batch_input_grad),
+    "weight_grad": (eng._conv_weight_grad, _whole_batch_weight_grad),
 }
+
+
+def _kernel_args(kernel, rng, n, h, w, k, cin, cout):
+    """A kernel's arguments on n random h x w images: the forward's input and
+    weight, the input gradient's output gradient and weight, or the weight
+    gradient's input, output gradient and k. The first argument is the one
+    whose columns the kernel builds, or would build."""
+    if kernel == "weight_grad":
+        return rng.normal(size=(n, h, w, cin)), rng.normal(size=(n, h, w, cout)), k
+    weight = rng.normal(size=(k, k, cin, cout))
+    return rng.normal(size=(n, h, w, cin if kernel == "forward" else cout)), weight
 
 
 class TestBlockedConvKernels:
     """The conv kernels build columns one block of images at a time. A batch
     that one block holds runs the whole-batch GEMMs themselves. Past a block
     bound OpenBLAS may round a row unlike the whole-batch GEMM (a leftover
-    row of its micro-kernel, a small-matrix or gemv path), so the grid holds
-    such batches within 1e-14 of their largest entry, and cnn3's training
-    shapes bit for bit."""
+    row of its micro-kernel, a small-matrix or gemv path), and the weight
+    gradient sums its rows block by block, so the grid holds such batches
+    within 1e-14 of their largest entry; cnn3's training shapes keep the
+    forward's and the input gradient's bits."""
 
-    @pytest.mark.parametrize("kernel", ["forward", "input_grad"])
+    @pytest.mark.parametrize("kernel", list(_BLOCKED_KERNELS))
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("cin", [1, 3, 16])
     @pytest.mark.parametrize("cout", [1, 3, 16])
     def test_blocks_match_the_whole_batch(self, kernel, k, cin, cout, monkeypatch):
         h, w = 5, 7   # 35 rows per image: blocks do not start on a multiple of 4
-        weight = np.random.default_rng(k * 100 + cin * 10 + cout).normal(
-            size=(k, k, cin, cout))
         # a block holds the columns of a correlation over the channels the
-        # kernel reads: cin for the forward, cout for the input gradient
+        # kernel reads: cin for the forward and the weight gradient, cout for
+        # the input gradient
         blocked, reference = _BLOCKED_KERNELS[kernel]
-        channels = cin if kernel == "forward" else cout
+        channels = cout if kernel == "input_grad" else cin
         per_image = h * w * k * k * channels
         # three images per block, under a bound that is not a whole image
         monkeypatch.setattr(eng, "CONV_BLOCK_BYTES", 8 * per_image * 7 // 2)
         block = eng._block_images(per_image)
         assert block == 3
-        rng = np.random.default_rng(13)
+        rng = np.random.default_rng(k * 100 + cin * 10 + cout)
         for n in (1, block - 1, block, block + 1, 2 * block + 1):
-            data = rng.normal(size=(n, h, w, channels))
-            got, want = blocked(data, weight), reference(data, weight)
+            args = _kernel_args(kernel, rng, n, h, w, k, cin, cout)
+            got, want = blocked(*args), reference(*args)
             assert got.shape == want.shape
             if n <= block:
                 assert np.array_equal(got, want), n
             else:
                 assert eng.max_relative_error(got, want, floor=0.0) <= 1e-14, n
 
-    # a cnn3 step on 28x28 images: each layer's forward, the tangent pass's
-    # products with [w | vw] and layer 1's input gradient
+    # a cnn3 step on 28x28 images: each layer's forward, which the tangent
+    # pass runs with the weight and the direction's kernel too, and layer 1's
+    # input gradient; the (1, 32) and (16, 64) forwards, twice cnn3's widths,
+    # hold a wider GEMM past a block
     @pytest.mark.parametrize("kernel,cin,cout", [
         ("forward", 1, 16), ("forward", 16, 32), ("forward", 1, 32),
         ("forward", 16, 64), ("input_grad", 16, 32)])
     def test_cnn3_training_shapes_keep_their_bits(self, kernel, cin, cout):
         blocked, reference = _BLOCKED_KERNELS[kernel]
         channels = cin if kernel == "forward" else cout
-        block = eng._block_images(28 * 28 * 9 * channels)
-        rng = np.random.default_rng(14)
-        weight = rng.normal(size=(3, 3, cin, cout))
-        data = rng.normal(size=(2 * block + 1, 28, 28, channels))
-        assert np.array_equal(blocked(data, weight), reference(data, weight))
+        n = 2 * eng._block_images(28 * 28 * 9 * channels) + 1
+        args = _kernel_args(kernel, np.random.default_rng(14), n, 28, 28, 3, cin, cout)
+        assert np.array_equal(blocked(*args), reference(*args))
+
+    # cnn3's two weight gradients on 28x28 images, past a block
+    @pytest.mark.parametrize("cin,cout", [(1, 16), (16, 32)])
+    def test_cnn3_weight_gradients_stay_within_the_tolerance(self, cin, cout):
+        n = 2 * eng._block_images(28 * 28 * 9 * cin) + 1
+        args = _kernel_args("weight_grad", np.random.default_rng(15), n, 28, 28, 3,
+                            cin, cout)
+        got, want = eng._conv_weight_grad(*args), _whole_batch_weight_grad(*args)
+        assert eng.max_relative_error(got, want, floor=0.0) <= 1e-14
 
 
 @settings(max_examples=25, deadline=None)

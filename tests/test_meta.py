@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -350,10 +351,10 @@ def test_hypergradient_rejects_a_policy_of_the_wrong_length():
 
 def test_cnn3_step_tapes_conv_inputs_and_builds_columns_per_block(monkeypatch):
     """A conv layer's tape entry is its [n, h, w, cin] input. Per cnn3
-    metamixup step, every im2col build outside the weight gradient covers at
-    most one block of images, and the weight gradient builds its whole
-    batch's columns once per conv layer in each of the three reverse passes
-    (inner, validation, real update): 2 x 3 = 6."""
+    metamixup step, every im2col build covers at most one block of images,
+    inside the weight gradient or not, and in each of the three reverse
+    passes (inner, validation, real update) the weight gradient's blocks
+    cover each conv layer's rows once."""
     model, labeled, val, _ = _step_inputs("cnn3")
     # two images of layer 1's columns per block, so a 6-row batch spans three
     monkeypatch.setattr(eng, "CONV_BLOCK_BYTES", 2 * 8 * (8 * 8 * 9 * 16))
@@ -387,18 +388,33 @@ def test_cnn3_step_tapes_conv_inputs_and_builds_columns_per_block(monkeypatch):
         convs = [(h, w) for layer, h, w, *_ in tape if isinstance(layer, nets.Conv)]
         assert [h.shape for h, _ in convs] == [(len(x), 8, 8, w.shape[2]) for _, w in convs]
         assert np.array_equal(convs[0][0], x)
-    assert outside and all(n <= eng._block_images(h * w * k * k * c)
-                           for n, h, w, c, k in outside)
-    # each reverse pass walks layer 1, then layer 0, over its forward's rows
-    assert len(inside) == 6
-    assert [(n, c) for n, _, _, c, _ in inside] == [(len(x), c) for x, _ in tapes
-                                                    for c in (16, 1)]
+    assert outside and inside
+    assert all(n <= eng._block_images(h * w * k * k * c)
+               for n, h, w, c, k in outside + inside)
+    # each reverse pass walks layer 1, then layer 0, over its forward's rows,
+    # in blocks of at most two images of layer 1's columns
+    assert [(sum(n for n, *_ in run), c) for c, run in
+            itertools.groupby(inside, key=lambda build: build[3])] == [
+        (len(x), c) for x, _ in tapes for c in (16, 1)]
+
+
+def _traced_peak(call):
+    """The peak bytes that tracemalloc sees during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_cnn3_step_peak_memory_stays_under_its_bound():
-    """One cnn3 metamixup step at batch 50 on 28x28 images, under tracemalloc.
-    With whole-batch im2col columns on the tape it peaked at 246 MB; with
-    columns built per block of images, 128 MB. The bound sits between."""
+    """One cnn3 metamixup step at batch 50 on 28x28 images, and one
+    ``loss_and_gradients`` call, under tracemalloc. With whole-batch im2col
+    columns on the tape the step peaked at 246 MB; with columns built per
+    block of images, 128 MB (93 MB for the call); with the weight gradient's
+    columns in blocks too, bool relu masks and an in-place tangent pass, about
+    66 MB (39 MB). The bounds sit between."""
     rng = np.random.default_rng(26)
     model = nets.build_model(nets.cnn3((28, 28), 1, 10), rng)
 
@@ -406,14 +422,12 @@ def test_cnn3_step_peak_memory_stays_under_its_bound():
         return rng.normal(size=(50, 28, 28, 1)), nets.one_hot(rng.integers(0, 10, 50), 10)
 
     labeled, val = batch(), batch()
-    tracemalloc.start()
-    try:
-        meta.train_step(model, labeled, val, run_config(mode="metamixup", batch_size=50),
-                        np.random.default_rng(27), lr=0.1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 160e6, f"traced peak {peak / 1e6:.0f} MB"
+    peak = _traced_peak(lambda: nets.loss_and_gradients(model, (*labeled, None)))
+    assert peak < 60e6, f"loss_and_gradients traced peak {peak / 1e6:.0f} MB"
+    peak = _traced_peak(lambda: meta.train_step(
+        model, labeled, val, run_config(mode="metamixup", batch_size=50),
+        np.random.default_rng(27), lr=0.1))
+    assert peak < 100e6, f"step traced peak {peak / 1e6:.0f} MB"
 
 
 def _im2col_input_grad(g, w):
