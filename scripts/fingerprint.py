@@ -34,6 +34,9 @@ channel is reported: channel 0 at seeds 0 and 1, channels 1 and 2 at seed 3.
 One line audits a softplus conv net on 8x8x1 points the same way, from
 ``CONV_PAIRS`` pairs at 1.2 times its estimate, which pins the conv input
 gradient of the audit. One line audits a quadratic at its estimated constant.
+One line holds the sha256 of ``nets.batched_logits`` of a seeded ``cnn3()``
+on ``INFERENCE_IMAGES`` rows of 28x28, and of ``LogitField.grad`` on the
+first ``GRAD_IMAGES`` of them, which pins how inference chunks its rows.
 
 Then one line holds the sha256 of the ``nets.save_model`` bytes of three
 freshly built nets (``CHECKPOINT_NETS``), so a change to the checkpoint format
@@ -91,6 +94,8 @@ AUDIT_SEEDS = (0, 1, 3)
 AUDIT_PAIRS = 2_000
 AUDIT_FACTORS = (0.3, 1.2)
 CONV_PAIRS = 1_000
+INFERENCE_IMAGES = 200
+GRAD_IMAGES = 20
 # name -> architecture, each built from seed 0 for the checkpoint line
 CHECKPOINT_NETS = {
     "cnn3": nets.cnn3((8, 8), 1, 3),
@@ -208,6 +213,17 @@ def quadratic_fingerprint() -> str:
             f"audit={digest(est.kappa, rep.rows, rep.worst_pair)}")
 
 
+def inference_fingerprint() -> str:
+    """A cnn3 on 28x28x1 images built from seed 0, on uniform rows."""
+    rng = np.random.default_rng(0)
+    model = nets.build_model(nets.cnn3(), rng)
+    x = rng.uniform(size=(INFERENCE_IMAGES, 28, 28, 1))
+    logits = nets.batched_logits(model, x)
+    grads = smoothness.LogitField(model).grad(x[:GRAD_IMAGES].reshape(GRAD_IMAGES, -1))
+    return (f"inference cnn3 rows={INFERENCE_IMAGES} logits={digest(logits)} "
+            f"grad@{GRAD_IMAGES}={digest(grads)}")
+
+
 def checkpoint_fingerprint() -> str:
     line = "checkpoint"
     for name, arch in CHECKPOINT_NETS.items():
@@ -287,6 +303,7 @@ def main() -> None:
         print(audit_fingerprint(seed), flush=True)
     print(conv_audit_fingerprint(), flush=True)
     print(quadratic_fingerprint(), flush=True)
+    print(inference_fingerprint(), flush=True)
     print(checkpoint_fingerprint(), flush=True)
     for label in CLI_RUNS:
         print(cli_fingerprint(label), flush=True)
