@@ -277,10 +277,10 @@ def softplus(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = (a.data > 0).astype(np.float64)
 
     def vjp(y, u, needs):
-        return (mul(u, Tensor(mask)),)
+        # the mask is built here, not per call: no_grad inference never reads it
+        return (mul(u, Tensor((a.data > 0).astype(np.float64))),)
 
     return _result(np.maximum(a.data, 0.0), "relu", (a,), vjp)
 

@@ -9,10 +9,13 @@ the batch re-mixed under the updated coefficients.
 Training runs in numpy and builds no engine graph. A step's groups (labeled
 rows, and pseudo rows in SSL) stack into one batch whose rows carry their
 group's weight. The hypergradient is exact: an inner gradient, a validation
-gradient at the simulated weights (each one forward and one reverse pass of
-``nets.loss_and_gradients``), and a pass that carries a parameter tangent
-and a lambda tangent along the inner gradient's tape (:func:`hypergradient`);
-the real update is one more ``loss_and_gradients`` call. Training never
+gradient at the simulated weights (each one forward and one reverse pass
+per row chunk of ``nets.loss_and_gradients``), and a pass that carries a
+parameter tangent and a lambda tangent along each inner chunk's tape
+(:func:`hypergradient`); the real update is one more ``loss_and_gradients``
+call. So a step holds the inner chunks' tapes plus one chunk of the pass
+at work, never a whole batch's activations (``nets.inference_chunks``
+gives the chunks). Training never
 differentiates the mix: each coefficient vector mixes the stacked batch
 once, in numpy, for the meta loss, that pass and the real update.
 :func:`simulated_step_losses` keeps the engine's double backward (through
@@ -196,9 +199,10 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
     d2 l_i / (deps dlambda_i). Two numpy gradients from
     ``nets.loss_and_gradients`` (the inner gradient, then L_val and v) and
     that pass replace a double backward, and no engine graph is built. The
-    groups stack into one batch, and the pass runs once along the inner
-    tape, reusing its logits and activation derivatives. The model is not
-    touched; :func:`simulated_step_losses` is the double-backward reference.
+    groups stack into one batch, and the pass runs along each inner chunk's
+    tape, reusing its logits and activation derivatives, and drops the tape
+    after it. The model is not touched; :func:`simulated_step_losses` is
+    the double-backward reference.
 
     ``mode`` accepts only "exact"; it remains for callers that still name it.
     """
@@ -207,17 +211,24 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
     lam = policy.lambda_values()
     x, y, perm, segments = _stack(groups, len(lam))
     x_mix, y_mix = _mix(x, y, perm, lam)
-    meta_loss, inner, logits, tape = nets.loss_and_gradients(model, (x_mix, y_mix, segments))
+    tapes = []
+    meta_loss, inner, logits = nets.loss_and_gradients(
+        model, (x_mix, y_mix, segments), tapes=tapes)
     simulated = {n: p.data - eta * inner[n] for n, p in model.params.items()}
     val_loss, v = nets.loss_and_gradients(model, (*val_batch, None), simulated)[:2]
 
     # a mixed row moves with its lambda by x - x[perm] and its label by
     # y - y[perm]; row i of a group of n rows and weight w scales by -eta w / n
-    tangents = nets.forward_tangents(tape, x - x[perm], v)
+    dx, dy = x - x[perm], y - y[perm]
+    mixed = np.empty(len(lam))
+    while tapes:   # each chunk's tape goes once its tangents are taken
+        rows, tape = tapes.pop()
+        tangents = nets.forward_tangents(tape, dx[rows], v)
+        mixed[rows] = _cross_entropy_mixed_derivative(logits[rows], *tangents,
+                                                      y_mix[rows], dy[rows])
     scale = np.concatenate([np.full_like(lam[rows], -eta * weight / len(lam[rows]))
                             for rows, weight in segments])
-    grad = (scale * _cross_entropy_mixed_derivative(logits, *tangents, y_mix, y - y[perm])
-            * lam * (1.0 - lam))   # dlambda/dz = lambda (1 - lambda)
+    grad = scale * mixed * lam * (1.0 - lam)   # dlambda/dz = lambda (1 - lambda)
     if not np.isfinite(grad).all():
         raise NonFiniteError("hypergradient is not finite")
     return MetaGradResult(grad, meta_loss, val_loss)
@@ -281,8 +292,7 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     loss, grads = nets.loss_and_gradients(model, (*_mix(x, y, perm, lam), segments))[:2]
     nets.sgd_step(model, grads, config.optimizer, step_lr)
     if config.mode != "metamixup" and val_batch is not None:
-        logits, _ = nets._forward(model, val_batch[0])
-        val_loss = float(nets._cross_entropy_head(logits, val_batch[1])[0])
+        val_loss = nets.batch_loss(model, (*val_batch, None))
     return StepStats(train_loss=loss, meta_loss=meta_loss, val_loss=val_loss,
                      hypergrad_norm=hyper_norm, lambda_values=lam,
                      accepted=n - len(batch[0]))

@@ -11,10 +11,17 @@ and of f' (a relu's as a bool mask), ``_reverse`` walks it back from a
 gradient at the logits to the parameters (for ``loss_and_gradients``, from
 ``_cross_entropy_head``) or to the input, and ``forward_tangents`` carries
 two tangents along it for the second-order term, in place; a loss over
-weighted row segments is one pass too. No pass holds a whole batch's
-columns. The engine's
-``forward`` serves inference (``batched_logits``, in near-equal chunks
-bounded by the widest layer's bytes) and the oracles.
+weighted row segments is one pass too.
+
+Every pass runs over row chunks from one rule, ``inference_chunks``: as
+many rows as keep the widest layer output under INFERENCE_BYTES, in whole
+4-row blocks (8 rows for cnn3 on 28x28 images; an MLP batch is one chunk).
+``loss_and_gradients`` runs forward, head and reverse one chunk at a time
+and adds the chunks' gradients, so a pass holds one chunk's activations
+and reverse temporaries, never a whole batch's; only the hypergradient's
+inner pass keeps its chunks' tapes, for the tangent pass. The engine's
+``forward`` serves inference (``batched_logits``, over the same chunks) and
+the oracles.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import json
 import math
 import zipfile
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -129,6 +137,14 @@ class Architecture:
     @property
     def n_classes(self) -> int:
         return self.layers[-1].width
+
+    @cached_property
+    def widest_output(self) -> int:
+        """The most values one layer outputs per row; worked out once, for
+        the chunk rule (``inference_rows``)."""
+        pixels = math.prod(self.input_shape[:2]) if len(self.input_shape) == 3 else 1
+        return max(b_shape[0] * (pixels if len(w_shape) == 4 else 1)
+                   for _, w_shape, b_shape, _ in _layer_shapes(self))
 
 
 def mlp(in_dim: int, hidden: Sequence[int], classes: int,
@@ -297,49 +313,108 @@ def param_gradients(loss: Tensor, model: ModelState) -> dict[str, Tensor]:
 
 
 def loss_and_gradients(model: ModelState, batch,
-                       params: Mapping[str, np.ndarray] | None = None):
-    """The ``_cross_entropy_head`` loss of one batch ``(x, y, segments)`` and
-    its gradient for every parameter, from one ``_forward`` and one reverse
-    pass with the engine's vjp rules; ``params`` overrides the model's own
-    parameter values. Returns (loss, gradients, logits, tape), the tape for
-    ``forward_tangents``. Loss and gradients are bit for bit those of
-    ``eng.backward`` on ``meta._mixed_loss``. A non-finite loss or gradient
-    raises NonFiniteError."""
+                       params: Mapping[str, np.ndarray] | None = None, tapes=None):
+    """The loss of one batch ``(x, y, segments)``, the sum over ``segments``
+    ``[(row slice, weight), ...]`` (None: all rows, weight 1) of weight * mean
+    cross-entropy of those rows against ``y``, each reduced on its own, and
+    its gradient for every parameter, by the engine's vjp rules; ``params``
+    overrides the model's own parameter values. Returns (loss, gradients,
+    logits).
+
+    Per ``inference_chunks`` chunk of rows it runs one ``_forward``, the
+    ``_cross_entropy_head``, whose upstream gradient scales each row by its
+    segment's weight and length, and one ``_reverse``, and adds the chunk's
+    gradients to those of the chunks before it. It appends ``(rows, tape)``
+    to ``tapes``, if given, for ``forward_tangents``; else a chunk's tape is
+    dropped before the next chunk's forward. The loss sums the stored
+    per-row terms by segment after the last chunk, so loss and logits are
+    bit for bit those of ``eng.backward`` on ``meta._mixed_loss``, and so
+    are the gradients of a one-chunk batch; past a chunk they sum in
+    another order. A non-finite loss or gradient raises NonFiniteError."""
     x, y, segments = batch
-    logits, tape = _forward(model, x, params)
-    loss, u = _cross_entropy_head(logits, y, segments)
-    grads = _reverse(tape, u, {})
+    y = _labels(model, x, y)
+    du = np.empty_like(y)   # the gradient at log_softmax: scale, sum, mul
+    for rows, weight in segments or [(slice(None), 1.0)]:
+        labels = y[rows]
+        du[rows] = (weight * (-1.0 / len(labels))) * labels
+    grads, logits, terms, transposed = None, [], [], {}
+    for rows in inference_chunks(model.arch, len(x)):
+        a, tape = _forward(model, x[rows], params)
+        yls, u = _cross_entropy_head(a, y[rows], du[rows])
+        part = _reverse(tape, u, {}, transposed)
+        if grads is None:
+            grads = part
+        else:
+            for name, g in grads.items():
+                g += part[name]
+        logits.append(a)
+        terms.append(yls)
+        if tapes is not None:
+            tapes.append((rows, tape))
+        tape = part = None   # the next chunk's forward runs without them
+    loss = _segment_loss(_joined(terms), segments)
     if not np.isfinite(loss):
         raise eng.NonFiniteError("loss is not finite")
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise eng.NonFiniteError(f"gradient of '{name}' is not finite")
-    return float(loss), grads, logits, tape
+    return float(loss), grads, _joined(logits)
 
 
-def _cross_entropy_head(logits, y, segments=None):
-    """Sum over ``segments`` ``[(row slice, weight), ...]`` (None: all rows,
-    weight 1) of weight * mean cross-entropy of those rows of ``logits`` against
-    ``y``, each reduced on its own, and its gradient at the logits, by the
-    engine's vjp rules: scale, sum, mul, log_softmax."""
+def batch_loss(model: ModelState, batch) -> float:
+    """The loss of ``loss_and_gradients`` without its gradients: one
+    ``_forward`` per ``inference_chunks`` chunk."""
+    x, y, segments = batch
+    y = _labels(model, x, y)
+    terms = [y[rows] * eng._log_softmax(_forward(model, x[rows])[0])
+             for rows in inference_chunks(model.arch, len(x))]
+    return float(_segment_loss(_joined(terms), segments))
+
+
+def _labels(model: ModelState, x, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
-    if logits.shape != y.shape:
-        raise ShapeError(f"cross_entropy: logits {logits.shape} vs labels {y.shape}")
+    if y.shape != (len(x), model.arch.n_classes):
+        raise ShapeError(f"cross_entropy: logits {(len(x), model.arch.n_classes)} "
+                         f"vs labels {y.shape}")
+    return y
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The chunks' rows as one array; a lone chunk's array as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _cross_entropy_head(logits, y, du):
+    """Per row of ``logits``: the terms y * log_softmax(logits) whose sum is
+    minus its cross-entropy, and the gradient at the logits from ``du``,
+    the gradient at log_softmax, by the engine's vjp rule. Rows are
+    independent, so a chunk of rows gives the bits of the same rows of the
+    whole batch."""
     ls = eng._log_softmax(logits)
-    yls, u, total = y * ls, np.empty_like(y), 0.0
+    return y * ls, du - np.exp(ls) * du.sum(axis=1, keepdims=True)
+
+
+def _segment_loss(terms, segments) -> float:
+    """Sum over ``segments`` (None: all rows, weight 1) of weight * mean
+    cross-entropy from the rows' ``_cross_entropy_head`` terms, each
+    segment's reduced on its own: scale, sum, as the engine does."""
+    total = 0.0
     for rows, weight in segments or [(slice(None), 1.0)]:
-        part = yls[rows]
-        c = -1.0 / len(part)
-        loss = part.sum() * c
+        part = terms[rows]
+        loss = part.sum() * (-1.0 / len(part))
         total += loss * weight if weight != 1.0 else loss
-        u[rows] = (weight * c) * y[rows]
-    return total, u - np.exp(ls) * u.sum(axis=1, keepdims=True)
+    return total
 
 
-def _reverse(tape, u, grads=None):
+def _reverse(tape, u, grads=None, transposed=None):
     """Back along a ``_forward`` tape from the gradient ``u`` at the logits, by
     the engine's vjp rules: into ``grads``, if given, every parameter's
-    gradient, returning ``grads`` at layer 0; else the gradient at the input."""
+    gradient, returning ``grads`` at layer 0; else the gradient at the input.
+    A dense layer multiplies by a contiguous copy of its weight's transpose,
+    as the engine does (a transposed view rounds otherwise); ``transposed``,
+    if given, keeps those copies for the passes of further chunks."""
+    if transposed is None:
+        transposed = {}
     for i, (layer, h, w, shape, d1, _) in reversed(list(enumerate(tape))):
         if d1 is not None:
             u = u * d1
@@ -350,7 +425,12 @@ def _reverse(tape, u, grads=None):
                                     else h.T.copy() @ u)
             if not i:
                 return grads
-        u = eng._conv_input_grad(u, w) if conv else (u @ w.T.copy()).reshape(shape)
+        if conv:
+            u = eng._conv_input_grad(u, w)
+        else:
+            if i not in transposed:
+                transposed[i] = w.T.copy()
+            u = (u @ transposed[i]).reshape(shape)
     return u
 
 
@@ -410,31 +490,38 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return eng.scale(eng.sum_reduce(eng.mul(labels, ls)), -1.0 / logits.shape[0])
 
 
-INFERENCE_ROWS = 512   # most rows per forward in batched_logits and the audit
-# most bytes of the widest layer input per forward in batched_logits and the
-# audit, a conv layer's counted as its im2col columns: those of one 50-row
-# cnn3 batch of 28x28 images. The conv kernels build no more than a block of
-# them at once, but a chunk bound moves the bits of a wide dense layer
-INFERENCE_BYTES = 50 * (28 * 28) * (3 * 3 * 16) * 8
+INFERENCE_ROWS = 512   # most rows per chunk of a numpy pass or an inference forward
+# most bytes of the widest layer output per chunk, the conv kernels' column
+# block (engine.CONV_BLOCK_BYTES): a pass's activations and reverse
+# temporaries grow with the chunk, not with the batch
+INFERENCE_BYTES = 2 << 20
 
 
 def inference_rows(arch: Architecture) -> int:
-    """Most rows per forward in ``batched_logits`` and ``smoothness.LogitField``:
-    INFERENCE_ROWS, or fewer where the widest layer input would pass
-    INFERENCE_BYTES. A dense layer's input is its fan-in per row, a conv
-    layer's its im2col columns, fan-in times the image's pixels; so an MLP
-    on up to 11k inputs takes INFERENCE_ROWS, and cnn3 on 28x28 images 50."""
-    pixels = math.prod(arch.input_shape[:2]) if len(arch.input_shape) == 3 else 1
-    widest = max(fan_in * (pixels if len(w_shape) == 4 else 1)
-                 for _, w_shape, _, fan_in in _layer_shapes(arch))
-    return max(1, min(INFERENCE_ROWS, INFERENCE_BYTES // (8 * widest)))
+    """Most rows per chunk of ``inference_chunks``: INFERENCE_ROWS, or fewer
+    where the widest layer output would pass INFERENCE_BYTES, in whole
+    blocks of 4 rows and at least one. So an MLP of up to 512 units per
+    layer takes INFERENCE_ROWS, and cnn3 on 28x28 images 8."""
+    bound = min(INFERENCE_ROWS, INFERENCE_BYTES // (8 * arch.widest_output))
+    return 4 * max(1, bound // 4)
 
 
 def inference_chunks(arch: Architecture, n: int) -> list[slice]:
-    """``n`` rows in ceil(n / ``inference_rows``) near-equal chunks: none holds
-    a lone row, which numpy multiplies by gemv, unless inference_rows < 3."""
-    k = -(-n // inference_rows(arch))
-    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+    """``n`` rows in chunks of ``inference_rows`` rows, the last taking the
+    rest, or the rest and the chunk before it where the rest is under 4
+    rows: the one rule by which training, inference and the audit split a
+    batch. OpenBLAS may round a row of a product by its place in the
+    product's 4-row blocks, and a product of under 4 rows (a lone row by
+    gemv) otherwise; chunks that start on a 4-row boundary and hold at
+    least 4 rows give the bits of the whole batch's forward
+    (``tests/test_nets.py``)."""
+    rows = inference_rows(arch)
+    if n <= rows:   # one chunk, the common case
+        return [slice(0, n)] if n else []
+    bounds = [*range(0, n, rows), n]
+    if bounds[-1] - bounds[-2] < 4:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def batched_logits(model: ModelState, x) -> np.ndarray:

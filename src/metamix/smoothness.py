@@ -92,13 +92,13 @@ class LogitField:
     def grad(self, points: np.ndarray) -> np.ndarray:
         x = self._batched(points)
         k = self.model.arch.n_classes
-        grads = np.empty((k,) + x.shape)
+        grads, transposed = np.empty((k,) + x.shape), {}
         for rows in nets.inference_chunks(self.model.arch, len(x)):
             chunk = x[rows]
             _, tape = nets._forward(self.model, chunk)
             for c, pick in enumerate(np.eye(k)):
                 grads[c, rows] = nets._reverse(
-                    tape, np.broadcast_to(pick, (len(chunk), k)))
+                    tape, np.broadcast_to(pick, (len(chunk), k)), transposed=transposed)
         return grads.reshape(k, len(x), -1)
 
 

@@ -243,9 +243,11 @@ class TestTrainStep:
 
 
 def _step_inputs(kind):
-    """Model, labeled batch, validation batch and pseudo batch for one step."""
+    """Model, labeled batch, validation batch and pseudo batch for one step.
+    "chunks" is a cnn3 step of 5 labeled and 3 pseudo rows and 8 validation
+    rows, which ``_chunked`` splits into 4-row chunks."""
     rng = np.random.default_rng(16)
-    if kind == "cnn3":
+    if kind in ("cnn3", "chunks"):
         model = nets.build_model(nets.cnn3((8, 8), 1, 3), rng)
         row = (8, 8, 1)
     else:
@@ -255,7 +257,15 @@ def _step_inputs(kind):
     def batch(n):
         return rng.normal(size=(n,) + row), nets.one_hot(rng.integers(0, 3, n), 3)
 
+    if kind == "chunks":
+        return model, batch(5), batch(8), batch(3)
     return model, batch(6), batch(4), batch(4) if kind == "pseudo" else None
+
+
+def _chunked(monkeypatch):
+    """Bound the chunks of an 8x8 cnn3 to one 4-row block: layer 1's output
+    takes 8*8 * 32 * 8 bytes per row."""
+    monkeypatch.setattr(nets, "INFERENCE_BYTES", 4 * 8 * 8 * 32 * 8)
 
 
 @pytest.mark.parametrize("kind", ["supervised", "pseudo", "cnn3"])
@@ -305,12 +315,14 @@ def test_train_step_records_no_graph(kind, mode, monkeypatch):
     assert forwards == []
 
 
-@pytest.mark.parametrize("kind", ["supervised", "pseudo"])
+@pytest.mark.parametrize("kind", ["supervised", "pseudo", "chunks"])
 def test_hypergradient_reuses_the_inner_tape(kind, monkeypatch):
-    """One numpy forward and one reverse pass per loss, whatever the number
-    of groups: the inner batch stacks its groups, and the one two-tangent
-    pass reads the inner tape."""
+    """One numpy forward and one reverse pass per chunk per loss, whatever
+    the number of groups: the inner batch stacks its groups, and the
+    two-tangent pass reads each inner chunk's tape, with no forward."""
     model, labeled, val, pseudo = _step_inputs(kind)
+    if kind == "chunks":
+        _chunked(monkeypatch)
     rng = np.random.default_rng(22)
     groups = [(x, y, mixing.sample_pairing(len(x), rng), 1.0)
               for x, y in [labeled] + ([pseudo] if pseudo is not None else [])]
@@ -337,8 +349,43 @@ def test_hypergradient_reuses_the_inner_tape(kind, monkeypatch):
     monkeypatch.setattr(nets, "forward_tangents", spy_tangents)
     n = sum(len(g[0]) for g in groups)
     meta.hypergradient(model, groups, mixing.init_policy(n, rng), val, 0.1)
-    assert forwards == reverses == [n, len(val[0])]
-    assert during_tangents == [0]
+    chunks = {m: [len(range(m)[rows]) for rows in nets.inference_chunks(model.arch, m)]
+              for m in (n, len(val[0]))}
+    assert forwards == reverses == chunks[n] + chunks[len(val[0])]
+    assert during_tangents == [0] * len(chunks[n])
+    if kind == "chunks":
+        assert chunks == {8: [4, 4]}
+
+
+def test_chunked_step_matches_the_double_backward_and_the_one_chunk_bits(monkeypatch):
+    """A cnn3 step whose inner and validation batches span two chunks, one
+    of which holds rows of both groups: the hypergradient matches the
+    double backward to 1e-10 relative, and the losses and inner logits are
+    those of the same batch in one chunk, bit for bit; its gradients sum
+    the chunks in another order, within 1e-13."""
+    model, labeled, val, pseudo = _step_inputs("chunks")
+    rng = np.random.default_rng(28)
+    groups = [(*labeled, mixing.sample_pairing(5, rng), 1.0),
+              (*pseudo, mixing.sample_pairing(3, rng), 0.7)]
+    policy = mixing.init_policy(8, rng)
+    x, y, perm, segments = meta._stack(groups, 8)
+    batch = (*meta._mix(x, y, perm, policy.lambda_values()), segments)
+    whole = nets.loss_and_gradients(model, batch)
+    whole_val = nets.batch_loss(model, (*val, None))
+    _chunked(monkeypatch)
+    assert len(nets.inference_chunks(model.arch, 8)) == 2
+    loss, grads, logits = nets.loss_and_gradients(model, batch)
+    assert loss == whole[0] and logits.tobytes() == whole[2].tobytes()
+    for name, g in grads.items():
+        assert np.abs(g - whole[1][name]).max() <= 1e-13 * np.abs(whole[1][name]).max()
+    assert nets.batch_loss(model, (*val, None)) == whole_val
+
+    res = meta.hypergradient(model, groups, policy, val, 0.3)
+    meta_loss, val_loss = meta.simulated_step_losses(model, groups, policy, val, 0.3)
+    (reference,) = eng.backward(val_loss, [policy.logits])
+    assert res.meta_loss == meta_loss.item() == loss
+    assert np.isclose(res.val_loss, val_loss.item(), rtol=1e-13, atol=0)
+    assert np.abs(res.grad - reference.data).max() <= 1e-10 * np.abs(reference.data).max()
 
 
 def test_hypergradient_rejects_a_policy_of_the_wrong_length():
@@ -409,12 +456,15 @@ def _traced_peak(call):
 
 
 def test_cnn3_step_peak_memory_stays_under_its_bound():
-    """One cnn3 metamixup step at batch 50 on 28x28 images, and one
-    ``loss_and_gradients`` call, under tracemalloc. With whole-batch im2col
-    columns on the tape the step peaked at 246 MB; with columns built per
-    block of images, 128 MB (93 MB for the call); with the weight gradient's
-    columns in blocks too, bool relu masks and an in-place tangent pass, about
-    66 MB (39 MB). The bounds sit between."""
+    """One cnn3 metamixup step at batch 50 on 28x28 images, one
+    ``loss_and_gradients`` call and ``batched_logits`` on 200 rows, under
+    tracemalloc. With whole-batch im2col columns on the tape the step peaked
+    at 246 MB; with columns built per block of images, 128 MB (93 MB for the
+    call); with the weight gradient's columns in blocks too, bool relu masks
+    and an in-place tangent pass, 63.2 MiB (37.3 MiB, and 30.0 MiB for
+    inference). Passes in 8-row chunks, which keep only the inner chunks'
+    tapes, and a relu mask built only in its vjp take about 34 MiB (13 MiB,
+    4 MiB). The bounds sit between."""
     rng = np.random.default_rng(26)
     model = nets.build_model(nets.cnn3((28, 28), 1, 10), rng)
 
@@ -422,12 +472,16 @@ def test_cnn3_step_peak_memory_stays_under_its_bound():
         return rng.normal(size=(50, 28, 28, 1)), nets.one_hot(rng.integers(0, 10, 50), 10)
 
     labeled, val = batch(), batch()
+    mib = 2 ** 20
     peak = _traced_peak(lambda: nets.loss_and_gradients(model, (*labeled, None)))
-    assert peak < 60e6, f"loss_and_gradients traced peak {peak / 1e6:.0f} MB"
+    assert peak < 16 * mib, f"loss_and_gradients traced peak {peak / mib:.1f} MiB"
     peak = _traced_peak(lambda: meta.train_step(
         model, labeled, val, run_config(mode="metamixup", batch_size=50),
         np.random.default_rng(27), lr=0.1))
-    assert peak < 100e6, f"step traced peak {peak / 1e6:.0f} MB"
+    assert peak < 40 * mib, f"step traced peak {peak / mib:.1f} MiB"
+    images = rng.normal(size=(200, 28, 28, 1))
+    peak = _traced_peak(lambda: nets.batched_logits(model, images))
+    assert peak < 8 * mib, f"batched_logits traced peak {peak / mib:.1f} MiB"
 
 
 def _im2col_input_grad(g, w):

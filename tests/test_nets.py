@@ -79,18 +79,20 @@ class TestForward:
 
     @pytest.mark.parametrize("arch,rows", [
         (nets.mlp(10, [32], 2), 512), (nets.mlp(784, [32], 10), 512),
-        (nets.cnn3(), 50), (nets.cnn3((32, 32), 3), 38),
+        (nets.cnn3(), 8), (nets.cnn3((32, 32), 3), 8), (nets.cnn3((64, 64), 3), 4),
     ])
     def test_inference_rows_bound_the_widest_layer(self, arch, rows):
+        # 2 MiB over the widest layer output, in whole 4-row blocks, at least one
         assert nets.inference_rows(arch) == rows
 
     def test_batched_logits_runs_inference_rows_per_forward(self, monkeypatch):
         rng = np.random.default_rng(4)
         model = nets.build_model(nets.cnn3((8, 8), 1, 3), rng)
-        x = rng.normal(size=(7, 8, 8, 1))
+        x = rng.normal(size=(9, 8, 8, 1))
         whole = nets.forward(model, x).data
-        # layer 1's columns take 8*8 * 3*3*16 * 8 bytes per row; allow 3 rows
-        monkeypatch.setattr(nets, "INFERENCE_BYTES", 3 * 8 * 8 * 3 * 3 * 16 * 8)
+        # layer 1's output takes 8*8 * 32 * 8 bytes per row; allow 2 rows,
+        # which the rule raises to one block of 4
+        monkeypatch.setattr(nets, "INFERENCE_BYTES", 2 * 8 * 8 * 32 * 8)
         sizes, real_forward = [], nets.forward
 
         def spy_forward(model, x):
@@ -99,21 +101,45 @@ class TestForward:
 
         monkeypatch.setattr(nets, "forward", spy_forward)
         logits = nets.batched_logits(model, x)
-        assert sizes == [2, 2, 3]   # near-equal chunks: no lone row
-        # the 2048-wide dense head sums chunks of under 4 rows in another order
-        np.testing.assert_allclose(logits, whole, rtol=1e-12)
+        assert sizes == [4, 5]   # the last chunk takes the 1-row rest
+        assert logits.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("limit", [4, 8])
+    def test_batched_logits_of_any_rows_round_as_one_forward(self, monkeypatch, limit):
+        """On the 2048-input dense head of an 8x8 cnn3, a forward of the first
+        n of 12 rows rounds some rows unlike the 12-row forward unless n is a
+        multiple of 4 (seen for n = 1-3, 5-7 and 9-11), so chunks start on
+        4-row boundaries and hold at least 4 rows; then any batch's chunks
+        give the bits of its one forward."""
+        rng = np.random.default_rng(6)
+        model = nets.build_model(nets.cnn3((8, 8), 1, 3), rng)
+        x = rng.normal(size=(24, 8, 8, 1))
+        monkeypatch.setattr(nets, "INFERENCE_ROWS", limit)
+        for n in range(4, 25):
+            logits = nets.batched_logits(model, x[:n])
+            assert logits.tobytes() == nets.forward(model, x[:n]).data.tobytes(), n
 
     def test_batched_logits_chunks_round_as_the_whole_batch(self, monkeypatch):
-        """10 rows at most 3 at a time split 2, 3, 2, 3, not 3, 3, 3, 1: numpy
-        would multiply a lone row by gemv, which rounds unlike the gemm of
-        the whole batch."""
+        """10 rows at most 3 at a time split 4, 6: one block of 4 rows, the
+        least a chunk holds, and the rest with it, not 3, 3, 3, 1 nor 2, 3,
+        2, 3, which numpy would multiply in another order than the whole
+        batch (a lone row by gemv)."""
         rng = np.random.default_rng(5)
         model = nets.build_model(nets.mlp(6, [12, 8], 3, activation="softplus"), rng)
         x = rng.normal(size=(10, 6))
         whole = nets.forward(model, x).data
         monkeypatch.setattr(nets, "INFERENCE_ROWS", 3)
-        assert [len(x[rows]) for rows in nets.inference_chunks(model.arch, 10)] == [2, 3, 2, 3]
+        assert [len(x[rows]) for rows in nets.inference_chunks(model.arch, 10)] == [4, 6]
         assert nets.batched_logits(model, x).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n,sizes", [(0, []), (3, [3]), (8, [8]), (11, [11]),
+                                         (12, [8, 4]), (50, [8] * 5 + [10])])
+    def test_inference_chunks_take_whole_blocks_of_4_rows(self, n, sizes):
+        """cnn3 on 28x28 takes 8 rows per chunk; a rest of under 4 rows
+        joins the chunk before it."""
+        chunks = nets.inference_chunks(nets.cnn3(), n)
+        assert [len(range(n)[rows]) for rows in chunks] == sizes
+        assert [rows.start for rows in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
 
 
 # zeros of both signs, the ends of exp's range and saturation on either

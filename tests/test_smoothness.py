@@ -244,8 +244,9 @@ class TestLogitField:
         whole = engine_logit_grad(model, points)
         assert got.shape == whole.shape == (3, 10, points.shape[1])
         assert got.tobytes() == per_chunk.tobytes()
-        # 10 rows split 2, 3, 2, 3 rather than 3, 3, 3, 1: no lone row, whose
-        # product numpy would take by gemv, so the chunks round as the whole
+        # 10 rows split 4, 6: chunks on 4-row boundaries and none under 4
+        # rows, which numpy would multiply in another order, so the chunks
+        # round as the whole
         assert got.tobytes() == whole.tobytes()
 
     def test_cnn3_grad_runs_inference_rows_per_forward(self, monkeypatch):
@@ -260,8 +261,8 @@ class TestLogitField:
         monkeypatch.setattr(nets, "_forward", spy_forward)
         points = np.random.default_rng(33).uniform(size=(2 * rows + 1, 28 * 28))
         assert sm.LogitField(model).grad(points).shape == (3, 2 * rows + 1, 28 * 28)
-        # 2 * rows + 1 points in three near-equal chunks, none of one row
-        assert seen == [33, 34, 34] and rows == 50
+        # 2 * rows + 1 points in two chunks: the lone last row joins the second
+        assert seen == [8, 9] and rows == 8
 
     def test_grad_makes_no_engine_graph_or_backward(self, monkeypatch):
         backward_calls, graph_nodes = [], []
