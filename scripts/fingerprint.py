@@ -31,9 +31,13 @@ Then come the audit lines. The audit-softplus net at each seed in
 as many fresh pairs at each factor of ``AUDIT_FACTORS`` times the estimate.
 Below 1 several channels violate the bound, so each line also pins which
 channel is reported: channel 0 at seeds 0 and 1, channels 1 and 2 at seed 3.
-One line audits a softplus conv net on 8x8x1 points the same way, from
-``CONV_PAIRS`` pairs at 1.2 times its estimate, which pins the conv input
-gradient of the audit. One line audits a quadratic at its estimated constant.
+One more line does the same at seed 0 over ``REST_PAIRS`` pairs, which split
+into 512-row chunks with a rest of under 4 rows. One line audits a softplus
+conv net on 8x8x1 points the same way, from ``CONV_PAIRS`` pairs at 1.2 times
+its estimate, which pins the conv input gradient of the audit. One line
+audits a seeded ``cnn3()`` on 28x28x1 points over ``CNN3_PAIRS`` pairs, which
+span several 8-row chunks with a rest of under 4 rows, at each factor of
+``AUDIT_FACTORS``. One line audits a quadratic at its estimated constant.
 One line holds the sha256 of ``nets.batched_logits`` of a seeded ``cnn3()``
 on ``INFERENCE_IMAGES`` rows of 28x28, and of ``LogitField.grad`` on the
 first ``GRAD_IMAGES`` of them, which pins how inference chunks its rows.
@@ -93,7 +97,9 @@ EPOCHS = 2
 AUDIT_SEEDS = (0, 1, 3)
 AUDIT_PAIRS = 2_000
 AUDIT_FACTORS = (0.3, 1.2)
+REST_PAIRS = 1_026
 CONV_PAIRS = 1_000
+CNN3_PAIRS = 42
 INFERENCE_IMAGES = 200
 GRAD_IMAGES = 20
 # name -> architecture, each built from seed 0 for the checkpoint line
@@ -167,21 +173,36 @@ def digest(*parts) -> str:
     return h.hexdigest()
 
 
-def audit_fingerprint(seed: int) -> str:
-    """The audit-softplus net's kappa estimate and its audits."""
-    inputs = WORKLOADS["audit-softplus"].setup(seed)
-    sampler = lambda n, r: smoothness.sample_pairs(inputs.pool, n, r)
+def network_audit_fingerprint(label: str, model, pool, pairs: int, seed: int) -> str:
+    """A model's kappa estimate from ``pairs`` pairs of ``pool`` and its audits
+    over as many fresh pairs at each factor of ``AUDIT_FACTORS``."""
+    sampler = lambda n, r: smoothness.sample_pairs(pool, n, r)
     est = smoothness.estimate_kappa_network(
-        inputs.model, sampler, AUDIT_PAIRS, np.random.default_rng(seed + 1))
-    line = (f"audit-softplus seed={seed} pairs={AUDIT_PAIRS} estimate="
+        model, sampler, pairs, np.random.default_rng(seed + 1))
+    line = (f"{label} pairs={pairs} estimate="
             + digest(est.kappa, list(est.per_channel), est.n_pairs,
                      est.distance_min, est.distance_mean, est.distance_max))
-    fresh = sampler(AUDIT_PAIRS, np.random.default_rng(seed + 2))
+    fresh = sampler(pairs, np.random.default_rng(seed + 2))
     for factor in AUDIT_FACTORS:
-        rep, channel = smoothness.audit_network(inputs.model, factor * est.kappa, fresh)
+        rep, channel = smoothness.audit_network(model, factor * est.kappa, fresh)
         line += f" audit@{factor}=" + digest(rep.rows, rep.worst_pair, rep.violations,
                                              rep.max_ratio, channel)
     return line
+
+
+def audit_fingerprint(seed: int, pairs: int = AUDIT_PAIRS) -> str:
+    """The audit-softplus net's kappa estimate and its audits."""
+    inputs = WORKLOADS["audit-softplus"].setup(seed)
+    return network_audit_fingerprint(f"audit-softplus seed={seed}", inputs.model,
+                                     inputs.pool, pairs, seed)
+
+
+def cnn3_audit_fingerprint() -> str:
+    """A cnn3 on 28x28x1 points built from seed 0, on a uniform pool."""
+    rng = np.random.default_rng(0)
+    model = nets.build_model(nets.cnn3(), rng)
+    pool = rng.uniform(size=(60, 28 * 28))
+    return network_audit_fingerprint("audit-cnn3", model, pool, CNN3_PAIRS, 0)
 
 
 def conv_audit_fingerprint() -> str:
@@ -301,7 +322,9 @@ def main() -> None:
             print(fingerprint("sup-mlp", seed, "metamixup", activation), flush=True)
     for seed in AUDIT_SEEDS:
         print(audit_fingerprint(seed), flush=True)
+    print(audit_fingerprint(0, REST_PAIRS), flush=True)
     print(conv_audit_fingerprint(), flush=True)
+    print(cnn3_audit_fingerprint(), flush=True)
     print(quadratic_fingerprint(), flush=True)
     print(inference_fingerprint(), flush=True)
     print(checkpoint_fingerprint(), flush=True)
