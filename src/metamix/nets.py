@@ -497,16 +497,19 @@ INFERENCE_ROWS = 512   # most rows per chunk of a numpy pass or an inference for
 INFERENCE_BYTES = 2 << 20
 
 
-def inference_rows(arch: Architecture) -> int:
+def inference_rows(arch: Architecture | None) -> int:
     """Most rows per chunk of ``inference_chunks``: INFERENCE_ROWS, or fewer
     where the widest layer output would pass INFERENCE_BYTES, in whole
     blocks of 4 rows and at least one. So an MLP of up to 512 units per
-    layer takes INFERENCE_ROWS, and cnn3 on 28x28 images 8."""
-    bound = min(INFERENCE_ROWS, INFERENCE_BYTES // (8 * arch.widest_output))
+    layer takes INFERENCE_ROWS, and cnn3 on 28x28 images 8; work without a
+    network (``arch`` None, such as the audit of a quadratic) takes
+    INFERENCE_ROWS."""
+    bound = INFERENCE_ROWS if arch is None else \
+        min(INFERENCE_ROWS, INFERENCE_BYTES // (8 * arch.widest_output))
     return 4 * max(1, bound // 4)
 
 
-def inference_chunks(arch: Architecture, n: int) -> list[slice]:
+def inference_chunks(arch: Architecture | None, n: int) -> list[slice]:
     """``n`` rows in chunks of ``inference_rows`` rows, the last taking the
     rest, or the rest and the chunk before it where the rest is under 4
     rows: the one rule by which training, inference and the audit split a

@@ -12,6 +12,12 @@ batches of flattened points, shape [n, d]. A field has one channel (values
 [n], gradients [n, d]) or k channels (values [n, k], gradients [k, n, d]),
 such as a network's logits; the bound is checked per channel and the audit
 reports the worst one. Logit gradients run on the numpy tape of ``nets``.
+
+The estimate and the audit walk the pairs in the chunks of
+``nets.inference_chunks`` (a ``LogitField``'s by its architecture, any
+other field's at INFERENCE_ROWS) and finish each chunk before the next, so
+beside the pairs they hold one chunk's evaluations, not the whole set's;
+the audit also keeps every channel's gaps and the reported table.
 """
 
 from __future__ import annotations
@@ -74,9 +80,11 @@ class LogitField:
     ``value`` is ``nets.batched_logits``. ``grad`` runs, per
     ``nets.inference_chunks`` chunk, one ``nets._forward`` and, per channel,
     one reverse pass to the input with a one-hot upstream at the logits,
-    whose rows are independent. Meaningful kappa estimates need smooth
-    activations (softplus, tanh, sigmoid); relu gradients are piecewise
-    constant.
+    whose rows are independent. The estimate and the audit hand both one
+    such chunk of pairs at a time (8 rows for cnn3 on 28x28, 512 for a
+    small MLP), so each call is one chunk and rounds as the whole batch
+    would. Meaningful kappa estimates need smooth activations (softplus,
+    tanh, sigmoid); relu gradients are piecewise constant.
     """
 
     def __init__(self, model: ModelState):
@@ -110,13 +118,32 @@ def _as_pair_batch(x, x_prime):
     return x, x_prime
 
 
+def _chunks(field: ScalarField, n: int) -> list[slice]:
+    """The chunks in which the estimate and the audit walk ``n`` pairs."""
+    return nets.inference_chunks(field.model.arch if isinstance(field, LogitField) else None, n)
+
+
+def _distances(field: ScalarField, x: np.ndarray, x_prime: np.ndarray) -> np.ndarray:
+    """||x - x'|| per pair, a chunk at a time; an overflow is left to the
+    caller to report as an error, not printed as a warning."""
+    dist = np.empty(len(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in _chunks(field, len(x)):
+            dist[rows] = np.linalg.norm(x[rows] - x_prime[rows], axis=1)
+    return dist
+
+
+def _check_lam(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must be in [0, 1], got {lam}")
+
+
 def mixup_gap(field: ScalarField, x, x_prime, lam: float) -> np.ndarray | float:
     """|f(lam x + (1-lam) x') - [lam f(x) + (1-lam) f(x')]| per pair.
 
     Vector inputs give a float; [n, d] batches give an [n] array. A k-channel
     field gives [k] and [n, k] instead."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must be in [0, 1], got {lam}")
+    _check_lam(lam)
     scalar = np.asarray(x).ndim == 1
     bx, bp = _as_pair_batch(x, x_prime)
     gap = np.abs(field.value(lam * bx + (1.0 - lam) * bp)
@@ -173,27 +200,34 @@ def kappa_from_pairs(field: ScalarField, x: np.ndarray,
     are skipped. A kept distance or gradient difference that is not finite
     (the norm of points past about 1e154 overflows, and so may a gradient)
     raises NonFiniteError, without a RuntimeWarning: dividing by it would
-    report a constant of 0 or NaN."""
+    report a constant of 0 or NaN.
+
+    Every distance is taken and checked first. Then the kept pairs are
+    walked in chunks: both sides' gradients of a chunk reduce at once to its
+    [k, rows] ratios, and only a running per-channel max outlives the chunk,
+    so beside the pairs and their distances the estimate holds one chunk's
+    gradients, whatever the number of pairs."""
     x, x_prime = _as_pair_batch(x, x_prime)
-    # overflow is reported below as an error, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.linalg.norm(x - x_prime, axis=1)
-    keep = dist != 0
-    if not keep.any():
+    dist = _distances(field, x, x_prime)
+    kept = np.flatnonzero(dist != 0)
+    if not len(kept):
         raise ValueError("all pairs are degenerate (x == x')")
-    d = dist[keep]
+    d = dist[kept]
     if not np.isfinite(d).all():
         raise NonFiniteError("kappa estimate: a pair distance is not finite")
-    m, dim = len(d), x.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        gx = field.grad(x[keep]).reshape(-1, m, dim)
-        gp = field.grad(x_prime[keep]).reshape(-1, m, dim)
-        diff = np.linalg.norm(gx - gp, axis=2)
-    if not np.isfinite(diff).all():
-        raise NonFiniteError("kappa estimate: a gradient difference is not finite")
-    per_channel = tuple(float(c.max()) for c in diff / d)
+    dim, peak = x.shape[1], 0.0   # a ratio is never negative
+    for rows in _chunks(field, len(kept)):
+        pick = kept[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gx = field.grad(x[pick]).reshape(-1, len(pick), dim)
+            gp = field.grad(x_prime[pick]).reshape(-1, len(pick), dim)
+            diff = np.linalg.norm(gx - gp, axis=2)
+        if not np.isfinite(diff).all():
+            raise NonFiniteError("kappa estimate: a gradient difference is not finite")
+        peak = np.maximum(peak, (diff / d[rows]).max(axis=1))
+    per_channel = tuple(float(c) for c in peak)
     return KappaEstimate(
-        kappa=max(per_channel), n_pairs=m,
+        kappa=max(per_channel), n_pairs=len(d),
         distance_min=float(d.min()), distance_mean=float(d.mean()),
         distance_max=float(d.max()), per_channel=per_channel)
 
@@ -244,42 +278,72 @@ def audit_gap_bound(field: ScalarField, kappa: float, pairs,
     Pairs are passed explicitly (from ``sample_pairs`` or hand-built) so a
     caller can append adversarial pairs such as eigendirections. A pair
     violates at lam when gap > bound * (1 + 1e-9) + 1e-12.
+
+    Every distance is taken and checked before the field is evaluated. Then
+    the pairs are walked in chunks: f(x), f(x') and f at the mixed points of
+    one chunk give every channel's gaps, and each channel's violation count,
+    peak ratio and worst row accumulate chunk by chunk. Beside the pairs the
+    audit holds every channel's gaps ([len(lam_grid) * n, k]), since the
+    reported channel is known only at the end, the ``rows`` table, filled in
+    place, and one chunk's evaluations.
     """
     if not np.isfinite(kappa):
         raise NonFiniteError(f"audit: kappa must be finite, got {kappa}")
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
+    if not len(lam_grid):
+        raise ValueError("lam_grid must hold at least one lam")
+    for lam in lam_grid:
+        _check_lam(lam)
     x, x_prime = _as_pair_batch(*pairs)
     n = len(x)
-    # overflow is reported below as an error, before the field is evaluated
-    with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.linalg.norm(x - x_prime, axis=1)
+    if not n:
+        raise ValueError("the audit needs at least one pair")
+    dist = _distances(field, x, x_prime)
     if not np.isfinite(dist).all():
         raise NonFiniteError("audit: a pair distance is not finite")
-    fx, fp = field.value(x).reshape(n, -1), field.value(x_prime).reshape(n, -1)
 
-    # one (lam, pair) row per table row; gaps keep a column per channel
-    lams = np.repeat(np.asarray(lam_grid, dtype=np.float64), n)
-    dists = np.tile(dist, len(lam_grid))
-    bounds = gap_bound(kappa, lams, dists)
-    gaps = np.empty((len(lams), fx.shape[1]))
-    for j, lam in enumerate(lam_grid):
-        gaps[j * n:(j + 1) * n] = np.abs(
-            field.value(lam * x + (1.0 - lam) * x_prime).reshape(n, -1)
-            - (lam * fx + (1.0 - lam) * fp))
-    if not (np.all(np.isfinite(gaps)) and np.all(np.isfinite(bounds))):
-        raise NonFiniteError("audit evaluation produced non-finite values")
-
-    violated = gaps > (bounds * (1.0 + RATIO_SLACK) + GAP_SLACK)[:, None]
-    positive = bounds > 0
-    ratios = np.zeros(gaps.shape)
-    ratios[positive] = gaps[positive] / bounds[positive, None]
-    counts, peaks = violated.sum(axis=0), ratios.max(axis=0)
+    # table row j * n + i is pair i at lam_grid[j]: (distance, lam, gap, bound)
+    lams = np.asarray(lam_grid, dtype=np.float64)
+    rows = np.empty((len(lams) * n, 4))
+    table = rows.reshape(len(lams), n, 4)
+    table[:, :, 0] = dist
+    table[:, :, 1] = lams[:, None]
+    gaps, counts, peaks, best, worst = None, 0, 0.0, -np.inf, 0
+    for chunk in _chunks(field, n):
+        x_c, p_c = x[chunk], x_prime[chunk]
+        fx = field.value(x_c).reshape(len(x_c), -1)
+        fp = field.value(p_c).reshape(len(x_c), -1)
+        if gaps is None:   # the first values give the number of channels
+            gaps = np.empty((len(lams), n, fx.shape[1]))
+        for j, lam in enumerate(lam_grid):
+            gaps[j, chunk] = np.abs(
+                field.value(lam * x_c + (1.0 - lam) * p_c).reshape(len(x_c), -1)
+                - (lam * fx + (1.0 - lam) * fp))
+        # the chunk's block of every lam at once: gap [lams, rows, k]
+        gap, bound = gaps[:, chunk], gap_bound(kappa, lams[:, None], dist[chunk])
+        if not (np.all(np.isfinite(gap)) and np.all(np.isfinite(bound))):
+            raise NonFiniteError("audit evaluation produced non-finite values")
+        table[:, chunk, 3] = bound
+        violated = gap > (bound * (1.0 + RATIO_SLACK) + GAP_SLACK)[..., None]
+        positive = bound > 0
+        ratio = np.zeros(gap.shape)
+        ratio[positive] = gap[positive] / bound[positive][:, None]
+        counts = counts + violated.sum(axis=(0, 1))
+        peaks = np.maximum(peaks, ratio.max(axis=(0, 1)))
+        # the worst row: the highest ratio, a violated zero bound above all,
+        # the first table row on a tie
+        score = np.where(violated & ~positive[..., None], np.inf, ratio).reshape(
+            -1, gap.shape[2])
+        at = score.argmax(axis=0)   # block row j * len(x_c) + i is table row j * n + i
+        top = score[at, np.arange(len(at))]
+        row = at // len(x_c) * n + chunk.start + at % len(x_c)
+        ahead = (top > best) | ((top == best) & (row < worst))
+        best, worst = np.where(ahead, top, best), np.where(ahead, row, worst)
     channel = max(range(len(counts)), key=lambda c: (counts[c], peaks[c]))
-    score = np.where(violated[:, channel] & ~positive, np.inf, ratios[:, channel])
-    worst_row = int(np.argmax(score))
-    rows = np.stack([dists, lams, gaps[:, channel], bounds], axis=1)
-    worst = {
+    table[:, :, 2] = gaps[:, :, channel]
+    worst_row = int(worst[channel])
+    worst_pair = {
         "pair_index": worst_row % n, "distance": float(rows[worst_row, 0]),
         "lam": float(rows[worst_row, 1]), "gap": float(rows[worst_row, 2]),
         "bound": float(rows[worst_row, 3]),
@@ -287,7 +351,7 @@ def audit_gap_bound(field: ScalarField, kappa: float, pairs,
     return AuditReport(
         kappa=float(kappa), n_pairs=n, lam_grid=tuple(lam_grid),
         max_ratio=float(peaks[channel]), violations=int(counts[channel]),
-        worst_pair=worst, rows=rows, channel=channel)
+        worst_pair=worst_pair, rows=rows, channel=channel)
 
 
 def audit_network(model: ModelState, kappa: float, pairs,

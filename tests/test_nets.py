@@ -141,6 +141,14 @@ class TestForward:
         assert [len(range(n)[rows]) for rows in chunks] == sizes
         assert [rows.start for rows in chunks] == [sum(sizes[:i]) for i in range(len(sizes))]
 
+    def test_inference_chunks_without_a_network_take_inference_rows(self, monkeypatch):
+        """Work without a network chunks at INFERENCE_ROWS, in whole blocks of
+        4 rows too."""
+        assert [len(range(1026)[rows]) for rows in nets.inference_chunks(None, 1026)] \
+            == [512, 514]
+        monkeypatch.setattr(nets, "INFERENCE_ROWS", 6)
+        assert [len(range(10)[rows]) for rows in nets.inference_chunks(None, 10)] == [4, 6]
+
 
 # zeros of both signs, the ends of exp's range and saturation on either
 # side, then a dense stretch between

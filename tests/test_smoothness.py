@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -416,6 +417,22 @@ class TestAudit:
                 sm.audit_gap_bound(field, 1.0, sm.sample_pairs(pool, 30, rng))
         assert field.calls == 0
 
+    @pytest.mark.parametrize("lam_grid, message", [
+        ((), "at least one lam"), ((1.5,), "got 1.5"), ((0.5, -0.25), "got -0.25"),
+        ((0.5, np.nan), "got nan")])
+    def test_audit_rejects_an_empty_or_out_of_range_lam_grid(self, lam_grid, message):
+        # lam 1.5 gives a negative bound, which every pair used to "violate"
+        # with a max ratio of 0; an empty grid failed inside a numpy max
+        field = quad([1.0, 3.0])
+        pairs = sm.sample_pairs(np.random.default_rng(36).normal(size=(10, 2)), 5,
+                                np.random.default_rng(37))
+        with pytest.raises(ValueError, match=message):
+            sm.audit_gap_bound(field, 3.0, pairs, lam_grid=lam_grid)
+
+    def test_audit_rejects_an_empty_pair_set(self):
+        with pytest.raises(ValueError, match="at least one pair"):
+            sm.audit_gap_bound(quad([1.0, 3.0]), 3.0, (np.empty((0, 2)), np.empty((0, 2))))
+
     @pytest.mark.parametrize("kappa", [np.nan, np.inf])
     def test_audit_rejects_non_finite_kappa(self, kappa):
         class Unread:   # the kappa is rejected before the field is evaluated
@@ -435,3 +452,121 @@ class TestAudit:
 
         with pytest.raises(NonFiniteError):
             sm.mixup_gap(Exploding(), np.ones(2), np.zeros(2), 0.5)
+
+
+# name -> (a fresh field, its input size)
+CHUNK_FIELDS = {
+    "dense-softplus": (lambda: sm.LogitField(softplus_net(seed=38, in_dim=6)), 6),
+    "conv-softplus": (lambda: sm.LogitField(nets.build_model(nets.Architecture(
+        (8, 8, 1), (nets.Conv(3, 4, "softplus"), nets.Dense(3))),
+        np.random.default_rng(40))), 64),
+    "quadratic": (lambda: quad([1.0, 3.0, 0.5, 2.0, 1.0, 0.25]), 6),
+}
+
+
+def chunked_audits(name, factors):
+    """kappa from 42 pairs of a fresh field, its audits over 42 fresh pairs at
+    each factor times the estimate, and the most rows of any evaluation."""
+    make, dim = CHUNK_FIELDS[name]
+    field, sizes = make(), []
+
+    def spy(method):
+        def call(points):
+            sizes.append(len(points))
+            return method(points)
+        return call
+
+    field.value, field.grad = spy(field.value), spy(field.grad)
+    rng = np.random.default_rng(40)
+    pool = rng.normal(size=(30, dim))
+    est = sm.kappa_from_pairs(field, *sm.sample_pairs(pool, 42, rng))
+    fresh = sm.sample_pairs(pool, 42, rng)
+    return est, [sm.audit_gap_bound(field, f * est.kappa, fresh) for f in factors], max(sizes)
+
+
+class TestChunkedAudit:
+    """The estimate and the audit walk the pairs in ``nets.inference_chunks``
+    chunks; how many there are must not move a bit of what they report."""
+
+    @pytest.mark.parametrize("name", CHUNK_FIELDS)
+    def test_one_chunk_and_many_chunks_give_the_same_bits(self, monkeypatch, name):
+        factors = (0.5, 1.2)
+        monkeypatch.setattr(nets, "INFERENCE_ROWS", 8)
+        # 42 pairs in 8-row chunks: the rest of 2 rows joins the last chunk
+        chunks = sm._chunks(CHUNK_FIELDS[name][0](), 42)
+        assert [len(range(42)[c]) for c in chunks] == [8, 8, 8, 8, 10]
+        many = chunked_audits(name, factors)
+        monkeypatch.setattr(nets, "INFERENCE_ROWS", 4096)
+        one = chunked_audits(name, factors)
+        assert (many[2], one[2]) == (10, 42)   # the most rows of one evaluation
+        assert repr(many[0]) == repr(one[0])
+        for chunked, whole in zip(many[1], one[1]):
+            assert chunked.rows.tobytes() == whole.rows.tobytes()
+            assert (chunked.channel, repr(chunked.worst_pair), chunked.violations,
+                    repr(chunked.max_ratio)) \
+                == (whole.channel, repr(whole.worst_pair), whole.violations,
+                    repr(whole.max_ratio))
+        # at half the estimate the counts, the channel and the worst row all
+        # come from violations
+        assert one[1][0].violations > 0 and one[1][0].max_ratio > 1
+
+    @pytest.mark.parametrize("rows", [8, 4096], ids=["two-chunks", "one-chunk"])
+    def test_a_tie_keeps_the_first_table_row_across_chunks(self, monkeypatch, rows):
+        """f(x) = x^3 at kappa 0: every violation of the zero bound scores
+        infinity. Pairs (1, -1) have no gap at lam 0.5 and violate at 0.25
+        (table rows 16-23); pairs (1, 0) violate at both (rows 8-15 and
+        24-31). In 8-row chunks the first chunk meets its violations first,
+        yet row 8 of the second chunk comes first in the table."""
+        class Cubic:
+            def value(self, points):
+                return np.sum(points ** 3, axis=1)
+
+        monkeypatch.setattr(nets, "INFERENCE_ROWS", rows)
+        x = np.ones((16, 1))
+        xp = np.concatenate([-np.ones((8, 1)), np.zeros((8, 1))])
+        report = sm.audit_gap_bound(Cubic(), 0.0, (x, xp), lam_grid=(0.5, 0.25))
+        assert report.violations == 24
+        assert (report.worst_pair["pair_index"], report.worst_pair["lam"]) == (8, 0.5)
+
+
+def traced_peak(call):
+    """The peak bytes that tracemalloc sees during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MIB = 2 ** 20
+
+
+def test_cnn3_kappa_holds_one_chunk_of_gradients():
+    """kappa from 96 pairs of a cnn3 on 28x28 points: holding both sides'
+    [10, 96, 784] gradient stacks and their difference traced 23.2 MiB, and
+    8-pair chunks trace about 9.3 MiB, mostly one chunk's forward tape."""
+    rng = np.random.default_rng(41)
+    model = nets.build_model(nets.cnn3(), rng)
+    pairs = sm.sample_pairs(rng.uniform(size=(60, 28 * 28)), 96, rng)
+    peak = traced_peak(lambda: sm.kappa_from_pairs(sm.LogitField(model), *pairs))
+    assert peak < 12 * MIB, f"kappa traced peak {peak / MIB:.1f} MiB"
+
+
+def test_softplus_audit_holds_the_gaps_the_table_and_one_chunk():
+    """The audit-softplus benchmark's net, kappa from 20000 pairs and the
+    audit of 20000 fresh pairs at 1.2 times it. Whole-set gap, ratio and mask
+    tables traced 23.8 MiB for the audit and whole-set gradients 12.2 MiB for
+    the estimate. In chunks the audit traces about 10.4 MiB (every channel's
+    gaps, 4.1 MiB, the rows table, 5.5 MiB, and one chunk) and the estimate
+    1.1 MiB."""
+    rng = np.random.default_rng(0)
+    model = nets.build_model(nets.mlp(6, [12, 8], 3, activation="softplus"), rng)
+    pool = rng.normal(size=(400, 6), scale=1.5)
+    pairs = sm.sample_pairs(pool, 20_000, np.random.default_rng(1))
+    fresh = sm.sample_pairs(pool, 20_000, np.random.default_rng(2))
+    peak = traced_peak(lambda: sm.kappa_from_pairs(sm.LogitField(model), *pairs))
+    assert peak < 4 * MIB, f"kappa traced peak {peak / MIB:.1f} MiB"
+    kappa = sm.kappa_from_pairs(sm.LogitField(model), *pairs).kappa
+    peak = traced_peak(lambda: sm.audit_network(model, 1.2 * kappa, fresh))
+    assert peak < 15 * MIB, f"audit traced peak {peak / MIB:.1f} MiB"
