@@ -32,7 +32,10 @@ as many fresh pairs at each factor of ``AUDIT_FACTORS`` times the estimate.
 Below 1 several channels violate the bound, so each line also pins which
 channel is reported: channel 0 at seeds 0 and 1, channels 1 and 2 at seed 3.
 One more line does the same at seed 0 over ``REST_PAIRS`` pairs, which split
-into 512-row chunks with a rest of under 4 rows. One line audits a softplus
+into 512-row chunks with a rest of under 4 rows, and so does one line per
+activation of ``AUDIT_ACTIVATIONS`` on the same net with that activation,
+built from seed 0, which pins the activations no benchmark audit runs. One
+line audits a softplus
 conv net on 8x8x1 points the same way, from ``CONV_PAIRS`` pairs at 1.2 times
 its estimate, which pins the conv input gradient of the audit. One line
 audits a seeded ``cnn3()`` on 28x28x1 points over ``CNN3_PAIRS`` pairs, which
@@ -98,6 +101,8 @@ AUDIT_SEEDS = (0, 1, 3)
 AUDIT_PAIRS = 2_000
 AUDIT_FACTORS = (0.3, 1.2)
 REST_PAIRS = 1_026
+# the audit-softplus net with another activation, audited over REST_PAIRS pairs
+AUDIT_ACTIVATIONS = ("tanh", "sigmoid")
 CONV_PAIRS = 1_000
 CNN3_PAIRS = 42
 INFERENCE_IMAGES = 200
@@ -195,6 +200,15 @@ def audit_fingerprint(seed: int, pairs: int = AUDIT_PAIRS) -> str:
     inputs = WORKLOADS["audit-softplus"].setup(seed)
     return network_audit_fingerprint(f"audit-softplus seed={seed}", inputs.model,
                                      inputs.pool, pairs, seed)
+
+
+def activation_audit_fingerprint(activation: str) -> str:
+    """The audit-softplus net's shape and pool at seed 0, with ``activation``."""
+    inputs = WORKLOADS["audit-softplus"].setup(0)
+    model = nets.build_model(nets.mlp(6, [12, 8], 3, activation=activation),
+                             np.random.default_rng(0))
+    return network_audit_fingerprint(f"audit-{activation}", model, inputs.pool,
+                                     REST_PAIRS, 0)
 
 
 def cnn3_audit_fingerprint() -> str:
@@ -323,6 +337,8 @@ def main() -> None:
     for seed in AUDIT_SEEDS:
         print(audit_fingerprint(seed), flush=True)
     print(audit_fingerprint(0, REST_PAIRS), flush=True)
+    for activation in AUDIT_ACTIVATIONS:
+        print(activation_audit_fingerprint(activation), flush=True)
     print(conv_audit_fingerprint(), flush=True)
     print(cnn3_audit_fingerprint(), flush=True)
     print(quadratic_fingerprint(), flush=True)
