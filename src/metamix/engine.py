@@ -7,8 +7,10 @@ double backward through a simulated gradient step, against which the
 one-step meta-gradient is checked (``meta.simulated_step_losses``), and
 ``exact_hvp``. Training builds no graph here: ``nets.loss_and_gradients``
 runs the same forward formulas and vjp rules in plain numpy, bit for bit,
-and ``backward`` of the same loss is its reference. The engine runs the
-inference passes (``nets.forward``, ``predict``) and the oracles.
+and ``backward`` of the same loss is its reference. The audit's logit
+values and gradients run on the same numpy forward. The engine runs
+``nets.forward``, which ``predict``, ``error_rate`` and the relabel pass
+take, and the oracles.
 
 Every primitive builds its node with one ``_result`` call. A backward rule
 has the signature ``vjp(y, u, needs)``: ``y`` is the node's own output, ``u``
@@ -21,7 +23,8 @@ recorded.
 
 All arrays are float64. Non-finite values are rejected at every node
 construction, so a NaN or Inf surfaces at the primitive that produced it;
-the numpy training passes check their loss, gradients and updates instead.
+the numpy training passes check their loss, gradients and updates instead,
+and the numpy forward without a tape each layer's pre-activation.
 """
 
 from __future__ import annotations

@@ -3,15 +3,18 @@
 Models are deliberately functional: ``forward`` takes an optional parameter
 mapping so a simulated update (new parameter tensors, same architecture) can
 be evaluated without touching the real model. That is the hook the one-step
-meta gradient hangs off. Training and the audit's logit gradients walk the
-layers in numpy: ``_forward`` keeps a per-layer tape of each layer's input
-(a conv layer's as its [n, h, w, cin] images, never their im2col columns;
-the engine's conv kernels build those per block of images and drop them)
-and of f' (a relu's as a bool mask), ``_reverse`` walks it back from a
+meta gradient hangs off. Training and the audit walk the layers in numpy:
+``_forward`` keeps a per-layer tape of each layer's input (a conv layer's
+as its [n, h, w, cin] images, never their im2col columns; the engine's conv
+kernels build those per block of images and drop them) and of f' (a
+relu's as a bool mask), ``_reverse`` walks it back from a
 gradient at the logits to the parameters (for ``loss_and_gradients``, from
 ``_cross_entropy_head``) or to the input, and ``forward_tangents`` carries
 two tangents along it for the second-order term, in place; a loss over
-weighted row segments is one pass too.
+weighted row segments is one pass too. Without a tape ``_forward`` computes
+the logits alone, by the value kernels of the engine's primitives
+(``ACTIVATION_VALUES``), with one finiteness check per layer: the audit's
+logit values (``smoothness.LogitField.value``).
 
 Every pass runs over row chunks from one rule, ``inference_chunks``: as
 many rows as keep the widest layer output under INFERENCE_BYTES, in whole
@@ -20,8 +23,8 @@ many rows as keep the widest layer output under INFERENCE_BYTES, in whole
 and adds the chunks' gradients, so a pass holds one chunk's activations
 and reverse temporaries, never a whole batch's; only the hypergradient's
 inner pass keeps its chunks' tapes, for the tangent pass. The engine's
-``forward`` serves inference (``batched_logits``, over the same chunks) and
-the oracles.
+``forward`` serves ``batched_logits``, over the same chunks (``predict``,
+``error_rate`` and the relabel pass), and the oracles.
 """
 
 from __future__ import annotations
@@ -96,6 +99,15 @@ ACTIVATION_DERIVATIVES = {
     "relu": _relu_derivatives,
     "softplus": _softplus_derivatives,
     "sigmoid": _sigmoid_derivatives,
+}
+
+# f alone of each activation on numpy arrays, by the kernels of the engine's
+# primitives, so bit for bit their forward: for the pass without a tape
+ACTIVATION_VALUES = {
+    "tanh": np.tanh,
+    "relu": lambda a: np.maximum(a, 0.0),
+    "softplus": eng._softplus_values,
+    "sigmoid": eng._sigmoid_values,
 }
 
 
@@ -222,7 +234,8 @@ def forward(model: ModelState, x, params: Mapping[str, Tensor] | None = None) ->
     return h
 
 
-def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = None):
+def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = None,
+             record: bool = True):
     """Logits for a batch in numpy, and the tape that the reverse and tangent
     passes read: per layer (layer, its input as the layer sees it, weight,
     the input's pre-flatten shape, f', f''); ``params`` overrides the model's
@@ -232,7 +245,13 @@ def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = Non
     f' is None on a layer without activation, and a bool mask on a relu
     layer, which a float array times it gives the bits of the engine's
     float64 mask; f'' is None on a layer where it is zero. The values follow
-    the engine's formulas bit for bit, and no graph is recorded."""
+    the engine's formulas bit for bit, and no graph is recorded.
+
+    With ``record`` False the pass keeps no tape (it returns an empty one)
+    and computes f alone (``ACTIVATION_VALUES``). It checks each layer's
+    pre-activation, where the engine checks every node: a non-finite input,
+    product or bias shows there, and f of a finite value is finite, so it
+    raises NonFiniteError where the engine's forward would."""
     p = {n: t.data for n, t in model.params.items()} if params is None else params
     h = np.asarray(x, dtype=np.float64)
     if h.shape[1:] != model.arch.input_shape:
@@ -248,10 +267,16 @@ def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = Non
             h = h.reshape(len(h), -1)
             a = h @ w
         a += b   # in place: no second array the size of the layer's output
-        d1 = d2 = None
-        if layer.activation is not None:
-            a, d1, d2 = ACTIVATION_DERIVATIVES[layer.activation](a)
-        tape.append((layer, h, w, shape, d1, d2))
+        if not record:
+            if not np.isfinite(a).all():
+                raise eng.NonFiniteError(f"non-finite values produced by layer {i}")
+            if layer.activation is not None:
+                a = ACTIVATION_VALUES[layer.activation](a)
+        else:
+            d1 = d2 = None
+            if layer.activation is not None:
+                a, d1, d2 = ACTIVATION_DERIVATIVES[layer.activation](a)
+            tape.append((layer, h, w, shape, d1, d2))
         h = a
     return h, tape
 

@@ -11,7 +11,8 @@ lam grid, and counts violations of the bound. Everything here works on
 batches of flattened points, shape [n, d]. A field has one channel (values
 [n], gradients [n, d]) or k channels (values [n, k], gradients [k, n, d]),
 such as a network's logits; the bound is checked per channel and the audit
-reports the worst one. Logit gradients run on the numpy tape of ``nets``.
+reports the worst one. A network's logits and their gradients run on the
+numpy forward of ``nets``, which builds no engine node.
 
 The estimate and the audit walk the pairs in the chunks of
 ``nets.inference_chunks`` (a ``LogitField``'s by its architecture, any
@@ -41,7 +42,8 @@ GAP_SLACK = 1e-12
 
 class ScalarField(Protocol):
     """Batched field of points [n, d]: values [n] and gradients [n, d] for one
-    channel, values [n, k] and gradients [k, n, d] for k channels."""
+    channel, values [n, k] and gradients [k, n, d] for k channels. ``grad``
+    returns a new array, which the kappa estimate overwrites."""
 
     def value(self, points: np.ndarray) -> np.ndarray: ...
 
@@ -77,13 +79,15 @@ class QuadraticField:
 class LogitField:
     """A network's logits as a k-channel field of the input.
 
-    ``value`` is ``nets.batched_logits``. ``grad`` runs, per
-    ``nets.inference_chunks`` chunk, one ``nets._forward`` and, per channel,
-    one reverse pass to the input with a one-hot upstream at the logits,
-    whose rows are independent. The estimate and the audit hand both one
-    such chunk of pairs at a time (8 rows for cnn3 on 28x28, 512 for a
-    small MLP), so each call is one chunk and rounds as the whole batch
-    would. Meaningful kappa estimates need smooth activations (softplus,
+    ``value`` runs, per ``nets.inference_chunks`` chunk, one
+    ``nets._forward`` without a tape: the bits of ``nets.batched_logits``,
+    the engine's forward, and a NonFiniteError where it raises one, but no
+    engine node. ``grad`` runs, per chunk, one ``nets._forward`` and, per
+    channel, one reverse pass to the input with a one-hot upstream at the
+    logits, whose rows are independent. The estimate and the audit hand
+    both one such chunk of pairs at a time (8 rows for cnn3 on 28x28, 512
+    for a small MLP), so each call is one chunk and rounds as the whole
+    batch would. Meaningful kappa estimates need smooth activations (softplus,
     tanh, sigmoid); relu gradients are piecewise constant.
     """
 
@@ -95,7 +99,14 @@ class LogitField:
         return points.reshape(len(points), *self.model.arch.input_shape)
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        return nets.batched_logits(self.model, self._batched(points))
+        x = self._batched(points)
+        chunks = nets.inference_chunks(self.model.arch, len(x))
+        if not chunks:
+            return np.empty((0, self.model.arch.n_classes))
+        # an overflow raises NonFiniteError in the pass, with no RuntimeWarning first
+        with np.errstate(over="ignore", invalid="ignore"):
+            return nets._joined([nets._forward(self.model, x[rows], record=False)[0]
+                                 for rows in chunks])
 
     def grad(self, points: np.ndarray) -> np.ndarray:
         x = self._batched(points)
@@ -173,9 +184,10 @@ def sample_pairs(data: np.ndarray, n_pairs: int, rng: np.random.Generator,
     partners = flat[rng.integers(0, len(flat), n_pairs)]
     kind = rng.integers(0, len(scales) + 1, n_pairs)
     noise = rng.standard_normal(anchors.shape)
-    for i, scale in enumerate(scales):
-        local = kind == i + 1
-        partners[local] = anchors[local] + scale * noise[local]
+    # each row's scale, 0 for a distant pair, then one masked copy, in place
+    noise *= np.array((0.0, *scales))[kind][:, None]
+    noise += anchors
+    np.copyto(partners, noise, where=(kind > 0)[:, None])
     return anchors, partners
 
 
@@ -219,9 +231,11 @@ def kappa_from_pairs(field: ScalarField, x: np.ndarray,
     for rows in _chunks(field, len(kept)):
         pick = kept[rows]
         with np.errstate(over="ignore", invalid="ignore"):
+            # in place, two [k, rows, d] stacks at most; the norm by the
+            # formula np.linalg.norm takes for real input along one axis
             gx = field.grad(x[pick]).reshape(-1, len(pick), dim)
-            gp = field.grad(x_prime[pick]).reshape(-1, len(pick), dim)
-            diff = np.linalg.norm(gx - gp, axis=2)
+            gx -= field.grad(x_prime[pick]).reshape(-1, len(pick), dim)
+            diff = np.sqrt(np.square(gx, out=gx).sum(axis=2))
         if not np.isfinite(diff).all():
             raise NonFiniteError("kappa estimate: a gradient difference is not finite")
         peak = np.maximum(peak, (diff / d[rows]).max(axis=1))
@@ -327,8 +341,8 @@ def audit_gap_bound(field: ScalarField, kappa: float, pairs,
         table[:, chunk, 3] = bound
         violated = gap > (bound * (1.0 + RATIO_SLACK) + GAP_SLACK)[..., None]
         positive = bound > 0
-        ratio = np.zeros(gap.shape)
-        ratio[positive] = gap[positive] / bound[positive][:, None]
+        ratio = np.divide(gap, bound[..., None], out=np.zeros(gap.shape),
+                          where=positive[..., None])
         counts = counts + violated.sum(axis=(0, 1))
         peaks = np.maximum(peaks, ratio.max(axis=(0, 1)))
         # the worst row: the highest ratio, a violated zero bound above all,

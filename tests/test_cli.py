@@ -821,6 +821,28 @@ def test_quadratic_of_huge_entries_fails_at_the_estimate(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+def test_checkpoint_whose_first_layer_overflows_fails_at_the_audit(
+        tmp_path, capsys, activation):
+    # 1e308 times a first input past 1.8 overflows layer 0, whose units
+    # saturate: every gradient is 0, so kappa is 0, and the logits are
+    # finite, but the audit's values must still fail as the engine does
+    model = nets.build_model(nets.mlp(5, [4], 2, activation=activation),
+                             np.random.default_rng(0))
+    weight = np.zeros((5, 4))
+    weight[0] = 1e308
+    model.params["layer0.w"].data = weight
+    nets.save_model(model, tmp_path / "m.npz")
+    out = tmp_path / "audit"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["audit", "--out", str(out), "--model", str(tmp_path / "m.npz"),
+                    "--dim", "5", "--per-class", "20", "--n-pairs", "50"])
+    assert code == 4
+    assert capsys.readouterr().err == "numeric failure: non-finite values produced by layer 0\n"
+    assert not out.exists()
+
+
 class TestAuditRun:
     def test_quadratic_default_safety_clean(self, tmp_path):
         out = tmp_path / "audit"

@@ -157,14 +157,18 @@ SATURATION_GRID = np.concatenate([
 
 
 class TestActivationDerivatives:
-    @pytest.mark.parametrize("name", ["softplus", "sigmoid"])
+    @pytest.mark.parametrize("name", list(nets.ACTIVATIONS))
     def test_f_and_f1_are_the_engines_forward_and_vjp(self, name):
+        """f of the derivative table and of the pass without a tape, against
+        the engine's forward; f' times the upstream ones against its vjp (a
+        relu's bool mask gives the engine mask's float bits that way)."""
         f, d1, _ = nets.ACTIVATION_DERIVATIVES[name](SATURATION_GRID)
         t = Tensor(SATURATION_GRID, requires_grad=True)
         y = nets.ACTIVATIONS[name](t)
         (g,) = eng.backward(eng.sum_reduce(y), [t])
         assert f.tobytes() == y.data.tobytes()
-        assert d1.tobytes() == g.data.tobytes()
+        assert nets.ACTIVATION_VALUES[name](SATURATION_GRID).tobytes() == y.data.tobytes()
+        assert (np.ones_like(SATURATION_GRID) * d1).tobytes() == g.data.tobytes()
 
     @pytest.mark.parametrize("name", ["softplus", "sigmoid"])
     def test_f2_is_the_derivative_of_f1(self, name):

@@ -210,6 +210,15 @@ GRAD_ARCHS = {
 }
 
 
+# the four activations and a conv net on 8x8 points, for the values
+VALUE_ARCHS = {
+    **{f"mlp-{act}": nets.mlp(6, [12, 8], 3, activation=act)
+       for act in ("tanh", "relu", "softplus", "sigmoid")},
+    "conv-8x8": nets.Architecture((8, 8, 1), (nets.Conv(3, 4, "softplus"),
+                                              nets.Dense(3))),
+}
+
+
 class TestLogitField:
     def test_value_matches_forward(self):
         model = softplus_net(seed=10)
@@ -281,6 +290,43 @@ class TestLogitField:
             np.random.default_rng(35).normal(size=(8, 5)))
         assert np.isfinite(grads).all()
         assert backward_calls == [] and graph_nodes == []
+
+    @pytest.mark.parametrize("n", [7, 10, 13])
+    @pytest.mark.parametrize("name", VALUE_ARCHS)
+    def test_value_is_the_engine_forward_bit_for_bit(self, monkeypatch, name, n):
+        """In 4-row chunks, 7 rows are one chunk, 10 split 4, 6 and 13 split
+        4, 4, 5: each crosses or meets a chunk bound with a rest of under 4
+        rows. The values build no engine node."""
+        monkeypatch.setattr(nets, "INFERENCE_ROWS", 4)
+        arch = VALUE_ARCHS[name]
+        model = nets.build_model(arch, np.random.default_rng(42))
+        points = np.random.default_rng(43).normal(size=(n, int(np.prod(arch.input_shape))))
+        first = next(eng._node_ids)
+        got = sm.LogitField(model).value(points)
+        assert next(eng._node_ids) == first + 1
+        x = points.reshape(n, *arch.input_shape)
+        assert got.tobytes() == nets.batched_logits(model, x).tobytes()
+        assert got.tobytes() == nets.forward(model, x).data.tobytes()
+
+    @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
+    def test_value_raises_where_the_engine_forward_does(self, activation):
+        """Layer 0's pre-activation overflows on the first row, and tanh and
+        sigmoid saturate it to finite logits: the engine's matmul node
+        raises, and so must the per-layer check of the pass without a tape.
+        A NaN input raises at layer 0 too."""
+        model = nets.build_model(nets.mlp(2, [4], 3, activation=activation),
+                                 np.random.default_rng(44))
+        model.params["layer0.w"].data = np.full((2, 4), 1e308)
+        field = sm.LogitField(model)
+        for x in (np.array([[2.0, 0.0], [0.5, 0.25]]), np.array([[np.nan, 0.0]])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NonFiniteError):
+                    nets.batched_logits(model, x)
+            with pytest.raises(NonFiniteError, match="layer 0"):
+                field.value(x)
+        with np.errstate(over="ignore"):
+            saturated = nets._forward(model, np.array([[2.0, 0.0]]))[0]
+        assert np.isfinite(saturated).all()
 
     def test_per_channel_kappa_is_each_columns_estimate(self):
         model = softplus_net(seed=22)
@@ -570,3 +616,24 @@ def test_softplus_audit_holds_the_gaps_the_table_and_one_chunk():
     kappa = sm.kappa_from_pairs(sm.LogitField(model), *pairs).kappa
     peak = traced_peak(lambda: sm.audit_network(model, 1.2 * kappa, fresh))
     assert peak < 15 * MIB, f"audit traced peak {peak / MIB:.1f} MiB"
+
+
+def test_kappa_holds_two_gradient_stacks_of_a_wide_input_net():
+    """kappa from 1024 pairs of a 784-32-10 tanh MLP, the shape of a default
+    checkpoint on 28x28 images: a 512-pair chunk's [10, 512, 784] gradient
+    stack takes 30.6 MiB. Both sides' stacks, their difference and its
+    square traced 122.6 MiB; the difference and its square taken in place
+    trace 68.1 MiB. The norm keeps np.linalg.norm's bits."""
+    rng = np.random.default_rng(45)
+    model = nets.build_model(nets.mlp(784, [32], 10), rng)
+    field = sm.LogitField(model)
+    x, xp = sm.sample_pairs(rng.uniform(size=(60, 784)), 1024, rng)
+    peak = traced_peak(lambda: sm.kappa_from_pairs(field, x, xp))
+    assert peak < 80 * MIB, f"kappa traced peak {peak / MIB:.1f} MiB"
+    keep = np.linalg.norm(x - xp, axis=1) != 0   # distant pairs may repeat a row
+    x, xp = x[keep], xp[keep]
+    ratios = [np.linalg.norm(field.grad(x[rows]) - field.grad(xp[rows]), axis=2)
+              / np.linalg.norm(x[rows] - xp[rows], axis=1)
+              for rows in sm._chunks(field, len(x))]
+    assert sm.kappa_from_pairs(field, x, xp).per_channel \
+        == tuple(np.concatenate(ratios, axis=1).max(axis=1))
