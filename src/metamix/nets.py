@@ -267,16 +267,16 @@ def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = Non
             h = h.reshape(len(h), -1)
             a = h @ w
         a += b   # in place: no second array the size of the layer's output
-        if not record:
-            if not np.isfinite(a).all():
-                raise eng.NonFiniteError(f"non-finite values produced by layer {i}")
-            if layer.activation is not None:
-                a = ACTIVATION_VALUES[layer.activation](a)
-        else:
+        if record:
             d1 = d2 = None
             if layer.activation is not None:
                 a, d1, d2 = ACTIVATION_DERIVATIVES[layer.activation](a)
             tape.append((layer, h, w, shape, d1, d2))
+        else:
+            if not np.isfinite(a).all():
+                raise eng.NonFiniteError(f"non-finite values produced by layer {i}")
+            if layer.activation is not None:
+                a = ACTIVATION_VALUES[layer.activation](a)
         h = a
     return h, tape
 

@@ -220,12 +220,6 @@ VALUE_ARCHS = {
 
 
 class TestLogitField:
-    def test_value_matches_forward(self):
-        model = softplus_net(seed=10)
-        x = np.random.default_rng(11).normal(size=(7, 5))
-        np.testing.assert_array_equal(sm.LogitField(model).value(x),
-                                      nets.forward(model, x).data)
-
     def test_grad_matches_finite_differences(self):
         model = softplus_net(seed=12)
         field = sm.LogitField(model)
