@@ -24,7 +24,10 @@ only read. Every mode in ``CASES`` runs at each seed in ``SEEDS`` (20 lines),
 and so does metamixup on the sup-mlp setup with each net of ``ACTIVATIONS``
 (4 lines), which trains the activations no benchmark setup uses; the MLP
 setups are cut to ``EPOCHS`` epochs, cnn-synth keeps its single epoch of
-three steps.
+three steps. One more line trains ``CONV_TRAIN_ARCH`` by metamixup for one
+epoch on 8x8x1 points, which pins a conv layer with a nonzero f'' and a
+conv layer without activation through the forward, reverse and tangent
+passes.
 
 Then come the audit lines. The audit-softplus net at each seed in
 ``AUDIT_SEEDS`` estimates kappa from ``AUDIT_PAIRS`` pairs and is audited over
@@ -85,7 +88,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
-from metamix import cli, meta, nets, semi, smoothness  # noqa: E402
+from metamix import cli, data, meta, nets, semi, smoothness  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 CASES = {
@@ -97,6 +100,9 @@ CASES = {
 ACTIVATIONS = ("sigmoid", "softplus")
 SEEDS = (0, 1)
 EPOCHS = 2
+# trained on 8x8x1 points of 3 classes for the conv training line
+CONV_TRAIN_ARCH = nets.Architecture((8, 8, 1), (
+    nets.Conv(3, 4, "tanh"), nets.Conv(3, 4, None), nets.Dense(3)))
 AUDIT_SEEDS = (0, 1, 3)
 AUDIT_PAIRS = 2_000
 AUDIT_FACTORS = (0.3, 1.2)
@@ -167,6 +173,20 @@ def fingerprint(name: str, seed: int, mode: str, activation: str | None = None) 
     else:
         report = meta.train_supervised(inputs.splits, config)
     return (f"{label} records={digest_records(report.records)} "
+            f"state={digest_state(report.model)}")
+
+
+def conv_training_fingerprint() -> str:
+    """One metamixup epoch of ``CONV_TRAIN_ARCH`` at batch 10, seed 0, on
+    synthetic 64-dimensional blobs in the unit box, shaped 8x8."""
+    spec = data.SyntheticSpec(classes=3, per_class=30, dim=64, unit_box=True)
+    raw = data.standard_splits(spec, seed=0, meta_val_per_class=5, test_per_class=10)
+    splits = data.Splits(*(dataclasses.replace(ds, inputs=ds.inputs.reshape(len(ds), 8, 8))
+                           for ds in (raw.train, raw.meta_val, raw.test)))
+    config = meta.TrainConfig(mode="metamixup", epochs=1, batch_size=10, seed=0,
+                              arch=CONV_TRAIN_ARCH)
+    report = meta.train_supervised(splits, config)
+    return (f"conv-train seed=0 mode=metamixup records={digest_records(report.records)} "
             f"state={digest_state(report.model)}")
 
 
@@ -334,6 +354,7 @@ def main() -> None:
     for activation in ACTIVATIONS:
         for seed in SEEDS:
             print(fingerprint("sup-mlp", seed, "metamixup", activation), flush=True)
+    print(conv_training_fingerprint(), flush=True)
     for seed in AUDIT_SEEDS:
         print(audit_fingerprint(seed), flush=True)
     print(audit_fingerprint(0, REST_PAIRS), flush=True)
