@@ -23,8 +23,8 @@ recorded.
 
 All arrays are float64. Non-finite values are rejected at every node
 construction, so a NaN or Inf surfaces at the primitive that produced it;
-the numpy training passes check their loss, gradients and updates instead,
-and the numpy forward without a tape each layer's pre-activation.
+the numpy passes check their loss, gradients and updates instead, and the
+numpy forward, with its tape or without, each layer's pre-activation.
 """
 
 from __future__ import annotations

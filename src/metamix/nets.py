@@ -3,18 +3,21 @@
 Models are deliberately functional: ``forward`` takes an optional parameter
 mapping so a simulated update (new parameter tensors, same architecture) can
 be evaluated without touching the real model. That is the hook the one-step
-meta gradient hangs off. Training and the audit walk the layers in numpy:
-``_forward`` keeps a per-layer tape of each layer's input (a conv layer's
-as its [n, h, w, cin] images, never their im2col columns; the engine's conv
-kernels build those per block of images and drop them) and of f' (a
-relu's as a bool mask), ``_reverse`` walks it back from a
+meta gradient hangs off. Each layer kind (``Dense``, ``Conv``) owns what
+differs between kinds: its shapes on an input, its product with a weight in
+the engine (``graph_product``) and in numpy, and its weight and input
+gradients; no pass names a kind. Training and the audit walk the layers in
+numpy: ``_forward`` keeps a per-layer tape of each layer's input as it
+arrived (a conv layer's [n, h, w, cin] images, never their im2col columns;
+the engine's conv kernels build those per block of images and drop them)
+and of f' (a relu's as a bool mask), ``_reverse`` walks it back from a
 gradient at the logits to the parameters (for ``loss_and_gradients``, from
 ``_cross_entropy_head``) or to the input, and ``forward_tangents`` carries
 two tangents along it for the second-order term, in place; a loss over
-weighted row segments is one pass too. Without a tape ``_forward`` computes
-the logits alone, by the value kernels of the engine's primitives
-(``ACTIVATION_VALUES``), with one finiteness check per layer: the audit's
-logit values (``smoothness.LogitField.value``).
+weighted row segments is one pass too. Either way ``_forward`` checks each
+layer's pre-activation once; without a tape it computes the logits alone,
+by the value kernels of the engine's primitives (``ACTIVATION_VALUES``):
+the audit's logit values (``smoothness.LogitField.value``).
 
 Every pass runs over row chunks from one rule, ``inference_chunks``: as
 many rows as keep the widest layer output under INFERENCE_BYTES, in whole
@@ -48,12 +51,53 @@ class Dense:
     width: int
     activation: str | None = None
 
+    def shapes(self, in_shape):
+        return (math.prod(in_shape), self.width), (self.width,)
+
+    def graph_product(self, h: Tensor, w: Tensor) -> Tensor:
+        # a 2-D input is not reshaped: that would add a graph node
+        return eng.matmul(eng.reshape(h, (h.shape[0], -1)) if h.ndim > 2 else h, w)
+
+    def product(self, h, w):
+        return h.reshape(len(h), -1) @ w
+
+    def weight_grad(self, h, u):
+        return h.reshape(len(h), -1).T.copy() @ u
+
+    def input_grad(self, u, w, shape, transposed):
+        # by a contiguous copy of w's transpose, as the engine does (a
+        # transposed view rounds otherwise), kept under w's id for more chunks
+        if id(w) not in transposed:
+            transposed[id(w)] = w.T.copy()
+        return (u @ transposed[id(w)]).reshape(shape)
+
 
 @dataclass(frozen=True)
 class Conv:
     kernel: int
     channels: int
     activation: str | None = "relu"
+
+    def shapes(self, in_shape):
+        if len(in_shape) != 3:   # as a dense layer's output never is
+            raise ShapeError(f"a conv layer needs an (h, w, c) image input, "
+                             f"got shape {in_shape}")
+        w_shape = (self.kernel, self.kernel, in_shape[2], self.channels)
+        eng._check_kernel(w_shape)   # a kernel the conv passes run
+        return w_shape, in_shape[:2] + (self.channels,)
+
+    # the kernels are looked up in ``engine`` at each call, so a patched one runs
+    def graph_product(self, h: Tensor, w: Tensor) -> Tensor:
+        return eng.conv2d(h, w)
+
+    def product(self, h, w):
+        return eng._conv_forward(h, w)
+
+    def weight_grad(self, h, u):
+        return eng._conv_weight_grad(h, u, self.kernel)
+
+    def input_grad(self, u, w, shape, transposed):
+        return eng._conv_input_grad(u, w)
 
 
 ACTIVATIONS = {
@@ -127,36 +171,33 @@ class Architecture:
                              f"got {self.input_shape}")
         if not self.layers or not isinstance(self.layers[-1], Dense):
             raise ShapeError("architecture must end with a Dense layer")
-        seen_dense, cin = False, self.input_shape[-1]
         for layer in self.layers:
-            if isinstance(layer, Dense):
-                seen_dense = True
-            elif seen_dense:
-                raise ShapeError("conv layers cannot follow dense layers")
-            if isinstance(layer, Conv) and len(self.input_shape) != 3:
-                raise ShapeError("conv layers need an image input shape")
-            sizes = ((layer.width,) if isinstance(layer, Dense)
-                     else (layer.kernel, layer.channels))
-            if min(sizes) < 1:
+            if min(getattr(layer, f.name) for f in fields(layer) if f.type == "int") < 1:
                 raise ShapeError(f"layer sizes must be >= 1, got {layer}")
             act = layer.activation
             if act is not None and act not in ACTIVATIONS:
                 raise ShapeError(f"unknown activation '{act}'")
-            if isinstance(layer, Conv):   # a kernel the conv passes run
-                eng._check_kernel((layer.kernel, layer.kernel, cin, layer.channels))
-                cin = layer.channels
+        self.layer_shapes   # each kind checks the input it gets
 
     @property
     def n_classes(self) -> int:
         return self.layers[-1].width
 
     @cached_property
+    def layer_shapes(self) -> tuple:
+        """(weight shape, output shape per row) of each layer. A weight's
+        fan-in is the product of all but its last axis, its bias that axis."""
+        shapes, shape = [], self.input_shape
+        for layer in self.layers:
+            w_shape, shape = layer.shapes(shape)
+            shapes.append((w_shape, shape))
+        return tuple(shapes)
+
+    @cached_property
     def widest_output(self) -> int:
-        """The most values one layer outputs per row; worked out once, for
-        the chunk rule (``inference_rows``)."""
-        pixels = math.prod(self.input_shape[:2]) if len(self.input_shape) == 3 else 1
-        return max(b_shape[0] * (pixels if len(w_shape) == 4 else 1)
-                   for _, w_shape, b_shape, _ in _layer_shapes(self))
+        """The most values one layer outputs per row, for the chunk rule
+        (``inference_rows``)."""
+        return max(math.prod(out_shape) for _, out_shape in self.layer_shapes)
 
 
 def mlp(in_dim: int, hidden: Sequence[int], classes: int,
@@ -182,28 +223,13 @@ class ModelState:
         return sum(p.size for p in self.params.values())
 
 
-def _layer_shapes(arch: Architecture):
-    """Yield (name, weight_shape, bias_shape, fan_in) per layer."""
-    shape = arch.input_shape
-    for i, layer in enumerate(arch.layers):
-        name = f"layer{i}"
-        if isinstance(layer, Conv):
-            k, cout = layer.kernel, layer.channels
-            cin = shape[2]
-            yield name, (k, k, cin, cout), (cout,), k * k * cin
-            shape = (shape[0], shape[1], cout)
-        else:
-            fan_in = int(np.prod(shape))
-            yield name, (fan_in, layer.width), (layer.width,), fan_in
-            shape = (layer.width,)
-
-
 def build_model(arch: Architecture, rng: np.random.Generator) -> ModelState:
     """Fresh parameters: weights ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), zero biases."""
     params: dict[str, Tensor] = {}
     momentum: dict[str, np.ndarray] = {}
-    for name, w_shape, b_shape, fan_in in _layer_shapes(arch):
-        bound = 1.0 / math.sqrt(fan_in)
+    for i, (w_shape, _) in enumerate(arch.layer_shapes):
+        name, b_shape = f"layer{i}", w_shape[-1:]
+        bound = 1.0 / math.sqrt(math.prod(w_shape[:-1]))
         params[f"{name}.w"] = Tensor(rng.uniform(-bound, bound, size=w_shape),
                                      requires_grad=True)
         params[f"{name}.b"] = Tensor(np.zeros(b_shape), requires_grad=True)
@@ -221,14 +247,7 @@ def forward(model: ModelState, x, params: Mapping[str, Tensor] | None = None) ->
     if h.shape[1:] != expected:
         raise ShapeError(f"forward: batch shape {h.shape} does not match input {expected}")
     for i, layer in enumerate(model.arch.layers):
-        name = f"layer{i}"
-        if isinstance(layer, Conv):
-            h = eng.conv2d(h, p[f"{name}.w"])
-            h = eng.bias_add(h, p[f"{name}.b"])
-        else:
-            if h.ndim > 2:
-                h = eng.reshape(h, (h.shape[0], -1))
-            h = eng.bias_add(eng.matmul(h, p[f"{name}.w"]), p[f"{name}.b"])
+        h = eng.bias_add(layer.graph_product(h, p[f"layer{i}.w"]), p[f"layer{i}.b"])
         if layer.activation is not None:
             h = ACTIVATIONS[layer.activation](h)
     return h
@@ -237,21 +256,17 @@ def forward(model: ModelState, x, params: Mapping[str, Tensor] | None = None) ->
 def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = None,
              record: bool = True):
     """Logits for a batch in numpy, and the tape that the reverse and tangent
-    passes read: per layer (layer, its input as the layer sees it, weight,
-    the input's pre-flatten shape, f', f''); ``params`` overrides the model's
-    own parameter values. A dense layer sees its input flattened to rows, a
-    conv layer as its [n, h, w, cin] images, from which the weight gradient
-    and the tangent pass build columns again, block by block, and drop them.
-    f' is None on a layer without activation, and a bool mask on a relu
-    layer, which a float array times it gives the bits of the engine's
-    float64 mask; f'' is None on a layer where it is zero. The values follow
-    the engine's formulas bit for bit, and no graph is recorded.
-
-    With ``record`` False the pass keeps no tape (it returns an empty one)
-    and computes f alone (``ACTIVATION_VALUES``). It checks each layer's
-    pre-activation, where the engine checks every node: a non-finite input,
-    product or bias shows there, and f of a finite value is finite, so it
-    raises NonFiniteError where the engine's forward would."""
+    passes read: per layer (layer, its input as it arrived, weight, f', f'');
+    ``params`` overrides the model's own parameter values. f' is None on a
+    layer without activation, and a bool mask on a relu layer, which a float
+    array times it gives the bits of the engine's float64 mask; f'' is None
+    on a layer where it is zero. The values follow the engine's formulas bit
+    for bit, and no graph is recorded. Each layer's pre-activation is
+    checked, where the engine checks every node: a non-finite input, product
+    or bias shows there, even under a saturating activation, and f of a
+    finite value is finite, so the pass raises NonFiniteError where the
+    engine's forward would. With ``record`` False the pass keeps no tape (it
+    returns an empty one) and computes f alone (``ACTIVATION_VALUES``)."""
     p = {n: t.data for n, t in model.params.items()} if params is None else params
     h = np.asarray(x, dtype=np.float64)
     if h.shape[1:] != model.arch.input_shape:
@@ -259,24 +274,18 @@ def _forward(model: ModelState, x, params: Mapping[str, np.ndarray] | None = Non
                          f"input {model.arch.input_shape}")
     tape = []
     for i, layer in enumerate(model.arch.layers):
-        w, b = p[f"layer{i}.w"], p[f"layer{i}.b"]
-        shape = h.shape
-        if isinstance(layer, Conv):
-            a = eng._conv_forward(h, w)
-        else:
-            h = h.reshape(len(h), -1)
-            a = h @ w
-        a += b   # in place: no second array the size of the layer's output
+        w = p[f"layer{i}.w"]
+        a = layer.product(h, w)
+        a += p[f"layer{i}.b"]   # in place: no second array the size of the output
+        if not np.isfinite(a).all():
+            raise eng.NonFiniteError(f"non-finite values produced by layer {i}")
         if record:
             d1 = d2 = None
             if layer.activation is not None:
                 a, d1, d2 = ACTIVATION_DERIVATIVES[layer.activation](a)
-            tape.append((layer, h, w, shape, d1, d2))
-        else:
-            if not np.isfinite(a).all():
-                raise eng.NonFiniteError(f"non-finite values produced by layer {i}")
-            if layer.activation is not None:
-                a = ACTIVATION_VALUES[layer.activation](a)
+            tape.append((layer, h, w, d1, d2))
+        elif layer.activation is not None:
+            a = ACTIVATION_VALUES[layer.activation](a)
         h = a
     return h, tape
 
@@ -286,31 +295,26 @@ def forward_tangents(tape, dx, direction: Mapping[str, np.ndarray]):
     pass that ``tape`` (a ``_forward`` tape) recorded at theta and x, with
     theta moved to theta + eps * direction and x to x + t * dx. Each layer
     carries these three parts (hyper-dual numbers) and reads its input,
-    weight, f' and f'' from the tape; a conv layer convolves its input with
-    the direction's kernel again (``eng._conv_forward``). The primal pass is
-    not run again. A part's products with the weight and the direction's
-    kernel are added in place, f' and f'' act in place, and each incoming
-    part is dropped after its last product, so no concatenation of parts or
-    weights is built."""
+    weight, f' and f'' from the tape; it multiplies by its own ``product``
+    (a conv layer convolves its input with the direction's kernel again).
+    The primal pass is not run again. A part's products with the weight and
+    the direction's kernel are added in place, f' and f'' act in place, and
+    each incoming part is dropped after its last product, so no
+    concatenation of parts or weights is built."""
     h_l = np.asarray(dx, dtype=np.float64)
     h_e = h_el = None   # the input does not move with eps
-    for i, (layer, h, w, shape, d1, d2) in enumerate(tape):
+    for i, (layer, h, w, d1, d2) in enumerate(tape):
         vw, vb = direction[f"layer{i}.w"], direction[f"layer{i}.b"]
-        if isinstance(layer, Conv):
-            product, rows = eng._conv_forward, shape
-        else:
-            product, rows = np.matmul, h.shape
-        a_e = product(h, vw)
+        a_e = layer.product(h, vw)
         a_e += vb
         if h_e is not None:
-            a_e += product(h_e.reshape(rows), w)
+            a_e += layer.product(h_e, w)
             h_e = None
-        h_l = h_l.reshape(rows)
-        a_el = product(h_l, vw)
+        a_el = layer.product(h_l, vw)
         if h_el is not None:
-            a_el += product(h_el.reshape(rows), w)
+            a_el += layer.product(h_el, w)
             h_el = None
-        a_l = product(h_l, w)
+        a_l = layer.product(h_l, w)
         h_l = None
         if d1 is not None:
             a_el *= d1
@@ -433,29 +437,22 @@ def _segment_loss(terms, segments) -> float:
 
 def _reverse(tape, u, grads=None, transposed=None):
     """Back along a ``_forward`` tape from the gradient ``u`` at the logits, by
-    the engine's vjp rules: into ``grads``, if given, every parameter's
-    gradient, returning ``grads`` at layer 0; else the gradient at the input.
-    A dense layer multiplies by a contiguous copy of its weight's transpose,
-    as the engine does (a transposed view rounds otherwise); ``transposed``,
-    if given, keeps those copies for the passes of further chunks."""
+    the engine's vjp rules and each layer kind's own kernels: into
+    ``grads``, if given, every parameter's gradient, returning ``grads`` at
+    layer 0; else the gradient at the input. ``transposed``, if given, keeps
+    the dense layers' transposed weights for the passes of further chunks
+    (``Dense.input_grad``)."""
     if transposed is None:
         transposed = {}
-    for i, (layer, h, w, shape, d1, _) in reversed(list(enumerate(tape))):
+    for i, (layer, h, w, d1, _) in reversed(list(enumerate(tape))):
         if d1 is not None:
             u = u * d1
-        conv = isinstance(layer, Conv)
         if grads is not None:
             grads[f"layer{i}.b"] = u.sum(axis=tuple(range(u.ndim - 1)))
-            grads[f"layer{i}.w"] = (eng._conv_weight_grad(h, u, layer.kernel) if conv
-                                    else h.T.copy() @ u)
+            grads[f"layer{i}.w"] = layer.weight_grad(h, u)
             if not i:
                 return grads
-        if conv:
-            u = eng._conv_input_grad(u, w)
-        else:
-            if i not in transposed:
-                transposed[i] = w.T.copy()
-            u = (u @ transposed[i]).reshape(shape)
+        u = layer.input_grad(u, w, h.shape, transposed)
     return u
 
 
@@ -652,8 +649,8 @@ def load_model(path) -> ModelState:
     except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise DataError(f"{path}: missing or malformed '__arch__': {exc}") from exc
     shapes = {}
-    for name, w_shape, b_shape, _ in _layer_shapes(arch):
-        shapes[f"{name}.w"], shapes[f"{name}.b"] = w_shape, b_shape
+    for i, (w_shape, _) in enumerate(arch.layer_shapes):
+        shapes[f"layer{i}.w"], shapes[f"layer{i}.b"] = w_shape, w_shape[-1:]
     expected = {f"{kind}:{name}": shape
                 for kind in ("p", "m") for name, shape in shapes.items()}
     extra = sorted(set(arrays) - set(expected))

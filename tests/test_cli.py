@@ -708,7 +708,8 @@ class TestHostileCheckpoints:
         ("kind", "unknown layer kind 'pool'"),
         ("extra", "got ['activation', 'stride', 'width']"),
         ("missing", "got ['width']"),
-    ], ids=["unknown-kind", "extra-key", "missing-key"])
+        ("conv", "a conv layer needs an (h, w, c) image input, got shape ("),
+    ], ids=["unknown-kind", "extra-key", "missing-key", "conv-after-dense"])
     def test_malformed_layer(self, tmp_path, capsys, checkpoint, change, named):
         spec = json.loads(str(checkpoint["__arch__"]))
         layer = spec["layers"][0]
@@ -716,8 +717,11 @@ class TestHostileCheckpoints:
             layer["kind"] = "pool"
         elif change == "extra":
             layer["stride"] = 1
-        else:
+        elif change == "missing":
             del layer["activation"]
+        else:
+            spec["layers"].insert(1, {"kind": "conv", "kernel": 3, "channels": 2,
+                                      "activation": "relu"})
         path = tmp_path / "x.npz"
         np.savez(path, **{**checkpoint, "__arch__": np.array(json.dumps(spec))})
         assert self.audit(tmp_path, path) == 3
@@ -825,8 +829,8 @@ def test_quadratic_of_huge_entries_fails_at_the_estimate(tmp_path, capsys):
 def test_checkpoint_whose_first_layer_overflows_fails_at_the_audit(
         tmp_path, capsys, activation):
     # 1e308 times a first input past 1.8 overflows layer 0, whose units
-    # saturate: every gradient is 0, so kappa is 0, and the logits are
-    # finite, but the audit's values must still fail as the engine does
+    # saturate to finite logits and gradients; the kappa estimate's forward
+    # checks each pre-activation as the engine does, so the run fails there
     model = nets.build_model(nets.mlp(5, [4], 2, activation=activation),
                              np.random.default_rng(0))
     weight = np.zeros((5, 4))

@@ -507,10 +507,12 @@ def test_cnn3_step_matches_the_im2col_input_grad(mode, monkeypatch):
         np.testing.assert_allclose(value, reference[name], rtol=1e-12, err_msg=name)
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
 @pytest.mark.parametrize("mode", meta.MODES)
-def test_overflowing_input_raises_non_finite(mode):
-    # a relu net passes the overflow on, so the logits are not finite
-    model = nets.build_model(nets.mlp(4, [8], 3, activation="relu"),
+def test_overflowing_input_raises_non_finite(mode, activation):
+    # a relu net passes the overflow on to the logits; tanh and sigmoid
+    # saturate it to finite logits, and layer 0's check raises all the same
+    model = nets.build_model(nets.mlp(4, [8], 3, activation=activation),
                              np.random.default_rng(20))
     model.params["layer0.w"].data[:] = 1.0
     x = np.full((6, 4), 1e308)

@@ -80,6 +80,8 @@ class TestForward:
     @pytest.mark.parametrize("arch,rows", [
         (nets.mlp(10, [32], 2), 512), (nets.mlp(784, [32], 10), 512),
         (nets.cnn3(), 8), (nets.cnn3((32, 32), 3), 8), (nets.cnn3((64, 64), 3), 4),
+        (Architecture((16, 16, 3), (Dense(600, "tanh"), Dense(3))), 436),
+        (nets.mlp(10, [1000, 32], 2), 260),
     ])
     def test_inference_rows_bound_the_widest_layer(self, arch, rows):
         # 2 MiB over the widest layer output, in whole 4-row blocks, at least one

@@ -32,6 +32,14 @@ def softplus_net(seed=0, in_dim=5, classes=3):
     return nets.build_model(arch, np.random.default_rng(seed))
 
 
+def saturated_net(activation):
+    """mlp(6, [4], 3) whose layer-0 weights of 1e308 overflow its products."""
+    model = nets.build_model(nets.mlp(6, [4], 3, activation=activation),
+                             np.random.default_rng(12))
+    model.params["layer0.w"].data = np.full((6, 4), 1e308)
+    return model
+
+
 class TestMixupGap:
     def test_halved_norm_example(self):
         # f(x) = ||x||^2 / 2, x = [2,0], x' = 0, lam = 1/2:
@@ -137,10 +145,15 @@ class TestKappaEstimate:
         (sm.LogitField(softplus_net(seed=3, in_dim=6)), 1e200, "pair distance"),
         (quad([1.0, 3.0, 0.5, 2.0, 1.0, 1.0]), 1e160, "pair distance"),
         (quad([1e300, 1.0, 1.0, 1.0, 1.0, 1.0]), 1.0, "gradient difference"),
-    ], ids=["softplus-1e200", "quadratic-1e160", "gradient-overflow"])
+        *[(sm.LogitField(saturated_net(act)), 1.0, "layer 0")
+          for act in ("tanh", "sigmoid", "relu")],
+    ], ids=["softplus-1e200", "quadratic-1e160", "gradient-overflow",
+            "saturated-tanh", "saturated-sigmoid", "saturated-relu"])
     def test_non_finite_distance_or_gradient_difference_raises(self, field, scale, names):
         # at scale 1e200 a net used to report kappa 0 with distance_max inf,
-        # and a quadratic at 1e160 kappa nan
+        # and a quadratic at 1e160 kappa nan; a net whose layer 0 overflows
+        # under saturated units (f' = 0) or relu masks equal at x and x'
+        # reported kappa 0
         rng = np.random.default_rng(11)
         pool = scale * rng.normal(size=(40, 6))
         with warnings.catch_warnings():
@@ -306,8 +319,8 @@ class TestLogitField:
     def test_value_raises_where_the_engine_forward_does(self, activation):
         """Layer 0's pre-activation overflows on the first row, and tanh and
         sigmoid saturate it to finite logits: the engine's matmul node
-        raises, and so must the per-layer check of the pass without a tape.
-        A NaN input raises at layer 0 too."""
+        raises, and so must the per-layer check of the numpy forward, with
+        its tape or without. A NaN input raises at layer 0 too."""
         model = nets.build_model(nets.mlp(2, [4], 3, activation=activation),
                                  np.random.default_rng(44))
         model.params["layer0.w"].data = np.full((2, 4), 1e308)
@@ -318,9 +331,8 @@ class TestLogitField:
                     nets.batched_logits(model, x)
             with pytest.raises(NonFiniteError, match="layer 0"):
                 field.value(x)
-        with np.errstate(over="ignore"):
-            saturated = nets._forward(model, np.array([[2.0, 0.0]]))[0]
-        assert np.isfinite(saturated).all()
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="layer 0"):
+            nets._forward(model, np.array([[2.0, 0.0]]))
 
     def test_per_channel_kappa_is_each_columns_estimate(self):
         model = softplus_net(seed=22)
