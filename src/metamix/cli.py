@@ -2,7 +2,7 @@
 
 Runs are configured by a flat key=value file plus command line overrides
 (overrides win). Every training run writes config.json (the fully resolved
-option set), metrics.jsonl (one record per epoch), summary.json and
+option set), metrics.jsonl (one record per epoch, as it ends), summary.json and
 model.npz into --out. An option's converter in the option tables checks its
 range, for flags and --config entries alike, before any command runs. An option
 for a field of TrainConfig, OptimizerConfig or SyntheticSpec takes its range and
@@ -367,12 +367,13 @@ def cmd_train(opts: dict) -> int:
     with _options_fault(ValueError, "--batch-size"):   # more than the training rows
         meta.check_run(splits, config)
     out = _open_out(opts, subcommand)
-    if subcommand == "ssl":
-        report = semi.train_ssl(splits, unlabeled, config)
-    else:
-        report = meta.train_supervised(splits, config)
-    with open(out / "metrics.jsonl", "w") as fh:
-        write_records(report.records, fh)
+    with open(out / "metrics.jsonl", "w") as fh:   # one line per epoch as it ends
+        def write(record):
+            write_records([record], fh)
+        if subcommand == "ssl":
+            report = semi.train_ssl(splits, unlabeled, config, write)
+        else:
+            report = meta.train_supervised(splits, config, write)
     nets.save_model(report.model, out / "model.npz")
     last = report.records[-1]
     summary = {

@@ -293,16 +293,6 @@ def exp(a) -> Tensor:
     return _result(np.exp(a.data), "exp", (a,), lambda y, u, needs: (mul(u, y),))
 
 
-def sin(a) -> Tensor:
-    a = as_tensor(a)
-    return _result(np.sin(a.data), "sin", (a,), lambda y, u, needs: (mul(u, cos(a)),))
-
-
-def cos(a) -> Tensor:
-    a = as_tensor(a)
-    return _result(np.cos(a.data), "cos", (a,), lambda y, u, needs: (neg(mul(u, sin(a))),))
-
-
 def log_softmax(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
@@ -323,16 +313,6 @@ def row_sum(a) -> Tensor:
         raise ShapeError(f"row_sum: expected 2-d, got shape {a.shape}")
     out = a.data.sum(axis=1, keepdims=True)
     return _result(out, "row_sum", (a,), lambda y, u, needs: (broadcast_to(u, a.shape),))
-
-
-def mean_reduce(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.size
-    if n == 0:
-        raise ShapeError("mean_reduce: empty tensor")
-    out = a.data.mean()
-    return _result(out, "mean_reduce", (a,),
-                   lambda y, u, needs: (scale(broadcast_to(u, a.shape), 1.0 / n),))
 
 
 def sum_reduce(a) -> Tensor:
@@ -429,8 +409,10 @@ def _check_kernel(shape) -> int:
 
 
 # most bytes of im2col columns per block of images in the conv kernels, about
-# the L2 cache of one core: a block's columns are built, read by one GEMM and
-# dropped, so no kernel holds the columns of a whole batch
+# the L2 cache of one core. A kernel that builds columns builds a block's,
+# reads them by one GEMM and drops them; one that runs shifted GEMMs sizes its
+# blocks by the columns it does not build. No kernel holds a whole batch's
+# columns or padded rows
 CONV_BLOCK_BYTES = 2 << 20
 
 
@@ -440,11 +422,24 @@ def _block_images(per_image: int) -> int:
     return max(1, CONV_BLOCK_BYTES // (8 * per_image))
 
 
+def _builds_columns(cin: int, cout: int) -> bool:
+    """Whether the forward and the kernel gradient of a conv from cin to cout
+    channels run on im2col columns rather than as k*k shifted GEMMs over the
+    padded rows. Columns copy each input value k*k times, a gather whose cost
+    grows with cin, then take one GEMM per block; the shifted forward copies
+    each value once but runs k*k GEMMs of inner size cin and adds k*k
+    [rows, cout] products, a cost that grows with cout. So a layer that
+    widens its channels more than twofold keeps its columns: cnn3's 1 -> 16
+    layer does, its 16 -> 32 layer does not (measured in CHANGES.md)."""
+    return 2 * cin < cout
+
+
 def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """[n,h,w,c] -> [n*h*w, k*k*c] patches under same padding, (kh,kw,c) order.
 
-    The forward kernel and the weight gradient build them one block of images
-    at a time and drop them after the block's GEMM."""
+    The forward kernel and the weight gradient of a layer that builds columns
+    (``_builds_columns``) build them one block of images at a time and drop
+    them after the block's GEMM."""
     pad = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
@@ -453,14 +448,78 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, k * k * x.shape[3])
 
 
+def _padded_blocks(a: np.ndarray, k: int, step: int, lead: int):
+    """Yield (images, rows) per block of ``step`` images of ``a`` [n,h,w,c],
+    ``images`` the block's slice of the batch and ``rows`` the block with
+    k - 1 zero rows and columns around each image, ``lead`` of them before
+    it ((k - 1) / 2 for same padding, 0 to put the image at the top left),
+    flattened to [images * H * W, c], H and W the padded sizes. One buffer
+    serves every block of the call: its padding is zeroed once, and each
+    block overwrites the rest.
+
+    Row r + p*W + q of a block's rows is the padded image value (p, q) taps
+    away from row r, so a tap of a correlation is one contiguous slice of
+    rows. A row whose taps wrap past an image's edge lies in the padding,
+    which the kernels drop (or hold zero in their gradient), so each image
+    reads its own rows only."""
+    n, h, w, c = a.shape
+    buf = np.zeros((min(step, n), h + k - 1, w + k - 1, c))
+    for i in range(0, n, step):
+        block = a[i:i + step]
+        grid = buf[:len(block)]
+        grid[:, lead:lead + h, lead:lead + w] = block
+        yield slice(i, i + len(block)), grid.reshape(-1, c)
+
+
+def _valid_rows(rows: int, k: int, width: int) -> int:
+    """How many leading rows of a block's padded rows hold every output
+    position: the last one is ``rows - (k - 1) * (width + 1) - 1``."""
+    return rows - (k - 1) * (width + 1)
+
+
+def _correlate(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The same-padded correlation of ``a`` [n,h,w,c] with ``taps``
+    [k,k,c,d], out[i, j] = sum over (p, q) of the padded a at (i + p, j + q)
+    times taps[p, q], as k*k shifted GEMMs over each block's padded rows
+    (``_padded_blocks``) and no columns: the first tap's GEMM writes the
+    block's result rows, each further one goes through one tap buffer and is
+    added to them, and the crop to the valid h x w window is copied out.
+    Blocks hold as many images as ``_block_images`` gives for the columns it
+    does not build. A batch that one block holds takes the bits of the same
+    GEMMs over the whole batch; past a block, a row may round by where it
+    falls in its GEMM, as the column forward's may (``tests/test_engine.py``)."""
+    k, _, c, d = taps.shape
+    n, h, wd, _ = a.shape
+    width = wd + k - 1
+    out = np.empty((n, h, wd, d))
+    step = _block_images(h * wd * k * k * c)
+    shifts = [(p * width + q, taps[p, q]) for p in range(k) for q in range(k)]
+    result = tap = None
+    for images, rows in _padded_blocks(a, k, step, (k - 1) // 2):
+        m = _valid_rows(len(rows), k, width)
+        if result is None:   # sized by the first block, the largest
+            result, tap = np.empty((len(rows), d)), np.empty((m, d))
+        grid = result[:len(rows)]
+        acc, buf = grid[:m], tap[:m]
+        np.matmul(rows[:m], shifts[0][1], out=acc)
+        for s, t in shifts[1:]:
+            np.matmul(rows[s:s + m], t, out=buf)
+            acc += buf
+        out[images] = grid.reshape(-1, h + k - 1, width, d)[:, :h, :wd]
+    return out
+
+
 def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The conv output [n,h,w,cout] of x [n,h,w,cin]: per block of images,
-    one GEMM of the block's ``_im2col`` columns, written into the output.
-    A batch that one block holds takes the whole-batch GEMM's bits. Past a
-    block, BLAS may round a row by where it falls in its GEMM (a micro-kernel's
-    leftover rows, a small-matrix or gemv path for few output channels);
-    cnn3's shapes keep the whole-batch bits (``tests/test_engine.py``)."""
+    """The conv output [n,h,w,cout] of x [n,h,w,cin]. A layer that builds
+    columns (``_builds_columns``) takes, per block of images, one GEMM of the
+    block's ``_im2col`` columns, written into the output; any other runs
+    ``_correlate``. A batch that one block holds takes the whole-batch GEMMs'
+    bits. Past a block, BLAS may round a row by where it falls in its GEMM (a
+    micro-kernel's leftover rows, a small-matrix or gemv path for few output
+    channels); cnn3's shapes keep the whole-batch bits (``tests/test_engine.py``)."""
     k, _, cin, cout = w.shape
+    if not _builds_columns(cin, cout):
+        return _correlate(x, w)
     n, h, wd, _ = x.shape
     out = np.empty((n, h, wd, cout))
     flat = w.reshape(k * k * cin, cout)
@@ -473,50 +532,43 @@ def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _conv_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Correlate the output gradient g [n,h,w,cout] with the spatially
-    flipped, channel-swapped kernel, as k*k shifted GEMMs and no columns,
-    one block of images at a time.
-
-    With a block of g zero-padded and flattened to rows, row r of the result
-    (indexed over the padded grid) takes tap (p, q) from row r + p*W + q, W
-    the padded width, so each tap is one contiguous slice of rows times a
-    [cout, cin] slice of the flipped kernel. Rows whose taps wrap past an
-    image's edge fall in the padding, which the crop to the valid h x w
-    window drops, so each image's result reads its own rows only; its bits
-    follow the block as the forward's do."""
-    k, _, cin, cout = w.shape
-    n, h, wd, _ = g.shape
-    pad = (k - 1) // 2
-    width = wd + 2 * pad
-    flip = w[::-1, ::-1]
-    out = np.empty((n, h, wd, cin))
-    step = _block_images(h * wd * k * k * cout)   # the columns it does not build
-    for i in range(0, n, step):
-        block = g[i:i + step]
-        flat = np.pad(block, ((0, 0), (pad, pad), (pad, pad), (0, 0))).reshape(-1, cout)
-        m = len(flat) - (k - 1) * (width + 1)   # the last valid row is row m - 1
-        grid = np.zeros((len(flat), cin))
-        acc = grid[:m]
-        for p in range(k):
-            for q in range(k):
-                s = p * width + q
-                acc += flat[s:s + m] @ flip[p, q].T
-        out[i:i + step] = grid.reshape(len(block), h + 2 * pad, width, cin)[:, :h, :wd]
-    return out
+    flipped, channel-swapped kernel, by ``_correlate`` whatever the channel
+    counts: columns of g would copy it k*k times over the cout channels
+    that the layer's wider side holds."""
+    return _correlate(g, w[::-1, ::-1].transpose(0, 1, 3, 2))
 
 
 def _conv_weight_grad(x: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
     """The kernel gradient [k,k,cin,cout] from the conv input x [n,h,w,cin]
-    and the output gradient g [n,h,w,cout]: per block of images, the GEMM of
-    the block's ``_im2col`` columns with its rows of g, summed over blocks
-    into one [k*k*cin, cout] array. A batch that one block holds takes the
-    whole-batch GEMM's bits; past a block, the sum over rows runs block by
+    and the output gradient g [n,h,w,cout], summed over blocks of images
+    into one array. A layer that builds columns (``_builds_columns``) takes
+    the GEMM of each block's ``_im2col`` columns with its rows of g. Any
+    other takes per tap (p, q) the GEMM of the block's padded input rows,
+    shifted by the tap, with its g at the top left of the same padded grid
+    (``_padded_blocks``), into one tap buffer added to the tap's slice: g is
+    zero on every row whose taps wrap, so the sum over rows reads each
+    image's own values. A batch that one block holds takes the
+    whole-batch GEMMs' bits; past a block, the sum over rows runs block by
     block, in another order, within 1e-14 (``tests/test_engine.py``)."""
     cin, cout = x.shape[3], g.shape[3]
     step = _block_images(x.shape[1] * x.shape[2] * k * k * cin)
-    out = _im2col(x[:step], k).T @ g[:step].reshape(-1, cout)
-    for i in range(step, len(x), step):
-        out += _im2col(x[i:i + step], k).T @ g[i:i + step].reshape(-1, cout)
-    return out.reshape(k, k, cin, cout)
+    if _builds_columns(cin, cout):
+        out = _im2col(x[:step], k).T @ g[:step].reshape(-1, cout)
+        for i in range(step, len(x), step):
+            out += _im2col(x[i:i + step], k).T @ g[i:i + step].reshape(-1, cout)
+        return out.reshape(k, k, cin, cout)
+    width = x.shape[2] + k - 1
+    out = np.zeros((k, k, cin, cout))
+    tap = np.empty((cin, cout))
+    for (_, rows), (_, grads) in zip(_padded_blocks(x, k, step, (k - 1) // 2),
+                                     _padded_blocks(g, k, step, 0)):
+        m = _valid_rows(len(rows), k, width)
+        for p in range(k):
+            for q in range(k):
+                s = p * width + q
+                np.matmul(rows[s:s + m].T, grads[:m], out=tap)
+                out[p, q] += tap
+    return out
 
 
 def conv2d(x, w) -> Tensor:

@@ -12,10 +12,11 @@ group's weight. The hypergradient is exact: an inner gradient, a validation
 gradient at the simulated weights (each one forward and one reverse pass
 per row chunk of ``nets.loss_and_gradients``), and a pass that carries a
 parameter tangent and a lambda tangent along each inner chunk's tape
-(:func:`hypergradient`); the real update is one more ``loss_and_gradients``
-call. So a step holds the inner chunks' tapes plus one chunk of the pass
-at work, never a whole batch's activations (``nets.inference_chunks``
-gives the chunks). Training never
+(:func:`hypergradient`): the inner pass's own for its last chunk, a
+forward run again for every other one; the real update is one more
+``loss_and_gradients`` call. So a step holds one chunk's tape at a time
+plus one chunk of the pass at work, never a whole batch's activations
+(``nets.inference_chunks`` gives the chunks). Training never
 differentiates the mix: each coefficient vector mixes the stacked batch
 once, in numpy, for the meta loss, that pass and the real update.
 :func:`simulated_step_losses` keeps the engine's double backward (through
@@ -33,7 +34,7 @@ from __future__ import annotations
 import time
 from itertools import accumulate
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,17 +112,29 @@ class TrainingReport:
 Group = tuple[np.ndarray, np.ndarray, np.ndarray, float]
 
 
-def _stack(groups: Sequence[Group], length: int):
-    """A step's groups as one batch (x, y, perm, segments) for ``length``
-    coefficients: rows concatenated, each permutation shifted onto its
-    group's rows (a block permutation), one ``(rows, weight)`` per group."""
-    xs, ys, perms, weights = zip(*groups)
-    bounds = [0, *accumulate(map(len, xs))]
-    if length != bounds[-1]:
-        raise eng.ShapeError(f"policy length {length} vs group total {bounds[-1]}")
-    return (np.concatenate(xs), np.concatenate(ys),
-            np.concatenate([perm + lo for perm, lo in zip(perms, bounds)]),
-            [(slice(lo, hi), w) for lo, hi, w in zip(bounds, bounds[1:], weights)])
+class Stacked(NamedTuple):
+    """A step's groups as one batch: rows concatenated, each permutation
+    shifted onto its group's rows (a block permutation), one
+    ``(rows, weight)`` segment per group."""
+    x: np.ndarray
+    y: np.ndarray
+    perm: np.ndarray
+    segments: list
+
+
+def _stack(groups: Sequence[Group] | Stacked, length: int) -> Stacked:
+    """A step's groups as one batch for ``length`` coefficients; a batch
+    that is already stacked passes as it is. Either must hold ``length``
+    rows."""
+    if not isinstance(groups, Stacked):
+        xs, ys, perms, weights = zip(*groups)
+        bounds = [0, *accumulate(map(len, xs))]
+        groups = Stacked(np.concatenate(xs), np.concatenate(ys),
+                         np.concatenate([perm + lo for perm, lo in zip(perms, bounds)]),
+                         [(slice(lo, hi), w) for lo, hi, w in zip(bounds, bounds[1:], weights)])
+    if length != len(groups.x):
+        raise eng.ShapeError(f"policy length {length} vs group total {len(groups.x)}")
+    return groups
 
 
 def _mix(x, y, perm, lam: np.ndarray):
@@ -183,7 +196,7 @@ def _cross_entropy_mixed_derivative(a, a_e, a_l, a_el, y, dy) -> np.ndarray:
              - y.sum(axis=1) * lse_el)
 
 
-def hypergradient(model: ModelState, groups: Sequence[Group],
+def hypergradient(model: ModelState, groups: Sequence[Group] | Stacked,
                   policy: InterpolationPolicy, val_batch, eta: float,
                   mode: str = "exact") -> MetaGradResult:
     """d L_val(theta - eta * grad L_meta(lambda)) / d logits, exactly.
@@ -199,10 +212,13 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
     d2 l_i / (deps dlambda_i). Two numpy gradients from
     ``nets.loss_and_gradients`` (the inner gradient, then L_val and v) and
     that pass replace a double backward, and no engine graph is built. The
-    groups stack into one batch, and the pass runs along each inner chunk's
-    tape, reusing its logits and activation derivatives, and drops the tape
-    after it. The model is not touched; :func:`simulated_step_losses` is
-    the double-backward reference.
+    groups stack into one batch (or come stacked, as :func:`train_step`
+    hands them over). The pass reuses the inner logits and runs along each
+    inner chunk's tape, last chunk first: the inner pass's own for the last
+    chunk, a forward run again for each other one, each dropped after its
+    tangents. So the validation pass runs beside one chunk's tape, not the
+    whole inner batch's activations. The model is not touched;
+    :func:`simulated_step_losses` is the double-backward reference.
 
     ``mode`` accepts only "exact"; it remains for callers that still name it.
     """
@@ -211,18 +227,22 @@ def hypergradient(model: ModelState, groups: Sequence[Group],
     lam = policy.lambda_values()
     x, y, perm, segments = _stack(groups, len(lam))
     x_mix, y_mix = _mix(x, y, perm, lam)
-    tapes = []
+    last_tape = []
     meta_loss, inner, logits = nets.loss_and_gradients(
-        model, (x_mix, y_mix, segments), tapes=tapes)
+        model, (x_mix, y_mix, segments), last_tape=last_tape)
     simulated = {n: p.data - eta * inner[n] for n, p in model.params.items()}
+    inner = None   # the validation pass runs without the inner gradient,
     val_loss, v = nets.loss_and_gradients(model, (*val_batch, None), simulated)[:2]
+    simulated = None   # the tangent pass without the simulated weights
 
     # a mixed row moves with its lambda by x - x[perm] and its label by
     # y - y[perm]; row i of a group of n rows and weight w scales by -eta w / n
     dx, dy = x - x[perm], y - y[perm]
     mixed = np.empty(len(lam))
-    while tapes:   # each chunk's tape goes once its tangents are taken
-        rows, tape = tapes.pop()
+    # the last chunk runs along the inner pass's own tape, every other one
+    # along a forward run again, so the step holds one chunk's tape at a time
+    for rows in nets.inference_chunks(model.arch, len(x))[::-1]:
+        tape = last_tape.pop() if last_tape else nets._forward(model, x_mix[rows])[1]
         tangents = nets.forward_tangents(tape, dx[rows], v)
         mixed[rows] = _cross_entropy_mixed_derivative(logits[rows], *tangents,
                                                       y_mix[rows], dy[rows])
@@ -273,11 +293,12 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
                else mixing.sample_pairing(len(x), rng), weight)
               for (x, y), weight in members]
     n = sum(len(g[0]) for g in groups)
+    stacked = _stack(groups, n)
 
     meta_loss = val_loss = hyper_norm = 0.0
     if config.mode == "metamixup":
         policy = mixing.init_policy(n, rng)
-        res = hypergradient(model, groups, policy, val_batch, step_lr)
+        res = hypergradient(model, stacked, policy, val_batch, step_lr)
         lam = update_policy(policy, res.grad, config.policy_step_size).lambda_values()
         meta_loss, val_loss = res.meta_loss, res.val_loss
         hyper_norm = float(np.linalg.norm(res.grad))
@@ -288,7 +309,7 @@ def train_step(model: ModelState, batch, val_batch, config: TrainConfig,
     else:
         lam = np.ones(n)
 
-    x, y, perm, segments = _stack(groups, len(lam))
+    x, y, perm, segments = stacked
     loss, grads = nets.loss_and_gradients(model, (*_mix(x, y, perm, lam), segments))[:2]
     nets.sgd_step(model, grads, config.optimizer, step_lr)
     if config.mode != "metamixup" and val_batch is not None:
@@ -319,9 +340,11 @@ def sample_val_batch(meta_val, val_onehot: np.ndarray, m: int,
     return shape_for(arch, meta_val.inputs[idx]), val_onehot[idx]
 
 
-def train_supervised(splits: Splits, config: TrainConfig) -> TrainingReport:
-    """Full supervised run; metrics are per epoch."""
-    return _fit(splits, config)
+def train_supervised(splits: Splits, config: TrainConfig,
+                     on_epoch=None) -> TrainingReport:
+    """Full supervised run; metrics are per epoch, each handed to
+    ``on_epoch`` (when given) as soon as its epoch ends."""
+    return _fit(splits, config, on_epoch=on_epoch)
 
 
 def check_run(splits: Splits, config: TrainConfig) -> Architecture:
@@ -354,7 +377,8 @@ def check_run(splits: Splits, config: TrainConfig) -> Architecture:
     return arch
 
 
-def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
+def _fit(splits: Splits, config: TrainConfig, relabel=None,
+         on_epoch=None) -> TrainingReport:
     """The epoch loop of every run, supervised and semi-supervised.
 
     Each epoch first calls ``relabel(model, epoch)`` (when given), which
@@ -367,7 +391,8 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
     order, then the accepted order (only when rows were accepted); per step:
     validation indices, labeled augmentation, pseudo augmentation, then the
     draws of :func:`train_step`. An epoch's record averages its steps' losses
-    and reads its lambda statistics from every coefficient the epoch drew.
+    and reads its lambda statistics from every coefficient the epoch drew;
+    ``on_epoch(record)`` (when given) gets it before the next epoch starts.
     """
     train, meta_val, test = splits.train, splits.meta_val, splits.test
     arch = check_run(splits, config)
@@ -416,5 +441,7 @@ def _fit(splits: Splits, config: TrainConfig, relabel=None) -> TrainingReport:
             lambda_hist=lambda_histogram(lam), threshold=threshold,
             accepted_count=accepted, pseudo_accuracy=pseudo_accuracy,
             wall_seconds=time.perf_counter() - t0))
+        if on_epoch is not None:
+            on_epoch(records[-1])
     return TrainingReport(records=records, final_test_error=records[-1].test_error,
                           model=model)

@@ -8,16 +8,19 @@ differs between kinds: its shapes on an input, its product with a weight in
 the engine (``graph_product``) and in numpy, and its weight and input
 gradients; no pass names a kind. Training and the audit walk the layers in
 numpy: ``_forward`` keeps a per-layer tape of each layer's input as it
-arrived (a conv layer's [n, h, w, cin] images, never their im2col columns;
-the engine's conv kernels build those per block of images and drop them)
-and of f' (a relu's as a bool mask), ``_reverse`` walks it back from a
-gradient at the logits to the parameters (for ``loss_and_gradients``, from
-``_cross_entropy_head``) or to the input, and ``forward_tangents`` carries
-two tangents along it for the second-order term, in place; a loss over
-weighted row segments is one pass too. Either way ``_forward`` checks each
-layer's pre-activation once; without a tape it computes the logits alone,
-by the value kernels of the engine's primitives (``ACTIVATION_VALUES``):
-the audit's logit values (``smoothness.LogitField.value``).
+arrived (a conv layer's [n, h, w, cin] images, never their im2col columns:
+the engine's conv kernels build those per block of images and drop them,
+and only for a layer that widens its channels more than twofold, where the
+gather is cheap; every other layer runs k*k shifted GEMMs over padded
+rows, ``engine._builds_columns``) and of f' (a relu's as a bool mask),
+``_reverse`` walks it back from a gradient at the logits to the parameters
+(for ``loss_and_gradients``, from ``_cross_entropy_head``) or to the
+input, and ``forward_tangents`` carries two tangents along it for the
+second-order term, in place; a loss over weighted row segments is one pass
+too. Either way ``_forward`` checks each layer's pre-activation once;
+without a tape it computes the logits alone, by the value kernels of the
+engine's primitives (``ACTIVATION_VALUES``): the audit's logit values
+(``smoothness.LogitField.value``).
 
 Every pass runs over row chunks from one rule, ``inference_chunks``: as
 many rows as keep the widest layer output under INFERENCE_BYTES, in whole
@@ -25,7 +28,8 @@ many rows as keep the widest layer output under INFERENCE_BYTES, in whole
 ``loss_and_gradients`` runs forward, head and reverse one chunk at a time
 and adds the chunks' gradients, so a pass holds one chunk's activations
 and reverse temporaries, never a whole batch's; only the hypergradient's
-inner pass keeps its chunks' tapes, for the tangent pass. The engine's
+inner pass keeps a tape past its pass, its last chunk's, for the tangent
+pass. The engine's
 ``forward`` serves ``batched_logits``, over the same chunks (``predict``,
 ``error_rate`` and the relabel pass), and the oracles.
 """
@@ -342,7 +346,7 @@ def param_gradients(loss: Tensor, model: ModelState) -> dict[str, Tensor]:
 
 
 def loss_and_gradients(model: ModelState, batch,
-                       params: Mapping[str, np.ndarray] | None = None, tapes=None):
+                       params: Mapping[str, np.ndarray] | None = None, last_tape=None):
     """The loss of one batch ``(x, y, segments)``, the sum over ``segments``
     ``[(row slice, weight), ...]`` (None: all rows, weight 1) of weight * mean
     cross-entropy of those rows against ``y``, each reduced on its own, and
@@ -352,10 +356,11 @@ def loss_and_gradients(model: ModelState, batch,
 
     Per ``inference_chunks`` chunk of rows it runs one ``_forward``, the
     ``_cross_entropy_head``, whose upstream gradient scales each row by its
-    segment's weight and length, and one ``_reverse``, and adds the chunk's
-    gradients to those of the chunks before it. It appends ``(rows, tape)``
-    to ``tapes``, if given, for ``forward_tangents``; else a chunk's tape is
-    dropped before the next chunk's forward. The loss sums the stored
+    segment's weight and length, and one ``_reverse``, which adds the
+    chunk's gradients to those of the chunks before it. A chunk's tape is
+    dropped before the next chunk's forward; the last chunk's is appended
+    to ``last_tape``, if given, for ``forward_tangents``. The
+    loss sums the stored
     per-row terms by segment after the last chunk, so loss and logits are
     bit for bit those of ``eng.backward`` on ``meta._mixed_loss``, and so
     are the gradients of a one-chunk batch; past a chunk they sum in
@@ -366,21 +371,17 @@ def loss_and_gradients(model: ModelState, batch,
     for rows, weight in segments or [(slice(None), 1.0)]:
         labels = y[rows]
         du[rows] = (weight * (-1.0 / len(labels))) * labels
-    grads, logits, terms, transposed = None, [], [], {}
-    for rows in inference_chunks(model.arch, len(x)):
+    grads, logits, terms, transposed = {}, [], [], {}
+    chunks = inference_chunks(model.arch, len(x))
+    for rows in chunks:
         a, tape = _forward(model, x[rows], params)
+        if last_tape is not None and rows is chunks[-1]:
+            last_tape.append(tape)
         yls, u = _cross_entropy_head(a, y[rows], du[rows])
-        part = _reverse(tape, u, {}, transposed)
-        if grads is None:
-            grads = part
-        else:
-            for name, g in grads.items():
-                g += part[name]
+        _reverse(tape, u, grads, transposed)
         logits.append(a)
         terms.append(yls)
-        if tapes is not None:
-            tapes.append((rows, tape))
-        tape = part = None   # the next chunk's forward runs without them
+        tape = u = None   # the next chunk's forward runs without them
     loss = _segment_loss(_joined(terms), segments)
     if not np.isfinite(loss):
         raise eng.NonFiniteError("loss is not finite")
@@ -438,22 +439,32 @@ def _segment_loss(terms, segments) -> float:
 def _reverse(tape, u, grads=None, transposed=None):
     """Back along a ``_forward`` tape from the gradient ``u`` at the logits, by
     the engine's vjp rules and each layer kind's own kernels: into
-    ``grads``, if given, every parameter's gradient, returning ``grads`` at
-    layer 0; else the gradient at the input. ``transposed``, if given, keeps
-    the dense layers' transposed weights for the passes of further chunks
-    (``Dense.input_grad``)."""
+    ``grads``, if given, every parameter's gradient, added in place to the
+    one it holds already (an earlier chunk's), each as soon as it is
+    computed, returning ``grads`` at layer 0; else the gradient at the
+    input. ``transposed``, if given, keeps the dense layers' transposed
+    weights for the passes of further chunks (``Dense.input_grad``)."""
     if transposed is None:
         transposed = {}
     for i, (layer, h, w, d1, _) in reversed(list(enumerate(tape))):
         if d1 is not None:
             u = u * d1
         if grads is not None:
-            grads[f"layer{i}.b"] = u.sum(axis=tuple(range(u.ndim - 1)))
-            grads[f"layer{i}.w"] = layer.weight_grad(h, u)
+            _accumulate(grads, f"layer{i}.b", u.sum(axis=tuple(range(u.ndim - 1))))
+            _accumulate(grads, f"layer{i}.w", layer.weight_grad(h, u))
             if not i:
                 return grads
         u = layer.input_grad(u, w, h.shape, transposed)
     return u
+
+
+def _accumulate(grads, name, g):
+    """Add ``g`` in place to the gradient that ``grads`` holds under
+    ``name``, or hold it there."""
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g
 
 
 @dataclass

@@ -58,8 +58,10 @@ def lambda_histogram(values: np.ndarray) -> list[float]:
 
 
 def write_records(records, fh: IO[str]) -> None:
+    """One JSON line per record, each flushed once written."""
     for rec in records:
         fh.write(rec.to_json() + "\n")
+        fh.flush()
 
 
 def read_records(path) -> list[dict]:

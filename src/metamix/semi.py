@@ -53,7 +53,7 @@ def assign_pseudo_labels(model: ModelState, inputs, sigma_t: float) -> PseudoBat
 
 
 def train_ssl(labeled: Splits, unlabeled: Dataset,
-              config: TrainConfig) -> TrainingReport:
+              config: TrainConfig, on_epoch=None) -> TrainingReport:
     """Pseudo-label training over a labeled Splits bundle plus an unlabeled pool.
 
     The meta-validation set comes from the labeled pool (labeled.meta_val).
@@ -72,4 +72,4 @@ def train_ssl(labeled: Splits, unlabeled: Dataset,
         # reshapes them for the net
         return unlabeled.inputs[pool.indices], pool.labels, sigma_t, pseudo_accuracy
 
-    return meta._fit(labeled, config, relabel if len(unlabeled) else None)
+    return meta._fit(labeled, config, relabel if len(unlabeled) else None, on_epoch)

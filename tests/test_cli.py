@@ -184,6 +184,25 @@ class TestTrainRun:
         assert {k: v for k, v in ca.items() if k != "out"} == \
             {k: v for k, v in cb.items() if k != "out"}
 
+    def test_each_epoch_line_is_on_disk_when_a_later_epoch_fails(self, tmp_path,
+                                                                   monkeypatch):
+        # the test error closes each epoch; the second one raises
+        out, calls = tmp_path / "run", []
+        real_error_rate = nets.error_rate
+
+        def failing_error_rate(model, x, y):
+            calls.append(1)
+            if len(calls) == 2:
+                raise meta.NonFiniteError("epoch 2 fails")
+            return real_error_rate(model, x, y)
+
+        monkeypatch.setattr(nets, "error_rate", failing_error_rate)
+        assert run(["train", "--out", str(out), "--seed", "5", *TINY]) == 4
+        records = read_records(out / "metrics.jsonl")
+        assert [rec["epoch"] for rec in records] == [0]
+        assert tuple(records[0].keys()) == FIELD_ORDER
+        assert not (out / "summary.json").exists()
+
     def test_modes_round_trip(self, tmp_path):
         for mode in ("baseline", "mixup-beta", "mixup-fixed"):
             out = tmp_path / mode

@@ -191,7 +191,7 @@ class TestBackward:
         build, params = mlp_loss_builder(rng)
         x = params[0]
         l1 = build(params)
-        l2 = eng.mean_reduce(eng.mul(x, x))
+        l2 = eng.scale(eng.sum_reduce(eng.mul(x, x)), 1.0 / x.size)
         (g1,) = backward(l1, [x])
         (g2,) = backward(l2, [x])
         combo = eng.add(eng.scale(l1, a), eng.scale(l2, b))
@@ -212,13 +212,10 @@ class TestGradCheckPerPrimitive:
         "sigmoid": lambda t: eng.sum_reduce(eng.sigmoid(t)),
         "softplus": lambda t: eng.sum_reduce(eng.softplus(t)),
         "exp": lambda t: eng.sum_reduce(eng.exp(eng.scale(t, 0.3))),
-        "sin": lambda t: eng.sum_reduce(eng.sin(t)),
-        "cos": lambda t: eng.sum_reduce(eng.cos(t)),
         "mul": lambda t: eng.sum_reduce(eng.mul(t, t)),
         "add": lambda t: eng.sum_reduce(eng.add(eng.mul(t, t), t)),
         "sub": lambda t: eng.sum_reduce(eng.sub(eng.mul(t, t), t)),
         "scale": lambda t: eng.sum_reduce(eng.scale(t, -2.5)),
-        "mean_reduce": lambda t: eng.mean_reduce(eng.mul(t, t)),
         "neg": lambda t: eng.sum_reduce(eng.neg(eng.mul(t, t))),
     }
 
@@ -272,12 +269,12 @@ class TestGradCheckPerPrimitive:
         def f_input(t):
             img = eng.reshape(t, (2, 4, 4, 2))
             out = eng.conv2d(img, Tensor(w))
-            return eng.mean_reduce(eng.mul(out, out))
+            return eng.scale(eng.sum_reduce(eng.mul(out, out)), 1.0 / out.size)
 
         def f_kernel(t):
             ker = eng.reshape(t, (3, 3, 2, 3))
             out = eng.conv2d(Tensor(x), ker)
-            return eng.mean_reduce(eng.mul(out, out))
+            return eng.scale(eng.sum_reduce(eng.mul(out, out)), 1.0 / out.size)
 
         for _ in range(5):
             assert eng.grad_check(f_input, _flat_point(rng, 64)).passed
@@ -303,11 +300,11 @@ class TestGradCheckPerPrimitive:
         assert not report.passed
 
     def test_gradcheck_report_fields(self):
-        report = eng.grad_check(lambda t: eng.sum_reduce(eng.sin(t)),
-                                Tensor(np.array([0.0, np.pi / 2])))
+        report = eng.grad_check(lambda t: eng.sum_reduce(eng.mul(t, t)),
+                                Tensor(np.array([0.0, 1.5])))
         assert report.passed
         assert report.max_rel_error <= report.tolerance
-        np.testing.assert_allclose(report.analytic, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(report.analytic, [0.0, 3.0], atol=1e-12)
 
 
 class TestSecondOrder:
@@ -350,7 +347,7 @@ class TestSecondOrder:
         def build(params):
             (ker,) = params
             h = eng.tanh(eng.conv2d(Tensor(x), ker))
-            return eng.mean_reduce(eng.mul(h, h))
+            return eng.scale(eng.sum_reduce(eng.mul(h, h)), 1.0 / h.size)
 
         v = rng.normal(size=w.shape)
         (fd,) = eng.finite_diff_hvp(build, [w], [v], epsilon=1e-5)
@@ -389,7 +386,7 @@ def _conv_graph(rng):
               for s in ((2, 4, 4, 2), (3, 3, 2, 3), (3, 3, 3, 2))]
     x, w1, w2 = leaves
     h = eng.conv2d(eng.tanh(eng.conv2d(x, w1)), w2)
-    return leaves, eng.mean_reduce(eng.mul(h, h))
+    return leaves, eng.scale(eng.sum_reduce(eng.mul(h, h)), 1.0 / h.size)
 
 
 SUBSETS = ([0], [1], [2], [0, 2], [2, 0], [1, 2])
@@ -507,37 +504,61 @@ class TestConvValues:
             eng.conv2d(Tensor(np.zeros((1, 4, 4, 2))), Tensor(np.zeros((3, 3, 3, 1))))
 
 
+def _padded_rows(a, k, lead):
+    """Every image of a zero-padded by (k - 1) / 2 on each side, ``lead``
+    rows and columns before it, flattened to rows; the padded width; and how
+    many leading rows hold every output position."""
+    pad = (k - 1) // 2
+    n, h, wd, c = a.shape
+    rows = np.pad(a, ((0, 0), (lead, 2 * pad - lead), (lead, 2 * pad - lead), (0, 0)))
+    width = wd + 2 * pad
+    return rows.reshape(-1, c), width, len(rows.reshape(-1, c)) - (k - 1) * (width + 1)
+
+
+def _whole_batch_correlate(a, taps):
+    """The same-padded correlation of a with taps [k, k, c, d] as one
+    shifted-GEMM pass over the padded rows of every image at once."""
+    k, _, _, d = taps.shape
+    n, h, wd, _ = a.shape
+    pad = (k - 1) // 2
+    flat, width, m = _padded_rows(a, k, pad)
+    out = np.zeros((len(flat), d))
+    acc = out[:m]
+    for p in range(k):
+        for q in range(k):
+            s = p * width + q
+            acc += flat[s:s + m] @ taps[p, q]
+    return out.reshape(n, h + 2 * pad, width, d)[:, :h, :wd]
+
+
 def _whole_batch_forward(x, w):
-    """The forward conv as one im2col GEMM over every image at once."""
+    """The forward conv over every image at once: one im2col GEMM where the
+    layer builds columns, else one shifted-GEMM pass."""
     k, _, cin, cout = w.shape
+    if not eng._builds_columns(cin, cout):
+        return _whole_batch_correlate(x, w)
     cols = eng._im2col(x, k)
     return (cols @ w.reshape(k * k * cin, cout)).reshape(x.shape[:3] + (cout,))
 
 
 def _whole_batch_input_grad(g, w):
     """The input gradient as one shifted-GEMM pass over the padded rows of
-    every image at once."""
-    k, _, cin, cout = w.shape
-    n, h, wd, _ = g.shape
-    pad = (k - 1) // 2
-    width = wd + 2 * pad
-    flat = np.pad(g, ((0, 0), (pad, pad), (pad, pad), (0, 0))).reshape(-1, cout)
-    m = len(flat) - (k - 1) * (width + 1)
-    flip = w[::-1, ::-1]
-    out = np.zeros((len(flat), cin))
-    acc = out[:m]
-    for p in range(k):
-        for q in range(k):
-            s = p * width + q
-            acc += flat[s:s + m] @ flip[p, q].T
-    return out.reshape(n, h + 2 * pad, width, cin)[:, :h, :wd]
+    every image at once, with the flipped, channel-swapped kernel."""
+    return _whole_batch_correlate(g, w[::-1, ::-1].transpose(0, 1, 3, 2))
 
 
 def _whole_batch_weight_grad(x, g, k):
-    """The weight gradient as one GEMM of every image's im2col columns."""
-    cols = eng._im2col(x, k)
-    cout = g.shape[3]
-    return (cols.T @ g.reshape(len(cols), cout)).reshape(k, k, x.shape[3], cout)
+    """The weight gradient over every image at once: one GEMM of the im2col
+    columns where the layer builds them, else per tap one GEMM of the padded
+    rows shifted by the tap with g at the top left of the same grid."""
+    cin, cout = x.shape[3], g.shape[3]
+    if eng._builds_columns(cin, cout):
+        cols = eng._im2col(x, k)
+        return (cols.T @ g.reshape(len(cols), cout)).reshape(k, k, cin, cout)
+    rows, width, m = _padded_rows(x, k, (k - 1) // 2)
+    grads = _padded_rows(g, k, 0)[0]
+    return np.stack([rows[p * width + q:p * width + q + m].T @ grads[:m]
+                     for p in range(k) for q in range(k)]).reshape(k, k, cin, cout)
 
 
 _BLOCKED_KERNELS = {
@@ -559,13 +580,24 @@ def _kernel_args(kernel, rng, n, h, w, k, cin, cout):
 
 
 class TestBlockedConvKernels:
-    """The conv kernels build columns one block of images at a time. A batch
-    that one block holds runs the whole-batch GEMMs themselves. Past a block
-    bound OpenBLAS may round a row unlike the whole-batch GEMM (a leftover
-    row of its micro-kernel, a small-matrix or gemv path), and the weight
-    gradient sums its rows block by block, so the grid holds such batches
-    within 1e-14 of their largest entry; cnn3's training shapes keep the
-    forward's and the input gradient's bits."""
+    """The conv kernels run one block of images at a time. A layer that
+    widens its channels more than twofold (``engine._builds_columns``, such
+    as cnn3's 1 -> 16 layer) builds each block's im2col columns for its
+    forward and kernel gradient, where the gather is cheap and one GEMM
+    beats k*k thin ones; every other layer, and every input gradient, runs
+    k*k shifted GEMMs over the block's padded rows, which copy each value
+    once instead of k*k times. Each kernel is held to a whole-batch
+    reference of its own form. A batch that one block holds runs the
+    whole-batch GEMMs themselves. Past a block bound OpenBLAS may round a
+    row unlike the whole-batch GEMM (a leftover row of its micro-kernel, a
+    small-matrix or gemv path), and the weight gradient sums its rows block
+    by block, so the grid, which holds layers of both forms, holds such
+    batches within 1e-14 of their largest entry; cnn3's training shapes
+    keep the forward's and the input gradient's bits."""
+
+    def test_the_grid_holds_both_forms(self):
+        forms = {eng._builds_columns(cin, cout) for cin in (1, 3, 16) for cout in (1, 3, 16)}
+        assert forms == {True, False}
 
     @pytest.mark.parametrize("kernel", list(_BLOCKED_KERNELS))
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -573,9 +605,9 @@ class TestBlockedConvKernels:
     @pytest.mark.parametrize("cout", [1, 3, 16])
     def test_blocks_match_the_whole_batch(self, kernel, k, cin, cout, monkeypatch):
         h, w = 5, 7   # 35 rows per image: blocks do not start on a multiple of 4
-        # a block holds the columns of a correlation over the channels the
-        # kernel reads: cin for the forward and the weight gradient, cout for
-        # the input gradient
+        # a block holds the columns, built or not, of a correlation over the
+        # channels the kernel reads: cin for the forward and the weight
+        # gradient, cout for the input gradient
         blocked, reference = _BLOCKED_KERNELS[kernel]
         channels = cout if kernel == "input_grad" else cin
         per_image = h * w * k * k * channels
@@ -593,10 +625,11 @@ class TestBlockedConvKernels:
             else:
                 assert eng.max_relative_error(got, want, floor=0.0) <= 1e-14, n
 
-    # a cnn3 step on 28x28 images: each layer's forward, which the tangent
-    # pass runs with the weight and the direction's kernel too, and layer 1's
-    # input gradient; the (1, 32) and (16, 64) forwards, twice cnn3's widths,
-    # hold a wider GEMM past a block
+    # a cnn3 step on 28x28 images: each layer's forward (columns for layer 0,
+    # shifted GEMMs for layer 1), which the tangent pass runs with the weight
+    # and the direction's kernel too, and layer 1's input gradient; the
+    # (1, 32) and (16, 64) forwards, twice cnn3's widths, hold a wider column
+    # GEMM past a block
     @pytest.mark.parametrize("kernel,cin,cout", [
         ("forward", 1, 16), ("forward", 16, 32), ("forward", 1, 32),
         ("forward", 16, 64), ("input_grad", 16, 32)])
@@ -607,7 +640,8 @@ class TestBlockedConvKernels:
         args = _kernel_args(kernel, np.random.default_rng(14), n, 28, 28, 3, cin, cout)
         assert np.array_equal(blocked(*args), reference(*args))
 
-    # cnn3's two weight gradients on 28x28 images, past a block
+    # cnn3's two weight gradients on 28x28 images, past a block: layer 0's
+    # from columns, layer 1's from shifted GEMMs
     @pytest.mark.parametrize("cin,cout", [(1, 16), (16, 32)])
     def test_cnn3_weight_gradients_stay_within_the_tolerance(self, cin, cout):
         n = 2 * eng._block_images(28 * 28 * 9 * cin) + 1
